@@ -17,7 +17,7 @@ from .dual import (
     dual_recursive,
     fisher_info,
 )
-from .fock import FockSpace, FockVector, GramSingularError, TruncationError, float_gram_matrix
+from .fock import FockSpace, FockVector, GramSingularError, TruncationError
 from .ncpoly import (
     NCPoly,
     NCTensorPoly,

@@ -233,13 +233,14 @@ def _suite_duality(space, args, tol):
     if 2 * m + 1 > args.level:
         raise ConfigError("duality suite needs level >= 2*series_m + 1")
     limit = min(args.level, m + 2)
+    xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
     bad = None
     count = 0
     for n in range(limit + 1):
         for u in space.words(n):
             for i in range(1, space.d + 1):
                 count += 1
-                res = duality_residual(space, u, i, m)
+                res = duality_residual(space, u, i, xis[i])
                 if magnitude(res) > tol and bad is None:
                     bad = (i, u)
     return [
@@ -274,6 +275,8 @@ def _suite_gibbs(space, args, tol):
 
 
 def _suite_bounds(space, args, tol):
+    if args.level < 2:
+        raise ConfigError("bounds suite needs level >= 2")
     q0 = _q_float(space.deformation)
     if q0 is None:
         q0 = 0.5
@@ -423,6 +426,9 @@ def _export_gibbs(space, args):
 
 
 def _export_partitions(space, args):
+    lowest = 0 if args.family == "D" else 1
+    if args.n < lowest:
+        raise ConfigError(f"family {args.family} needs --n >= {lowest}")
     rows = []
     for part in enumerate_family(args.family, args.n):
         rows.append(

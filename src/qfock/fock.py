@@ -9,12 +9,22 @@ accumulating one deformation factor per letter it passes:
                             (prod_{s<t} q(i, w[s])) e_{w without t}
 
 With a constant deformation the accumulated factor is q^t, the familiar
-single-parameter rule. The level-n inner product twists the plain tensor
-inner product by the operator that sends e_w to the sum over all
-permutations pi of q^{inversions(pi)} e_{pi(w)}; for non-constant
-deformations the inner product is instead defined by peeling created
-letters against annihilation, which coincides with the permutation sum in
-the constant case (and is tested to).
+single-parameter rule. The level-n inner product <e_u, e_v> = G_n[u, v] is
+the one making creation adjoint to annihilation. For every deformation
+matrix its Gram matrix obeys one recursion, the right-handed form
+G_n = (G_{n-1} (x) 1) R_n of the Bozejko-Speicher factorization, which
+peels the last letter j of the row word:
+
+    G_n[u'j, v] = sum over positions t with v[t] = j of
+                  (prod_{s>t} q(j, v[s])) G_{n-1}[u', v without t]
+
+Removing one j from both words keeps equal letter contents (the sorted
+letters) equal, so G_n is block-diagonal over contents: entries between
+words of different content are exactly 0. Each level is stored as its
+content blocks, built from the blocks of the level below, and solves
+factor the blocks one by one. With constant q the recursion reproduces the
+permutation sum of q^inversions; the tests check both that and the
+left-peeling recursion for mixed q.
 
 Everything is exact when the deformation entries are exact; plain floats
 flow through the same code paths for numerical work. The truncation level
@@ -25,19 +35,16 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import product
+from typing import NamedTuple
 
-import numpy as np
-
-from .scalars import Deformation, QPoly, QRat, magnitude
+from .scalars import Deformation, magnitude
 
 __all__ = [
     "FockVector",
     "FockSpace",
     "TruncationError",
     "GramSingularError",
-    "float_gram_matrix",
 ]
 
 
@@ -169,65 +176,21 @@ class FockVector:
 
 
 # ---------------------------------------------------------------------------
-# permutation bookkeeping for the level Gram operators
-# ---------------------------------------------------------------------------
-
-_CHUNK = 32768
-
-
-@lru_cache(maxsize=None)
-def _count_matrices(n, d):
-    """For each inversion number k, the integer matrix N_k with
-
-        N_k[target, source] = #{permutations pi with inversions(pi) = k
-                                and pi(word_source) = word_target}
-
-    over the lexicographic level-n word basis. The level Gram operator is
-    then sum_k q^k N_k for any value (or formal power) of q.
-    """
-    w_count = d**n
-    if n == 0:
-        return {0: np.ones((1, 1), dtype=np.int64)}
-    words_arr = np.array(list(product(range(d), repeat=n)), dtype=np.int64)
-    powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    counts = {}
-    src = np.arange(w_count, dtype=np.int64)
-    perm_iter = permutations(range(n))
-    while True:
-        chunk = list(islice(perm_iter, _CHUNK))
-        if not chunk:
-            break
-        perms = np.array(chunk, dtype=np.int64)
-        inv = np.zeros(len(chunk), dtype=np.int64)
-        for a in range(n):
-            for b in range(a + 1, n):
-                inv += perms[:, a] > perms[:, b]
-        # permuted[p, t, w] = letter at position perms[p, t] of word w
-        permuted = words_arr.T[perms]
-        targets = np.einsum("ptw,t->pw", permuted, powers)
-        for k in np.unique(inv):
-            mat = counts.get(int(k))
-            if mat is None:
-                mat = np.zeros((w_count, w_count), dtype=np.int64)
-                counts[int(k)] = mat
-            sel = targets[inv == k]
-            np.add.at(mat, (sel.ravel(), np.tile(src, sel.shape[0])), 1)
-    return counts
-
-
-def float_gram_matrix(n, d, q0):
-    """Level-n Gram matrix as a dense float array, for numerical estimates."""
-    counts = _count_matrices(n, d)
-    w_count = d**n
-    out = np.zeros((w_count, w_count), dtype=float)
-    for k, mat in counts.items():
-        out += float(q0) ** k * mat
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the space
 # ---------------------------------------------------------------------------
+
+
+def _content(word):
+    """The letter content of a word: its letters in sorted order."""
+    return tuple(sorted(word))
+
+
+class _Block(NamedTuple):
+    """Gram matrix of the level-n words of one letter content."""
+
+    words: list  # in lexicographic order
+    index: dict  # word -> position in words
+    rows: list  # rows[a][b] = <e_{words[a]}, e_{words[b]}>
 
 
 class FockSpace:
@@ -247,9 +210,8 @@ class FockSpace:
         self._lock = threading.Lock()
         self._words = {}
         self._word_index = {}
-        self._gram = {}
+        self._blocks = {}
         self._gram_lu = {}
-        self._ip_memo = {}
         self._dual_memo = {}
         self._wick_memo = {}
 
@@ -331,26 +293,33 @@ class FockSpace:
         """Adjoint of right annihilation with respect to the twisted product.
 
         There is no closed letter-level formula for general deformation, so
-        each level solves the next level's Gram system:
-        <adjoint(x), y> = <x, right_annihilate(y)> for all level-(n+1) y.
+        each level-n component x solves <adjoint(x), y> = <x, right_annihilate(y)>
+        for all level-(n+1) y, that is G_{n+1} adjoint(x) = (G_n x) (x) e_i.
+        The right side of a content block of x lives in one content block
+        at level n+1, so each touched block is solved on its own.
         """
         self._check_letter(i)
-        acc = {}
-        for n in v.levels():
-            if n + 1 > self.level:
+        groups = {}
+        for w, c in v.items():
+            if len(w) + 1 > self.level:
                 raise TruncationError(
-                    f"adjoint on a level-{n} component exceeds level {self.level}"
+                    f"adjoint on a level-{len(w)} component exceeds level {self.level}"
                 )
-            comp = {w: c for w, c in v.items() if len(w) == n}
-            words_up = self.words(n + 1)
-            rhs = []
-            for x in words_up:
-                if x[-1] == i:
-                    rhs.append(self._pair_with_basis(comp, n, x[:-1]))
-                else:
-                    rhs.append(0)
-            coeffs = self._gram_solve(n + 1, rhs)
-            for word, c in zip(words_up, coeffs):
+            groups.setdefault(_content(w), []).append((w, c))
+        acc = {}
+        for content, terms in groups.items():
+            n = len(content)
+            blk = self._level(n)[content]
+            up_content = _content(content + (i,))
+            up = self._level(n + 1)[up_content]
+            rhs = [0] * len(up.words)
+            cols = [(blk.rows[blk.index[w]], c) for w, c in terms]
+            for k, y in enumerate(blk.words):
+                total = 0
+                for row, c in cols:
+                    total = total + c * row[k]
+                rhs[up.index[y + (i,)]] = total
+            for word, c in zip(up.words, self._gram_solve(n + 1, up_content, rhs)):
                 _add_to(acc, word, c)
         return FockVector(acc)
 
@@ -365,109 +334,102 @@ class FockSpace:
     # -- inner product -------------------------------------------------------
 
     def inner(self, u: FockVector, v: FockVector):
-        """Twisted inner product; levels are orthogonal by construction."""
-        if self.deformation.is_constant:
-            total = 0
-            for n in set(u.levels()) & set(v.levels()):
-                idx = self.word_index(n)
-                g = self.gram(n)
-                for a, ca in u.level(n).items():
-                    row = g[idx[a]]
-                    for b, cb in v.level(n).items():
-                        total = total + ca * cb * row[idx[b]]
-            return total
-        return self.inner_recursive(u, v)
-
-    def inner_recursive(self, u: FockVector, v: FockVector):
-        """Inner product by peeling created letters against annihilation.
-
-        Works for any deformation matrix; coincides with the permutation-sum
-        product when the matrix is constant.
-        """
+        """Twisted inner product, read off the content blocks; words of
+        different content (in particular of different length) are orthogonal."""
+        right = {}
+        for b, cb in v.items():
+            right.setdefault(_content(b), []).append((b, cb))
         total = 0
-        for n in set(u.levels()) & set(v.levels()):
-            for a, ca in u.level(n).items():
-                for b, cb in v.level(n).items():
-                    total = total + ca * cb * self._ip_basis(a, b)
-        return total
-
-    def _ip_basis(self, u, v):
-        if len(u) != len(v):
-            return 0
-        if not u:
-            return 1
-        key = (u, v)
-        with self._lock:
-            got = self._ip_memo.get(key)
-        if got is not None:
-            return got
-        i = u[0]
-        q = self.deformation.q
-        total = 0
-        c = 1
-        for t, letter in enumerate(v):
-            if letter == i:
-                total = total + c * self._ip_basis(u[1:], v[:t] + v[t + 1 :])
-            c = c * q(i, letter)
-        with self._lock:
-            self._ip_memo[key] = total
-        return total
-
-    def _pair_with_basis(self, comp, n, y):
-        """<component, e_y> for a level-n coefficient dict."""
-        if self.deformation.is_constant:
-            idx = self.word_index(n)
-            g = self.gram(n)
-            col = idx[y]
-            total = 0
-            for a, ca in comp.items():
-                total = total + ca * g[idx[a]][col]
-            return total
-        total = 0
-        for a, ca in comp.items():
-            total = total + ca * self._ip_basis(a, y)
+        for a, ca in u.items():
+            content = _content(a)
+            same = right.get(content)
+            if not same:
+                continue
+            blk = self._level(len(a))[content]
+            row = blk.rows[blk.index[a]]
+            for b, cb in same:
+                total = total + ca * cb * row[blk.index[b]]
         return total
 
     # -- Gram data ------------------------------------------------------------
 
-    def gram(self, n):
-        """Level-n Gram matrix (list of rows) in the lexicographic basis.
-
-        Constant deformation: assembled from the permutation sum, grouped by
-        inversion count. Otherwise: the peeling recursion entry by entry.
-        """
+    def _level(self, n):
+        """The content blocks of G_n, keyed by content, built by the
+        right-peeling recursion from the blocks of G_{n-1}."""
         with self._lock:
-            got = self._gram.get(n)
+            got = self._blocks.get(n)
         if got is not None:
             return got
-        words = self.words(n)
-        if self.deformation.is_constant:
-            q = self.deformation.constant_value
-            counts = _count_matrices(n, self.d)
-            size = len(words)
-            mat = [[0] * size for _ in range(size)]
-            power = {}
-            acc = 1
-            for k in range(max(counts) + 1):
-                power[k] = acc
-                acc = acc * q
-            for k, cmat in counts.items():
-                qk = power[k]
-                rows, cols = np.nonzero(cmat)
-                for r, c, cnt in zip(rows.tolist(), cols.tolist(), cmat[rows, cols].tolist()):
-                    mat[r][c] = mat[r][c] + qk * cnt
+        if n == 0:
+            blocks = {(): _Block([()], {(): 0}, [[1]])}
         else:
-            mat = [[self._ip_basis(a, b) for b in words] for a in words]
+            below = self._level(n - 1)
+            q = self.deformation.q
+            grouped = {}
+            for w in self.words(n):
+                grouped.setdefault(_content(w), []).append(w)
+            blocks = {}
+            for content, words in grouped.items():
+                # peel[b][j]: (position of v without t below, weight) over
+                # the positions t of v = words[b] with v[t] = j
+                peel = []
+                for v in words:
+                    by_letter = {}
+                    for t, j in enumerate(v):
+                        weight = 1
+                        for s in v[t + 1 :]:
+                            weight = weight * q(j, s)
+                        if not weight:
+                            continue
+                        rest = v[:t] + v[t + 1 :]
+                        sub = below[_content(rest)]
+                        by_letter.setdefault(j, []).append((sub.index[rest], weight))
+                    peel.append(by_letter)
+                rows = []
+                for u in words:
+                    head, j = u[:-1], u[-1]
+                    sub = below[_content(head)]
+                    row_below = sub.rows[sub.index[head]]
+                    row = []
+                    for by_letter in peel:
+                        total = 0
+                        for pos, weight in by_letter.get(j, ()):
+                            total = total + weight * row_below[pos]
+                        row.append(total)
+                    rows.append(row)
+                blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows)
         with self._lock:
-            self._gram.setdefault(n, mat)
-        return self._gram[n]
+            self._blocks.setdefault(n, blocks)
+            return self._blocks[n]
 
-    def _lu(self, n):
+    def gram(self, n):
+        """Level-n Gram matrix as a dense list of rows in the lexicographic
+        word basis: the content blocks of the right-peeling recursion (see
+        the module docstring) placed on their words, and 0 between them."""
+        idx = self.word_index(n)
+        size = len(idx)
+        mat = [[0] * size for _ in range(size)]
+        for blk in self._level(n).values():
+            pos = [idx[w] for w in blk.words]
+            for r, row in zip(pos, blk.rows):
+                out = mat[r]
+                for c, value in zip(pos, row):
+                    out[c] = value
+        return mat
+
+    def _factors(self, n):
+        """LU factors of every content block of G_n, keyed by content; a
+        singular block anywhere on the level is reported on first use."""
         with self._lock:
             got = self._gram_lu.get(n)
         if got is not None:
             return got
-        mat = self.gram(n)
+        factors = {content: self._lu(n, blk.rows) for content, blk in self._level(n).items()}
+        with self._lock:
+            self._gram_lu.setdefault(n, factors)
+            return self._gram_lu[n]
+
+    def _lu(self, n, mat):
         size = len(mat)
         lu = [list(row) for row in mat]
         perm = list(range(size))
@@ -502,12 +464,10 @@ class FockSpace:
                     row_r, row_c = lu[r], lu[col]
                     for c in range(col + 1, size):
                         row_r[c] = row_r[c] - f * row_c[c]
-        with self._lock:
-            self._gram_lu.setdefault(n, (perm, lu))
-        return self._gram_lu[n]
+        return perm, lu
 
-    def _gram_solve(self, n, rhs):
-        perm, lu = self._lu(n)
+    def _gram_solve(self, n, content, rhs):
+        perm, lu = self._factors(n)[content]
         size = len(lu)
         y = [rhs[p] for p in perm]
         for r in range(size):

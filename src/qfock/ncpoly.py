@@ -337,11 +337,11 @@ def cyclic_derivative(i, p: NCPoly) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
-def duality_residual(space: FockSpace, word_u, i, source_length):
-    """tau(A^u xi_i) minus (tau (x) tau)(d_i A^u); exactly zero whenever
-    the monomial length stays within the truncated series' reach."""
+def duality_residual(space: FockSpace, word_u, i, xi: FockVector):
+    """tau(A^u xi_i) minus (tau (x) tau)(d_i A^u) for a truncated conjugate
+    variable xi = conjugate_series(space, i, M); exactly zero whenever the
+    monomial length stays within the truncated series' reach."""
     word_u = tuple(word_u)
-    xi = conjugate_series(space, i, source_length)
     # tau(A^u X) = <xi, A^{reversed u} vacuum> by self-adjointness.
     v = space.vacuum()
     for letter in word_u:

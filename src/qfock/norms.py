@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from .fock import FockSpace, FockVector, GramSingularError, float_gram_matrix
+from .fock import FockSpace, FockVector, GramSingularError
 from .scalars import analytic_constants
 
 __all__ = [
@@ -63,6 +63,11 @@ class TailReport:
         )
 
 
+def _float_gram(space, n):
+    """Level-n Gram matrix of a float space as a dense array."""
+    return np.array(space.gram(n), dtype=float)
+
+
 def gram_domination_residual(m, q0, d):
     """Smallest eigenvalue of w(q)^-1 G_{m+1} - G_m (x) identity.
 
@@ -70,8 +75,9 @@ def gram_domination_residual(m, q0, d):
     domination holds; the identity factor sits on the last letter.
     """
     w, _ = analytic_constants(q0)
-    upper = float_gram_matrix(m + 1, d, q0) / w
-    lower = np.kron(float_gram_matrix(m, d, q0), np.eye(d))
+    space = FockSpace.with_scalar_q(d, float(q0), level=m + 1)
+    upper = _float_gram(space, m + 1) / w
+    lower = np.kron(_float_gram(space, m), np.eye(d))
     vals = scipy.linalg.eigvalsh(upper - lower)
     return float(vals[0])
 
@@ -84,10 +90,11 @@ def right_annihilation_norm(i, q0, d, level):
     """
     if not 1 <= i <= d:
         raise ValueError(f"letter {i} outside 1..{d}")
+    space = FockSpace.with_scalar_q(d, float(q0), level=level)
+    grams = [_float_gram(space, n) for n in range(level + 1)]
     best = 0.0
     for n in range(1, level + 1):
-        g_to = float_gram_matrix(n - 1, d, q0)
-        g_from = float_gram_matrix(n, d, q0)
+        g_to, g_from = grams[n - 1], grams[n]
         size_to, size_from = d ** (n - 1), d**n
         sel = np.zeros((size_to, size_from))
         rows = np.arange(size_to)
@@ -111,11 +118,12 @@ def _basis_offsets(d, levels):
     return offsets, total
 
 
-def _block_gram(d, q0, levels):
+def _block_gram(space, levels):
+    d = space.d
     offsets, total = _basis_offsets(d, levels)
     out = np.zeros((total, total))
     for n in levels:
-        g = float_gram_matrix(n, d, q0)
+        g = _float_gram(space, n)
         o = offsets[n]
         out[o : o + d**n, o : o + d**n] = g
     return out
@@ -153,9 +161,9 @@ def haagerup_residual(m, q0, d, trials=50, seed=0, level_margin=2):
                 for word, c in image.items():
                     action[wi, cod_index[word], col] = c
 
-    g_dom = _block_gram(d, q0, dom_levels)
-    g_cod = _block_gram(d, q0, cod_levels)
-    g_level = float_gram_matrix(m, d, q0)
+    g_dom = _block_gram(space, dom_levels)
+    g_cod = _block_gram(space, cod_levels)
+    g_level = _float_gram(space, m)
 
     rng = np.random.default_rng(seed)
     worst = -math.inf

@@ -77,10 +77,12 @@ class Poly1:
         return Poly1(tuple(c * s for c in self.coeffs))
 
     def shifted(self):
-        """Multiply by the variable."""
+        """Multiply by the variable; the new constant term is a zero of the
+        coefficients' own ring."""
         if not self.coeffs:
             return self
-        return Poly1((0,) + self.coeffs)
+        c0 = self.coeffs[0]
+        return Poly1((c0 - c0,) + self.coeffs)
 
     def eval_at(self, x):
         acc = 0 if not isinstance(x, float) else 0.0
@@ -101,7 +103,8 @@ def hermite(n, q=FORMAL_Q) -> Poly1:
     """Deformed Hermite polynomial of degree n at the given q scalar."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    prev, cur = Poly1((1,)), Poly1((0, 1))
+    one = q**0
+    prev, cur = Poly1((one,)), Poly1((q - q, one))
     if n == 0:
         return prev
     for m in range(1, n):

@@ -81,6 +81,10 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_bounds_level_guard(self, capsys, level):
+        assert main(["verify", "bounds", "--level", level]) == 2
+
 
 class TestExport:
     def test_partitions_contains_printed_example(self, capsys):
@@ -177,6 +181,13 @@ class TestExport:
             {"coeff": "1/2", "word": [2, 2]},
         ]
         assert all(v == 0 for v in payload["gradient_residuals"].values())
+
+    @pytest.mark.parametrize("family", ["B", "C"])
+    def test_partitions_without_vertices_rejected(self, capsys, family):
+        assert main(["export", "partitions", "--family", family, "--n", "0"]) == 2
+
+    def test_partitions_negative_count_rejected(self, capsys):
+        assert main(["export", "partitions", "--family", "D", "--n", "-1"]) == 2
 
     def test_csv_rejected_for_xi(self, capsys):
         assert (

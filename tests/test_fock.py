@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
+from gram_oracles import left_peeling_gram, permutation_gram
 
 from qfock import (
     FORMAL_Q,
@@ -13,7 +13,7 @@ from qfock import (
     GramSingularError,
     QPoly,
     TruncationError,
-    float_gram_matrix,
+    conjugate_series,
     q_factorial,
     q_int,
 )
@@ -129,10 +129,12 @@ class TestInnerProduct:
 
     def test_recursive_matches_permutation_sum(self, half2):
         for n in range(7):
-            for u in half2.words(n):
+            oracle = permutation_gram(n, 2, Fraction(1, 2))
+            words = half2.words(n)
+            for a, u in enumerate(words):
                 eu = e(u)
-                for v in half2.words(n):
-                    assert half2.inner_recursive(eu, e(v)) == half2.inner(eu, e(v))
+                for b, v in enumerate(words):
+                    assert half2.inner(eu, e(v)) == oracle[a][b]
 
     def test_mixed_gram_symmetric(self):
         defm = Deformation([[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]])
@@ -202,15 +204,68 @@ class TestRightAdjoint:
             sp.right_annihilate_adjoint(1, e((1,)))
 
 
+MIXED_2 = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+MIXED_3 = Deformation(
+    [
+        [Fraction(-1, 3), Fraction(2, 5), Fraction(1, 7)],
+        [Fraction(2, 5), Fraction(3, 7), Fraction(-1, 5)],
+        [Fraction(1, 7), Fraction(-1, 5), Fraction(2, 3)],
+    ]
+)
+
+
+class TestGramOracles:
+    @pytest.mark.parametrize("q", [Fraction(1, 2), FORMAL_Q], ids=["half", "formal"])
+    def test_constant_matches_permutation_sum(self, q):
+        sp = FockSpace.with_scalar_q(2, q, level=6)
+        for n in range(7):
+            assert sp.gram(n) == permutation_gram(n, 2, q), n
+
+    @pytest.mark.parametrize("defm,top", [(MIXED_2, 6), (MIXED_3, 4)], ids=["2x2", "3x3"])
+    def test_mixed_matches_left_peeling(self, defm, top):
+        sp = FockSpace(defm, level=top)
+        for n in range(top + 1):
+            assert sp.gram(n) == left_peeling_gram(n, defm), n
+
+
 class TestFloatGram:
     @pytest.mark.parametrize("q0", [0.9, -0.9])
     def test_positive_definite_inside_disk(self, q0):
+        sp = FockSpace.with_scalar_q(2, q0, level=6)
         for n in range(7):
-            np.linalg.cholesky(float_gram_matrix(n, 2, q0))
+            np.linalg.cholesky(np.array(sp.gram(n), dtype=float))
 
     def test_matches_exact_at_rational_point(self, half2):
         g = half2.gram(3)
-        f = float_gram_matrix(3, 2, 0.5)
+        f = FockSpace.with_scalar_q(2, 0.5, level=3).gram(3)
+        oracle = permutation_gram(3, 2, 0.5)
         for a in range(8):
             for b in range(8):
-                assert abs(float(g[a][b]) - f[a, b]) < 1e-12
+                assert abs(float(g[a][b]) - f[a][b]) < 1e-12
+                assert abs(oracle[a][b] - f[a][b]) < 1e-12
+
+
+def _max_float_gap(exact_space, float_space, i, m):
+    exact = conjugate_series(exact_space, i, m)
+    approx = conjugate_series(float_space, i, m)
+    words = set(w for w, _ in exact.items()) | set(w for w, _ in approx.items())
+    return max(abs(float(exact.coeff(w)) - float(approx.coeff(w))) for w in words)
+
+
+class TestFloatConjugateSeries:
+    """Float mode runs the same Gram blocks and solves as exact mode; its
+    conjugate variables must stay within 1e-9 of the exact ones."""
+
+    @pytest.mark.parametrize("q", [Fraction(4, 5), Fraction(-4, 5)], ids=["+4/5", "-4/5"])
+    def test_constant_close_to_exact(self, q):
+        exact = FockSpace.with_scalar_q(2, q, level=7)
+        approx = FockSpace.with_scalar_q(2, float(q), level=7)
+        for i in (1, 2):
+            assert _max_float_gap(exact, approx, i, 3) < 1e-9
+
+    def test_mixed_close_to_exact(self):
+        floats = Deformation([[float(v) for v in row] for row in MIXED_2.entries])
+        exact = FockSpace(MIXED_2, level=7)
+        approx = FockSpace(floats, level=7)
+        for i in (1, 2):
+            assert _max_float_gap(exact, approx, i, 3) < 1e-9

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from qfock import (
+    FockSpace,
     GramSingularError,
     analytic_constants,
-    float_gram_matrix,
     gram_domination_residual,
     haagerup_residual,
     right_annihilation_norm,
@@ -20,8 +20,9 @@ def projected_domination_sharp(m, q0, d):
     """Sharp constant for the rank-one-projected comparison: the largest c
     with c * (G_m (x) P_letter) <= G_{m+1}, via a Schur complement on the
     block of words ending in the projected letter."""
-    big = float_gram_matrix(m + 1, d, q0)
-    small = float_gram_matrix(m, d, q0)
+    space = FockSpace.with_scalar_q(d, float(q0), level=m + 1)
+    big = np.array(space.gram(m + 1), dtype=float)
+    small = np.array(space.gram(m), dtype=float)
     keep = [k for k in range(d ** (m + 1)) if k % d == 0]
     drop = [k for k in range(d ** (m + 1)) if k % d != 0]
     if drop:
@@ -48,8 +49,10 @@ class TestGramDomination:
 
     def test_half_fails_from_level_three(self):
         # The full tensor comparison with this constant is genuinely violated
-        # here; see the decisions ledger. The projected comparison that the
-        # annihilation-norm argument actually uses holds with a wide margin.
+        # here: G_{m+1} >= w(q) (G_m (x) 1) would bound every vector, while the
+        # annihilation-norm argument only needs it after projecting the last
+        # letter onto one index. That projected comparison holds with a wide
+        # margin (test_projected_comparison_holds).
         assert gram_domination_residual(3, 0.5, 2) < -1e-3
 
     @pytest.mark.parametrize("q0", [0.5, -0.9])

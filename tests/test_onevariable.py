@@ -50,6 +50,20 @@ class TestPolynomials:
         h = hermite(3, Q)
         assert h.coeffs == Poly1([0, -(1 + (1 + Q)), 0, 1]).coeffs
 
+    @pytest.mark.parametrize("q", [0.5, -0.5, Fraction(1, 2), Q], ids=["0.5", "-0.5", "1/2", "formal"])
+    def test_hermite_stays_in_q_ring(self, q):
+        # every coefficient, the zeros included, has q's own type
+        for n in range(7):
+            coeffs = hermite(n, q).coeffs
+            assert len(coeffs) == n + 1
+            assert all(type(c) is type(q) for c in coeffs), (n, coeffs)
+        if isinstance(q, float):
+            assert all(math.copysign(1.0, c) == 1.0 for c in hermite(3, q).coeffs if c == 0)
+
+    def test_shifted_zero_in_coefficient_ring(self):
+        assert Poly1([0.5]).shifted().coeffs == (0.0, 0.5)
+        assert type(Poly1([Fraction(1, 3)]).shifted().coeffs[0]) is Fraction
+
 
 class TestMoments:
     def test_odd_moments_vanish(self):
