@@ -52,7 +52,6 @@ from .onevariable import (
     trace_cheb_odd,
 )
 from .partitions import (
-    DegenerateLayoutError,
     DrawnPartition,
     enumerate_family,
     induced_permutation,

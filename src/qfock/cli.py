@@ -93,8 +93,7 @@ def _parse_config(args):
         if mode == "symbolic":
             raise ConfigError("symbolic mode requires the scalar parameter left formal")
         deformation = Deformation.from_json(args.q_matrix)
-        numeric = [v for row in deformation.entries for v in row]
-        if mode == "exact" and any(isinstance(v, float) for v in numeric):
+        if mode == "exact" and deformation.is_float:
             raise ConfigError("exact mode requires rational matrix entries")
         if mode == "float":
             deformation = Deformation(

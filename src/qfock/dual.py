@@ -9,7 +9,7 @@ independent implementations are provided:
 * a closed form summing over the B-family diagrams: vertex 0 carries the
   operator index, vertex k the k-th letter from the right, the sign is
   (-1)^(partner of 0 minus 1), and the weight collects one deformation
-  factor per geometric crossing of the two strings involved.
+  factor per crossing of the two strings involved.
 
 The two strategies agree word for word and the test suite pins that down.
 
@@ -18,7 +18,8 @@ a graded series whose level-(2m+1) part sums, over all source words w of
 length m, the right-creation chains r*_{w_m} ... r*_{w_1} r*_i e_w with
 weight (-1)^m times the product of deformation entries q(j_k, j_l) over
 1 <= k <= m, 0 <= l < k (the pure power q^{m(m+1)/2} in the constant
-case). Partial sums are truncated by source-word length and every report
+case). Each level depends only on the index and m, so a space builds it
+once. Partial sums are truncated by source-word length and every report
 carries an analytic tail bound.
 """
 
@@ -66,7 +67,7 @@ def dual_recursive(space: FockSpace, i, word) -> FockVector:
 
 
 def crossing_weight(space: FockSpace, part, letter_of, exclude=None):
-    """Product over geometric crossings of the deformation entry of the two
+    """Product over crossings of the deformation entry of the two
     crossing strings; block pairs listed in ``exclude`` contribute nothing."""
     weight = 1
     q = space.deformation.q
@@ -159,6 +160,29 @@ def _series_sign_weight(space: FockSpace, i, word):
     return weight
 
 
+def _series_level(space: FockSpace, i, m) -> FockVector:
+    """The level-(2m+1) part of the conjugate variable with index i: the
+    source words of length m. Memoized per space, keyed (i, m)."""
+    key = (i, m)
+    memo = space._xi_memo
+    got = memo.get(key)
+    if got is not None:
+        return got
+    out = FockVector.zero()
+    for w in space.words(m):
+        weight = _series_sign_weight(space, i, w)
+        if not weight:
+            continue
+        v = FockVector.basis(w)
+        v = space.right_annihilate_adjoint(i, v)
+        for letter in w:
+            v = space.right_annihilate_adjoint(letter, v)
+        out = out + v.scaled(weight)
+    with space._lock:
+        memo.setdefault(key, out)
+    return memo[key]
+
+
 def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
     """Partial sum of the conjugate variable over source words up to the
     given length; the level-(2m+1) component comes from words of length m."""
@@ -169,15 +193,7 @@ def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
         )
     out = FockVector.zero()
     for m in range(source_length + 1):
-        for w in space.words(m):
-            weight = _series_sign_weight(space, i, w)
-            if not weight:
-                continue
-            v = FockVector.basis(w)
-            v = space.right_annihilate_adjoint(i, v)
-            for letter in w:
-                v = space.right_annihilate_adjoint(letter, v)
-            out = out + v.scaled(weight)
+        out = out + _series_level(space, i, m)
     return out
 
 

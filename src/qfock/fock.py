@@ -214,6 +214,7 @@ class FockSpace:
         self._gram_lu = {}
         self._dual_memo = {}
         self._wick_memo = {}
+        self._xi_memo = {}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
@@ -361,7 +362,9 @@ class FockSpace:
         if got is not None:
             return got
         if n == 0:
-            blocks = {(): _Block([()], {(): 0}, [[1]])}
+            # a float unit keeps float-mode data out of int/int Fractions
+            one = 1.0 if self.deformation.is_float else 1
+            blocks = {(): _Block([()], {(): 0}, [[one]])}
         else:
             below = self._level(n - 1)
             q = self.deformation.q
@@ -433,9 +436,7 @@ class FockSpace:
         size = len(mat)
         lu = [list(row) for row in mat]
         perm = list(range(size))
-        numeric = any(
-            isinstance(v, float) for row in self.deformation.entries for v in row
-        )
+        numeric = self.deformation.is_float
         for col in range(size):
             pivot_row = None
             if numeric:

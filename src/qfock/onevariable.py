@@ -226,6 +226,18 @@ def _summation_tail(m, q0, N):
     return term_bound(N + 1) / (1.0 - ratio)
 
 
+def _q_identity_terms(m, q0, N):
+    """The float terms q^{(n+1)(n-m)} (1+q^{n+1}) binom(n+m+1, n-m)_q for
+    n = m..N. The Gaussian binomial starts at binom(2m+1, 0)_q = 1 and is
+    carried from term to term by the ratio
+    binom(n+m+2, n+1-m)_q = binom(n+m+1, n-m)_q (1-q^{n+m+2}) / (1-q^{n+1-m}),
+    whose denominator stays at least 1-|q| > 0."""
+    binom = 1.0
+    for n in range(m, N + 1):
+        yield q0 ** ((n + 1) * (n - m)) * (1.0 + q0 ** (n + 1)) * binom
+        binom *= (1.0 - q0 ** (n + m + 2)) / (1.0 - q0 ** (n + 1 - m))
+
+
 def q_identity_residual(m, q0, N) -> IdentityCheck:
     """Residual of the binomial summation identity against the ratio of
     deformed factorials, truncated at n = N.
@@ -242,12 +254,7 @@ def q_identity_residual(m, q0, N) -> IdentityCheck:
     q0 = float(q0)
     total = 0.0
     total_abs = 0.0
-    for n in range(m, N + 1):
-        term = (
-            q0 ** ((n + 1) * (n - m))
-            * (1.0 + q0 ** (n + 1))
-            * float(q_binom(n + m + 1, n - m, q0))
-        )
+    for term in _q_identity_terms(m, q0, N):
         total += term
         total_abs += abs(term)
     pref = (1.0 - q0) ** (m + 1)

@@ -1,9 +1,8 @@
-"""Crossing partitions drawn with explicit heights.
+"""Crossing partitions and their crossing counts.
 
 Three families of partition diagrams supply the combinatorics behind the
 closed-form operator formulas in this package. All of them live on a row of
-vertices drawn right-to-left (vertex v sits at x = max_vertex - v) and are
-made of pair blocks and singleton blocks:
+vertices and are made of pair blocks and singleton blocks:
 
 * Family B on vertices {0, ..., n}: vertex 0 is paired with some
   k in {1..n} at height 1, every l in {1..k-1} is paired with an element of
@@ -16,36 +15,35 @@ made of pair blocks and singleton blocks:
   pairs; a pair (a, b) with a < b is drawn at height a.
 
 A pair (a, b) is drawn as two vertical legs joined by a horizontal bar at
-the block's height; a singleton is a vertical line to one unit above the
-highest bar. Distinct blocks get distinct heights, so polylines of distinct
-blocks can only meet transversally. The crossing number of a diagram is the
-count of those intersection points, computed with exact rational
-coordinates; nested arcs crossing a spanning pair genuinely meet it twice
-and are counted twice.
+the pair's height; a singleton is a vertical line to above the highest
+bar. In all three families a pair's height increases with its left
+endpoint, and the crossings of two blocks follow from their intervals
+alone (the interval rule):
+
+* a pair (a2, b2) with a2 > a1 crosses the pair (a1, b1) once for each of
+  a2, b2 strictly inside (a1, b1): its legs pass through the lower bar,
+  while the lower legs stop below the higher bar;
+* a singleton s crosses each pair with a < s < b, through its bar;
+* singletons never cross each other.
+
+Nested arcs therefore cross a spanning pair twice and are counted twice.
+The crossings of a diagram are counted per block pair, because the
+operator weights take one deformation factor per crossing of two strings.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 __all__ = [
     "DrawnPartition",
-    "DegenerateLayoutError",
     "enumerate_family",
     "inversions",
     "induced_permutation",
 ]
 
 FAMILIES = ("B", "C", "D")
-
-
-class DegenerateLayoutError(RuntimeError):
-    """Raised when block polylines touch non-transversally.
-
-    The drawing rules make this impossible; seeing it means a layout bug.
-    """
 
 
 def inversions(seq):
@@ -59,7 +57,7 @@ def inversions(seq):
 
 
 class DrawnPartition:
-    """One diagram: pair and singleton blocks plus their geometric layout.
+    """One diagram: its pair and singleton blocks and their crossings.
 
     Blocks are identified by their sorted vertex tuple: ``(a, b)`` for a
     pair, ``(s,)`` for a singleton.
@@ -86,10 +84,6 @@ class DrawnPartition:
         raise AttributeError("DrawnPartition is immutable")
 
     # -- block structure ---------------------------------------------------
-
-    @property
-    def max_vertex(self):
-        return self.n_vertices - 1 if self.family in ("B", "C") else self.n_vertices
 
     @property
     def partner0(self):
@@ -126,50 +120,28 @@ class DrawnPartition:
                 return (a, b)
         return None
 
-    # -- geometry ----------------------------------------------------------
-
-    def _height(self, pair):
-        a, _ = pair
-        if self.family in ("B", "C"):
-            return 1 if a == 0 else a + 1
-        return a
-
-    def layout(self):
-        """Map block id -> polyline (list of exact rational points)."""
-        n = self.max_vertex
-
-        def x(v):
-            return Fraction(n - v)
-
-        heights = {p: self._height(p) for p in self.pairs}
-        if len(set(heights.values())) != len(heights):
-            raise DegenerateLayoutError("pair heights collide")
-        top = Fraction(max(heights.values(), default=0) + 1)
-        lines = {}
-        for p in self.pairs:
-            a, b = p
-            h = Fraction(heights[p])
-            lines[p] = [(x(a), Fraction(0)), (x(a), h), (x(b), h), (x(b), Fraction(0))]
-        for s in self.singletons:
-            lines[(s,)] = [(x(s), Fraction(0)), (x(s), top)]
-        return lines
+    # -- crossings ---------------------------------------------------------
 
     def crossing_pairs(self):
-        """Map frozenset{block_a, block_b} -> geometric intersection count."""
+        """Map frozenset{block_a, block_b} -> crossing count, by the interval
+        rule of the module docstring; block pairs that do not cross are absent."""
         if self._cross is None:
-            lines = self.layout()
-            ids = list(lines)
             counts = {}
-            for ia in range(len(ids)):
-                for ib in range(ia + 1, len(ids)):
-                    c = _polyline_crossings(lines[ids[ia]], lines[ids[ib]])
+            # sorted by left endpoint, so each pair sits below the later ones
+            for k, low in enumerate(self.pairs):
+                a, b = low
+                for high in self.pairs[k + 1 :]:
+                    c = (a < high[0] < b) + (a < high[1] < b)
                     if c:
-                        counts[frozenset((ids[ia], ids[ib]))] = c
+                        counts[frozenset((low, high))] = c
+                for s in self.singletons:
+                    if a < s < b:
+                        counts[frozenset((low, (s,)))] = 1
             object.__setattr__(self, "_cross", counts)
         return self._cross
 
     def crossings(self):
-        """Total number of interior intersection points between blocks."""
+        """Total number of crossings between blocks."""
         return sum(self.crossing_pairs().values())
 
     def __repr__(self):
@@ -180,64 +152,19 @@ class DrawnPartition:
 
 
 # ---------------------------------------------------------------------------
-# exact segment intersection
-# ---------------------------------------------------------------------------
-
-
-def _orient(p, q, r):
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _on_segment(p, q, r):
-    # r assumed collinear with pq
-    return (
-        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-    )
-
-
-def _segment_crossing(p1, p2, p3, p4):
-    """1 if the open interiors cross transversally, 0 if disjoint.
-
-    Any touching configuration (shared endpoint, endpoint on interior,
-    collinear overlap) raises; the drawing rules exclude them.
-    """
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return 1
-    for d, seg, pt in ((d1, (p3, p4), p1), (d2, (p3, p4), p2), (d3, (p1, p2), p3), (d4, (p1, p2), p4)):
-        if d == 0 and _on_segment(seg[0], seg[1], pt):
-            raise DegenerateLayoutError(f"blocks touch at {pt}")
-    return 0
-
-
-def _polyline_crossings(line_a, line_b):
-    total = 0
-    for sa in range(len(line_a) - 1):
-        for sb in range(len(line_b) - 1):
-            total += _segment_crossing(
-                line_a[sa], line_a[sa + 1], line_b[sb], line_b[sb + 1]
-            )
-    return total
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_family(family, n_vertices):
     """All diagrams of the family on n_vertices vertices, deterministically.
 
     Families B and C use vertices {0..n_vertices-1}; family D uses
     {1..n_vertices} and accepts n_vertices = 0 (the empty diagram). Output
-    order is lexicographic in (partner of 0, pairing assignment).
+    order is lexicographic in (partner of 0, pairing assignment). The cache
+    holds the three families at every vertex count up to ten, enough for a
+    whole verification run; the diagrams keep their crossing maps.
     """
     if family == "B":
         return tuple(_enum_b(n_vertices))

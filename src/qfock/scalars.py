@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "QPoly",
@@ -418,25 +417,25 @@ def q_falling(n, k, q):
     return total
 
 
-@lru_cache(maxsize=None)
 def gauss_binom_coeffs(n, k):
     """Integer coefficient tuple of the Gaussian binomial (n choose k)_q.
 
-    Built from the shift recurrence (n,k) = (n-1,k-1) + q^k (n-1,k) so no
-    division is ever performed.
+    Built row by row from the shift recurrence
+    (r, j) = (r-1, j-1) + q^j (r-1, j), so no division is ever performed.
     """
     if k < 0 or k > n:
         raise ValueError("gauss_binom_coeffs requires 0 <= k <= n")
-    if k == 0 or k == n:
-        return (1,)
-    a = gauss_binom_coeffs(n - 1, k - 1)
-    b = gauss_binom_coeffs(n - 1, k)
-    out = [0] * max(len(a), k + len(b))
-    for t, c in enumerate(a):
-        out[t] += c
-    for t, c in enumerate(b):
-        out[k + t] += c
-    return tuple(out)
+    k = min(k, n - k)
+    # row[j] = (r choose j)_q for the row r reached so far; (0 choose j) = [j == 0]
+    row = [[1]] + [[] for _ in range(k)]
+    for r in range(1, n + 1):
+        for j in range(min(r, k), 0, -1):
+            a, b = row[j - 1], row[j]
+            out = a + [0] * (j + len(b) - len(a)) if b else list(a)
+            for t, c in enumerate(b):
+                out[j + t] += c
+            row[j] = out
+    return tuple(row[k])
 
 
 def q_binom(n, k, q):
@@ -613,6 +612,10 @@ class Deformation:
         if not self.is_constant:
             raise ValueError("deformation is not constant")
         return self.entries[0][0]
+
+    @property
+    def is_float(self):
+        return any(isinstance(v, float) for row in self.entries for v in row)
 
     @property
     def is_symbolic(self):

@@ -120,6 +120,20 @@ class TestExport:
             ]
             assert row["tail_bound"] == 0.0
 
+    @pytest.mark.parametrize("what", ["xi", "fisher"])
+    def test_float_mode_writes_only_floats(self, capsys, what):
+        code, out = run(
+            capsys, "export", what, "--mode", "float", "--d", "2", "--q", "0.5",
+            "--level", "3", "--series-m", "1",
+        )
+        assert code == 0
+        rows = json.loads(out)[what]
+        if what == "xi":
+            values = [term["coeff"] for row in rows for term in row["terms"]]
+        else:
+            values = [row[key] for row in rows for key in ("value", "value_float")]
+        assert values and all(type(v) is float for v in values)
+
     def test_fisher_matches_series(self, capsys):
         code, out = run(
             capsys,

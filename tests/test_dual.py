@@ -162,6 +162,21 @@ class TestConjugateSeries:
         with pytest.raises(TruncationError):
             conjugate_series(sym1, 1, sym1.level)
 
+    def test_levels_are_shared_between_lengths_and_calls(self):
+        defm = Deformation(
+            [[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]]
+        )
+        shared = FockSpace(defm, level=7)
+        for i in (1, 2):
+            full = conjugate_series(FockSpace(defm, level=7), i, 3)
+            for M in (3, 0, 2, 1, 3):
+                pieces = FockVector.zero()
+                for m in range(M + 1):
+                    pieces = pieces + full.level(2 * m + 1)
+                assert conjugate_series(shared, i, M) == pieces
+        # one memoized level per index and source length
+        assert len(shared._xi_memo) == 2 * 4
+
 
 class TestFisher:
     def test_free_case_counts_letters(self):

@@ -19,7 +19,8 @@ from qfock import (
     trace_cheb,
     trace_cheb_odd,
 )
-from qfock.onevariable import _summation_tail
+from qfock.onevariable import _q_identity_terms, _summation_tail
+from qfock.scalars import q_binom
 
 Q = FORMAL_Q
 
@@ -124,6 +125,18 @@ class TestSummationIdentity:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             q_identity_residual(3, 0.5, 2)
+
+    @pytest.mark.parametrize("q0", [0.9, -0.9, 0.7, -0.7])
+    def test_terms_match_exact_gaussian_binomials(self, q0):
+        # the binomial carried by its ratio against the coefficient sum
+        # evaluated exactly at the float's rational value; |q0| >= 0.7 keeps
+        # every term to n = 40 a normal float
+        q = Fraction(q0)
+        for m in (0, 1, 3):
+            terms = list(_q_identity_terms(m, q0, 40))
+            for n, got in zip(range(m, 41), terms):
+                want = q ** ((n + 1) * (n - m)) * (1 + q ** (n + 1)) * q_binom(n + m + 1, n - m, q)
+                assert math.isclose(got, float(want), rel_tol=1e-12, abs_tol=0.0), (m, n)
 
 
 class TestChebyshevConjugateSeries:

@@ -2,13 +2,15 @@
 
 The enumeration oracle builds every partition of the vertex row into pairs
 and singletons and filters by the drawing rules written out verbatim; the
-crossing oracle counts interval interleavings combinatorially instead of
-intersecting polylines. Both are kept deliberately separate from the
-library code paths.
+crossing oracle (``partition_geometry``) draws each diagram and intersects
+its polylines in exact rational coordinates, where the library counts
+crossings by the interval rule. Both are kept deliberately separate from
+the library code paths.
 """
 
 import pytest
 
+import partition_geometry as geometry
 from qfock import DrawnPartition, enumerate_family, induced_permutation, inversions
 
 
@@ -59,21 +61,6 @@ def satisfies_c_rules(pairs, singles, n):
         if lo != 0 and not (1 <= lo <= k - 1):
             return False
     return True
-
-
-def oracle_crossings(part):
-    """Interval combinatorics: a higher pair crossing a lower one counts one
-    point per endpoint strictly inside; a singleton crosses each pair whose
-    span strictly contains it."""
-    pairs = sorted(part.pairs)
-    total = 0
-    for i, (a1, b1) in enumerate(pairs):
-        for a2, b2 in pairs[i + 1 :]:
-            total += sum(1 for x in (a2, b2) if a1 < x < b1)
-        for s in part.singletons:
-            if a1 < s < b1:
-                total += 1
-    return total
 
 
 class TestCounts:
@@ -152,10 +139,24 @@ class TestCrossings:
         assert p.s_left == (4, 5)
         assert p.s_right == (2,)
 
-    @pytest.mark.parametrize("family,n", [("B", 7), ("B", 8), ("C", 7), ("D", 7)])
+    @pytest.mark.parametrize(
+        "family,n",
+        [("B", n) for n in range(2, 10)]
+        + [("C", n) for n in range(2, 10)]
+        + [("D", n) for n in range(0, 9)],
+    )
     def test_geometry_matches_interval_oracle(self, family, n):
+        # per block pair, not just the totals: the operator weights take one
+        # factor per crossing of two strings. The oracle raises
+        # DegenerateLayoutError if two polylines touch, so passing here also
+        # shows that every drawing of these diagrams is transversal.
         for part in enumerate_family(family, n):
-            assert part.crossings() == oracle_crossings(part)
+            assert part.crossing_pairs() == geometry.crossing_pairs(part)
+
+    def test_oracle_rejects_touching_segments(self):
+        origin = (0, 0)
+        with pytest.raises(geometry.DegenerateLayoutError):
+            geometry._segment_crossing(origin, (0, 2), origin, (2, 0))
 
     def test_nested_arcs_count_twice(self):
         p = DrawnPartition("D", 4, [(1, 4), (2, 3)], [])
@@ -243,5 +244,5 @@ class TestStructure:
 
     def test_heights_distinct(self):
         for part in enumerate_family("C", 7):
-            heights = [part._height(p) for p in part.pairs]
+            heights = [geometry.height(part, p) for p in part.pairs]
             assert len(set(heights)) == len(heights)
