@@ -21,6 +21,7 @@ from .fock import FockSpace, FockVector, GramSingularError, TruncationError
 from .ncpoly import (
     NCPoly,
     NCTensorPoly,
+    conjugate_expansions,
     cyclic_derivative,
     diff_partition,
     diff_quotient,

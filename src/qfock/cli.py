@@ -20,6 +20,7 @@ import mpmath as mp
 from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_info
 from .fock import FockSpace, FockVector
 from .ncpoly import (
+    conjugate_expansions,
     diff_partition,
     diff_quotient,
     duality_residual,
@@ -259,7 +260,7 @@ def _suite_gibbs(space, args, tol):
     m = args.series_m
     if 2 * m + 1 > args.level:
         raise ConfigError("gibbs suite needs level >= 2*series_m + 1")
-    residuals = gibbs_gradient_residuals(space, m)
+    _, residuals = _gibbs(space, m)
     checks = []
     for degree in sorted(residuals):
         checks.append(
@@ -410,9 +411,16 @@ def _export_xi(space, args):
     return {"xi": rows}
 
 
+def _gibbs(space, m):
+    """The Gibbs potential and its gradient residuals, from one Wick
+    expansion of each conjugate variable."""
+    expansions = conjugate_expansions(space, m)
+    potential = gibbs_potential(expansions)
+    return potential, gibbs_gradient_residuals(space, m, potential, expansions)
+
+
 def _export_gibbs(space, args):
-    potential = gibbs_potential(space, args.series_m)
-    residuals = gibbs_gradient_residuals(space, args.series_m)
+    potential, residuals = _gibbs(space, args.series_m)
     return {
         "terms": [
             {"word": _word_json(w), "coeff": _scalar_json(c)}

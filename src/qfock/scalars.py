@@ -14,6 +14,13 @@ Plain Python floats are accepted throughout the package for numerical work.
 The exact types refuse to mix with floats so that an exact code path cannot
 silently degrade to floating point.
 
+Polynomial products and reductions run in integers. A rational polynomial
+is written as a rational content times a primitive integer polynomial; a
+product is one big-integer multiplication by Kronecker substitution, and a
+ratio is reduced by the heuristic integer GCD of Char, Geddes and Gonnet,
+whose exact division check also yields the reduced numerator and
+denominator. No Euclidean remainder sequence over the rationals is run.
+
 The module also provides the standard q-deformed integer quantities
 ([n]_q, [n]_q!, falling products, Gaussian binomials) and the two analytic
 constants controlling the operator-norm estimates.
@@ -44,25 +51,162 @@ __all__ = [
 _EXACT_NUMBER = (int, Fraction)
 
 
-def _as_fraction_tuple(coeffs):
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# integer polynomial kernels
+# ---------------------------------------------------------------------------
+# An integer polynomial is a sequence of ints, lowest degree first, whose
+# last entry is nonzero.
+
+
+def _eval_int(ints, x):
+    """Horner value of an integer polynomial at x."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _kronecker_mul(a, b):
+    """Product of two integer polynomials by Kronecker substitution.
+
+    Every product coefficient is at most min(len a, len b) * |a|_max *
+    |b|_max in size, which is below 2^(bits-1). So a(2^bits) * b(2^bits),
+    one big-integer multiplication, holds the product's coefficients as its
+    signed base-2^bits digits, read off with masks and shifts.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    bits = bound.bit_length() + 1
+    base = 1 << bits
+    packed = _eval_int(a, base) * _eval_int(b, base)
+    mask, half = base - 1, base >> 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        digit = packed & mask
+        if digit >= half:
+            digit -= base
+        out.append(digit)
+        packed = (packed - digit) >> bits
+    return out
+
+
+def _xi_adic(h, xi):
+    """The integer polynomial whose value at xi is h, read off h's symmetric
+    base-xi digits (each in (-xi/2, xi/2])."""
+    out = []
+    while h:
+        digit = h % xi
+        if digit > xi // 2:
+            digit -= xi
+        out.append(digit)
+        h = (h - digit) // xi
+    return out
+
+
+def _primitive_part(ints):
+    """ints divided by the gcd of its entries, with a positive last entry."""
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+def _exact_quotient(f, h):
+    """f / h when the integer polynomial h divides f over Z, else None."""
+    dh, lead = len(h) - 1, h[-1]
+    rem = list(f)
+    quot = [0] * (len(f) - dh)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + dh], lead)
+        if r:
+            return None
+        quot[k] = c
+        if c:
+            for j in range(dh):
+                rem[k + j] -= c * h[j]
+    return None if any(rem[:dh]) else tuple(quot)
+
+
+def _heu_gcd(f, g):
+    """(h, f / h, g / h) for h the gcd of two primitive integer polynomials
+    with positive leading entries; h and both cofactors have positive
+    leading entries too.
+
+    This is GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet, "GCDHEU:
+    heuristic polynomial GCD algorithm based on integer GCD computation",
+    J. Symbolic Comput. 7, 1989). Evaluate both at an integer xi, take the
+    integer gcd of the values, read it back as a polynomial in xi (symmetric
+    digits) and take its primitive part h. Accept h only when it divides f
+    and g exactly; the two quotients are the cofactors. By the paper's
+    theorem, for xi >= 2 min(|f|_max, |g|_max) + 2 a primitive h that
+    divides both is the gcd, so the division check is the proof.
+
+    Otherwise xi grows, and that ends. Write f = G F and g = G H with G the
+    true gcd and F, H coprime. Then gcd(f(xi), g(xi)) = |G(xi)| * delta
+    with delta = gcd(F(xi), H(xi)), and delta divides the resultant
+    R = res(F, H), a nonzero integer, because R = s F + t H for integer
+    polynomials s and t. Once xi > 2 |R| |G|_max, the digits of
+    delta * G(xi) are delta times G's coefficients, whose primitive part is
+    G itself, and the check passes.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return (1,), f, g
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    while True:
+        vf, vg = _eval_int(f, xi), _eval_int(g, xi)
+        if vf and vg:
+            h = _primitive_part(_xi_adic(math.gcd(vf, vg), xi))
+            if len(h) == 1:
+                return h, f, g
+            cf = _exact_quotient(f, h)
+            if cf is not None:
+                cg = _exact_quotient(g, h)
+                if cg is not None:
+                    return h, cf, cg
+        # a factor near 2.73 that keeps successive points unrelated
+        xi = xi * 73794 // 27011
 
 
 class QPoly:
     """Polynomial in the formal deformation parameter over the rationals.
 
-    Coefficients are stored dense, lowest degree first, with no trailing
-    zeros, so structural equality is semantic equality. Division by another
+    It is held as a rational content times a primitive integer polynomial:
+    the integer coefficients, lowest degree first, have gcd 1 and a positive
+    leading entry, and the zero polynomial has content 0 and no integer
+    coefficients. That form is unique, so structural equality is semantic
+    equality. ``coeffs``, the tuple of Fraction coefficients with no
+    trailing zeros, is derived from it on first use. Division by another
     polynomial promotes to :class:`QRat`.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_content", "_ints", "_coeffs")
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set(*QPoly._over([c.numerator * (den // c.denominator) for c in coeffs], den))
+
+    def _set(self, content, ints):
+        object.__setattr__(self, "_content", content)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_coeffs", None)
+
+    @staticmethod
+    def _over(ints, den):
+        """(content, primitive ints) of the polynomial sum_k ints[k]/den q^k."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return Fraction(0), ()
+        prim = _primitive_part(ints)
+        return Fraction(ints[-1], den * prim[-1]), prim
+
+    @staticmethod
+    def _make(content, ints):
+        """The polynomial content * ints, for ints already primitive with a
+        positive leading entry (or empty, with content 0)."""
+        out = object.__new__(QPoly)
+        out._set(content, ints)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -70,21 +214,29 @@ class QPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """Fraction coefficients, lowest degree first, no trailing zeros."""
+        if self._coeffs is None:
+            content = self._content
+            object.__setattr__(self, "_coeffs", tuple(content * c for c in self._ints))
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def constant_value(self):
         """The value as a Fraction; only valid for degree <= 0."""
-        if len(self.coeffs) > 1:
+        if len(self._ints) > 1:
             raise ValueError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self._content
 
     # -- coercion ----------------------------------------------------------
 
@@ -93,7 +245,8 @@ class QPoly:
         if isinstance(value, QPoly):
             return value
         if isinstance(value, _EXACT_NUMBER):
-            return QPoly((Fraction(value),))
+            value = Fraction(value)
+            return QPoly._make(value, (1,) if value else ())
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -104,18 +257,26 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other._ints:
+            return self
+        if not self._ints:
+            return other
+        ca, cb = self._content, other._content
+        den = math.lcm(ca.denominator, cb.denominator)
+        sa = ca.numerator * (den // ca.denominator)
+        sb = cb.numerator * (den // cb.denominator)
+        a, b = self._ints, other._ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, sa, sb = b, a, sb, sa
+        out = [sa * c for c in a]
         for k, c in enumerate(b):
-            out[k] += c
-        return QPoly(out)
+            out[k] += sb * c
+        return QPoly._make(*QPoly._over(out, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._make(-self._content, self._ints)
 
     def __sub__(self, other):
         if isinstance(other, QRat):
@@ -137,16 +298,11 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self._ints or not other._ints:
             return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return QPoly(out)
+        # Gauss's lemma: the product of primitive polynomials is primitive
+        content = self._content * other._content
+        return QPoly._make(content, tuple(_kronecker_mul(self._ints, other._ints)))
 
     __rmul__ = __mul__
 
@@ -166,8 +322,7 @@ class QPoly:
         if isinstance(other, _EXACT_NUMBER):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            inv = Fraction(1, 1) / Fraction(other)
-            return QPoly(tuple(c * inv for c in self.coeffs))
+            return QPoly._make(self._content / other, self._ints)
         if isinstance(other, QPoly):
             if other.degree <= 0:
                 return self / other.constant_value()
@@ -188,7 +343,7 @@ class QPoly:
         if isinstance(other, QRat):
             return NotImplemented
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self._content == other._content and self._ints == other._ints
         if isinstance(other, _EXACT_NUMBER):
             return self.degree <= 0 and self.constant_value() == other
         return NotImplemented
@@ -202,13 +357,15 @@ class QPoly:
 
     def eval_at(self, x):
         """Horner evaluation; exact for Fraction input, float for float."""
-        acc = 0 if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
+        if isinstance(x, float):
+            acc = 0.0
+            for c in reversed(self.coeffs):
+                acc = acc * x + float(c)
+            return acc
+        return self._content * _eval_int(self._ints, x)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._ints:
             return "QPoly(0)"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -227,47 +384,22 @@ class QPoly:
 FORMAL_Q = QPoly((Fraction(0), Fraction(1)))
 
 
-def _poly_divmod(a: QPoly, b: QPoly):
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.coeffs[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        f = rem[-1] / lead
-        quot[shift] = f
-        for k, c in enumerate(b.coeffs):
-            rem[shift + k] -= f * c
-        rem.pop()
-    return QPoly(quot), QPoly(rem)
-
-
-def _poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return QPoly((Fraction(1),))
-    return QPoly(tuple(c / a.coeffs[-1] for c in a.coeffs))
-
-
 class QRat:
     """Reduced ratio of two rational-coefficient polynomials.
 
     The denominator is kept monic and coprime to the numerator, so equality
-    is plain structural comparison.
+    is plain structural comparison. Reducing num / den takes one GCDHEU
+    call (:func:`_heu_gcd`) on the two primitive integer parts; its
+    cofactors, rescaled by the two contents, are the reduced numerator and
+    denominator. See :func:`_heu_gcd` for the citation and for why the
+    heuristic always ends, with the true gcd.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=QPoly((Fraction(1),))):
-        num = QPoly._coerce(num) if not isinstance(num, QPoly) else num
-        den = QPoly._coerce(den) if not isinstance(den, QPoly) else den
+        num = QPoly._coerce(num)
+        den = QPoly._coerce(den)
         if num is None or den is None:
             raise TypeError("QRat requires polynomial or exact numeric parts")
         if den.is_zero():
@@ -275,14 +407,11 @@ class QRat:
         if num.is_zero():
             num, den = QPoly(), QPoly((Fraction(1),))
         else:
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num / lead
-                den = den / lead
+            _, f, g = _heu_gcd(num._ints, den._ints)
+            # g's leading entry is positive; dividing by it makes den monic
+            lead = g[-1]
+            num = QPoly._make(num._content / (den._content * lead), f)
+            den = QPoly._make(Fraction(1, lead), g)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -528,7 +657,7 @@ def magnitude(s):
     if isinstance(s, _EXACT_NUMBER):
         return abs(Fraction(s))
     if isinstance(s, QPoly):
-        return max((abs(c) for c in s.coeffs), default=Fraction(0))
+        return abs(s._content) * max(map(abs, s._ints), default=0)
     if isinstance(s, QRat):
         return magnitude(s.num)
     raise TypeError(f"not a scalar: {s!r}")

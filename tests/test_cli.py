@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import qfock.ncpoly
 from qfock import q_factorial
 from qfock.cli import main
 
@@ -120,19 +121,38 @@ class TestExport:
             ]
             assert row["tail_bound"] == 0.0
 
-    @pytest.mark.parametrize("what", ["xi", "fisher"])
+    @pytest.mark.parametrize("what", ["xi", "fisher", "gibbs"])
     def test_float_mode_writes_only_floats(self, capsys, what):
         code, out = run(
             capsys, "export", what, "--mode", "float", "--d", "2", "--q", "0.5",
             "--level", "3", "--series-m", "1",
         )
         assert code == 0
-        rows = json.loads(out)[what]
+        payload = json.loads(out)
         if what == "xi":
-            values = [term["coeff"] for row in rows for term in row["terms"]]
+            values = [term["coeff"] for row in payload["xi"] for term in row["terms"]]
+        elif what == "fisher":
+            values = [row[key] for row in payload["fisher"] for key in ("value", "value_float")]
         else:
-            values = [row[key] for row in rows for key in ("value", "value_float")]
+            values = [term["coeff"] for term in payload["terms"]]
+            values += list(payload["gradient_residuals"].values())
         assert values and all(type(v) is float for v in values)
+
+    def test_gibbs_expands_each_xi_once(self, capsys, monkeypatch):
+        calls = []
+        original = qfock.ncpoly.vector_to_poly
+
+        def counted(space, v):
+            calls.append(v)
+            return original(space, v)
+
+        monkeypatch.setattr(qfock.ncpoly, "vector_to_poly", counted)
+        code, out = run(
+            capsys, "export", "gibbs", "--d", "2", "--q", "1/2", "--level", "5",
+            "--series-m", "2",
+        )
+        assert code == 0
+        assert len(calls) == 2
 
     def test_fisher_matches_series(self, capsys):
         code, out = run(

@@ -162,6 +162,22 @@ class TestConjugateSeries:
         with pytest.raises(TruncationError):
             conjugate_series(sym1, 1, sym1.level)
 
+    def test_symbolic_two_letters_evaluates_to_exact(self):
+        # d=2, level 5, M=2: every symbolic coefficient, evaluated at q0,
+        # equals the exact-mode coefficient at q0 as a Fraction
+        sym = FockSpace.with_scalar_q(2, Q, level=5)
+        for q0 in (Fraction(1, 2), Fraction(-1, 3)):
+            exact = FockSpace.with_scalar_q(2, q0, level=5)
+            for i in (1, 2):
+                xi_sym = conjugate_series(sym, i, 2)
+                xi_q = conjugate_series(exact, i, 2)
+                assert set(xi_q.support()) <= set(xi_sym.support())
+                for w in xi_sym.support():
+                    c = xi_sym.coeff(w)
+                    at_q0 = c.eval_at(q0) if hasattr(c, "eval_at") else c
+                    assert isinstance(at_q0, (int, Fraction))
+                    assert Fraction(at_q0) == Fraction(xi_q.coeff(w)), (q0, i, w)
+
     def test_levels_are_shared_between_lengths_and_calls(self):
         defm = Deformation(
             [[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]]

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from poly_oracles import euclid_gcd, reduce_ratio, schoolbook_mul
 from qfock import (
     FORMAL_Q,
     Deformation,
@@ -19,6 +20,7 @@ from qfock import (
     q_falling,
     q_int,
 )
+from qfock.scalars import _eval_int, _heu_gcd, _kronecker_mul, _xi_adic
 
 Q = FORMAL_Q
 
@@ -161,6 +163,81 @@ class TestPolyRing:
     def test_refuses_floats(self):
         with pytest.raises(TypeError):
             poly(1, 1) + 0.5  # type: ignore[operator]
+
+
+def _fraction_polys(max_degree):
+    """Integer or Fraction coefficient lists, lowest degree first: zero,
+    constants, negative leading coefficients and up to max_degree."""
+    ints = st.integers(-(2**10), 2**10)
+    fracs = st.fractions(min_value=-64, max_value=64, max_denominator=48)
+    return st.one_of(
+        st.lists(ints, max_size=max_degree + 1),
+        st.lists(fracs, max_size=max_degree + 1),
+    ).map(lambda cs: [Fraction(c) for c in cs])
+
+
+def _monic(ints):
+    return tuple(Fraction(c, ints[-1]) for c in ints)
+
+
+class TestIntegerKernels:
+    """Kronecker products and GCDHEU against the Fraction oracles in
+    poly_oracles (schoolbook product, Euclid's remainder sequence)."""
+
+    @given(_fraction_polys(60), _fraction_polys(60))
+    @settings(max_examples=150, deadline=None)
+    def test_kronecker_product_matches_schoolbook(self, a, b):
+        pa, pb = QPoly(a), QPoly(b)
+        assert (pa * pb).coeffs == schoolbook_mul(a, b)
+        if pa and pb:
+            assert tuple(_kronecker_mul(pa._ints, pb._ints)) == tuple(
+                int(c) for c in schoolbook_mul(pa._ints, pb._ints)
+            )
+
+    @given(_fraction_polys(30), _fraction_polys(30), _fraction_polys(30))
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_and_cofactors_match_euclid(self, a, b, c):
+        f, g = QPoly(schoolbook_mul(a, c)), QPoly(schoolbook_mul(b, c))
+        assume(f and g)
+        h, cf, cg = _heu_gcd(f._ints, g._ints)
+        assert _monic(h) == euclid_gcd(f.coeffs, g.coeffs)
+        assert schoolbook_mul(h, cf) == tuple(map(Fraction, f._ints))
+        assert schoolbook_mul(h, cg) == tuple(map(Fraction, g._ints))
+        assert h[-1] > 0 and cf[-1] > 0 and cg[-1] > 0
+
+    @given(_fraction_polys(30), _fraction_polys(30), _fraction_polys(30))
+    @settings(max_examples=100, deadline=None)
+    def test_qrat_matches_euclid_reduction(self, a, b, c):
+        num, den = schoolbook_mul(a, c), schoolbook_mul(b, c)
+        assume(den)
+        r = QRat(QPoly(num), QPoly(den))
+        assert (r.num.coeffs, r.den.coeffs) == reduce_ratio(num, den)
+
+    def test_common_factor_is_cancelled(self):
+        # (q^2 - 1) / (q^2 + 2q + 1) = (q - 1) / (q + 1)
+        r = QRat(poly(-1, 0, 1), poly(1, 2, 1))
+        assert (r.num, r.den) == (poly(-1, 1), poly(1, 1))
+
+    @pytest.mark.parametrize(
+        "f, g, value_gcd, read_back",
+        [
+            # 3 - 2q (primitive form 2q - 3) and 2q + q^2: at the first point
+            # xi = 2 * min(3, 2) + 29 = 33 the values share 21, which reads
+            # back as q - 12 and divides neither
+            ((-3, 2), (0, 2, 1), 21, [-12, 1]),
+            # q - 3 and 3q^2 + 3q - 4 at xi = 35: the values share 32, which
+            # reads back as q - 3; it divides the first but not the second
+            ((-3, 1), (-4, 3, 3), 32, [-3, 1]),
+        ],
+    )
+    def test_spurious_integer_factor_makes_xi_grow(self, f, g, value_gcd, read_back):
+        xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+        assert math.gcd(_eval_int(f, xi), _eval_int(g, xi)) == value_gcd
+        assert _xi_adic(value_gcd, xi) == read_back
+        # the pairs are coprime: the grown point finds gcd 1
+        assert _heu_gcd(f, g) == ((1,), f, g)
+        r = QRat(QPoly(f), QPoly(g))
+        assert (r.num, r.den) == (QPoly(f) / g[-1], QPoly(g) / g[-1])
 
 
 class TestFloatEval:
