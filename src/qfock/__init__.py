@@ -37,6 +37,7 @@ from .norms import (
     TailReport,
     gram_domination_residual,
     haagerup_residual,
+    projected_domination,
     right_annihilation_norm,
     series_tail,
 )

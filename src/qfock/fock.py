@@ -21,8 +21,10 @@ peels the last letter j of the row word:
 Removing one j from both words keeps equal letter contents (the sorted
 letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
-content blocks, built from the blocks of the level below, and solves
-factor the blocks one by one. With constant q the recursion reproduces the
+content blocks, built from the blocks of the level below; ``blocks(n)`` is
+the only view of G_n, with no dense matrix over the whole word basis.
+Solves factor the blocks one by one, and the float norm checks solve their
+eigenproblems block by block. With constant q the recursion reproduces the
 permutation sum of q^inversions; the tests check both that and the
 left-peeling recursion for mixed q.
 
@@ -119,12 +121,6 @@ class FockVector:
     def __len__(self):
         return len(self._c)
 
-    def levels(self):
-        return sorted({len(w) for w in self._c})
-
-    def max_level(self):
-        return max((len(w) for w in self._c), default=-1)
-
     def level(self, n):
         return FockVector({w: c for w, c in self._c.items() if len(w) == n})
 
@@ -209,7 +205,6 @@ class FockSpace:
         self.level = level
         self._lock = threading.Lock()
         self._words = {}
-        self._word_index = {}
         self._blocks = {}
         self._gram_lu = {}
         self._dual_memo = {}
@@ -230,12 +225,7 @@ class FockSpace:
             if got is None:
                 got = [tuple(w) for w in product(range(1, self.d + 1), repeat=n)]
                 self._words[n] = got
-                self._word_index[n] = {w: k for k, w in enumerate(got)}
             return got
-
-    def word_index(self, n):
-        self.words(n)
-        return self._word_index[n]
 
     def vacuum(self):
         return FockVector.basis(())
@@ -310,9 +300,9 @@ class FockSpace:
         acc = {}
         for content, terms in groups.items():
             n = len(content)
-            blk = self._level(n)[content]
+            blk = self.blocks(n)[content]
             up_content = _content(content + (i,))
-            up = self._level(n + 1)[up_content]
+            up = self.blocks(n + 1)[up_content]
             rhs = [0] * len(up.words)
             cols = [(blk.rows[blk.index[w]], c) for w, c in terms]
             for k, y in enumerate(blk.words):
@@ -346,7 +336,7 @@ class FockSpace:
             same = right.get(content)
             if not same:
                 continue
-            blk = self._level(len(a))[content]
+            blk = self.blocks(len(a))[content]
             row = blk.rows[blk.index[a]]
             for b, cb in same:
                 total = total + ca * cb * row[blk.index[b]]
@@ -354,9 +344,10 @@ class FockSpace:
 
     # -- Gram data ------------------------------------------------------------
 
-    def _level(self, n):
-        """The content blocks of G_n, keyed by content, built by the
-        right-peeling recursion from the blocks of G_{n-1}."""
+    def blocks(self, n):
+        """The content blocks of G_n as {content: block with ``words``,
+        ``index`` and ``rows``}, built once by the right-peeling recursion
+        from the blocks of G_{n-1}; every thread gets the same object."""
         with self._lock:
             got = self._blocks.get(n)
         if got is not None:
@@ -366,7 +357,7 @@ class FockSpace:
             one = 1.0 if self.deformation.is_float else 1
             blocks = {(): _Block([()], {(): 0}, [[one]])}
         else:
-            below = self._level(n - 1)
+            below = self.blocks(n - 1)
             q = self.deformation.q
             grouped = {}
             for w in self.words(n):
@@ -405,21 +396,6 @@ class FockSpace:
             self._blocks.setdefault(n, blocks)
             return self._blocks[n]
 
-    def gram(self, n):
-        """Level-n Gram matrix as a dense list of rows in the lexicographic
-        word basis: the content blocks of the right-peeling recursion (see
-        the module docstring) placed on their words, and 0 between them."""
-        idx = self.word_index(n)
-        size = len(idx)
-        mat = [[0] * size for _ in range(size)]
-        for blk in self._level(n).values():
-            pos = [idx[w] for w in blk.words]
-            for r, row in zip(pos, blk.rows):
-                out = mat[r]
-                for c, value in zip(pos, row):
-                    out[c] = value
-        return mat
-
     def _factors(self, n):
         """LU factors of every content block of G_n, keyed by content; a
         singular block anywhere on the level is reported on first use."""
@@ -427,7 +403,7 @@ class FockSpace:
             got = self._gram_lu.get(n)
         if got is not None:
             return got
-        factors = {content: self._lu(n, blk.rows) for content, blk in self._level(n).items()}
+        factors = {content: self._lu(n, blk.rows) for content, blk in self.blocks(n).items()}
         with self._lock:
             self._gram_lu.setdefault(n, factors)
             return self._gram_lu[n]

@@ -6,6 +6,12 @@ eigenproblems against the level Gram matrices; truncation makes every
 computed norm a lower bound on the true one, which is the conservative
 direction when checking an upper-bound inequality.
 
+Every operator checked here keeps letter content: G_{m+1} and G_m (x) 1
+map each level-(m+1) content block to itself, and right annihilation by
+letter i maps the block of content c+i to the block of content c. So each
+check is a min or max over small per-block eigenproblems on the blocks of
+``FockSpace.blocks``; none of them depends on the order of the word basis.
+
 Series tails are summed in arbitrary-precision floats: at strong
 deformation the majorant terms pass through astronomically large magnitudes
 before the quadratic exponent wins, far beyond double range, yet the sums
@@ -22,11 +28,13 @@ import numpy as np
 import scipy.linalg
 
 from .fock import FockSpace, FockVector, GramSingularError
+from .ncpoly import poly_apply, wick_recursive
 from .scalars import analytic_constants
 
 __all__ = [
     "TailReport",
     "gram_domination_residual",
+    "projected_domination",
     "right_annihilation_norm",
     "haagerup_residual",
     "series_tail",
@@ -63,23 +71,73 @@ class TailReport:
         )
 
 
-def _float_gram(space, n):
-    """Level-n Gram matrix of a float space as a dense array."""
-    return np.array(space.gram(n), dtype=float)
+def _top_eigenvalue(quad, gram, what):
+    """Largest generalized eigenvalue of (quad, gram); a Gram that cannot
+    be factorized is reported as singular."""
+    try:
+        return float(scipy.linalg.eigh(quad, gram, eigvals_only=True)[-1])
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise GramSingularError(f"{what} not factorizable") from exc
+
+
+def _lift(below, blk, j):
+    """r_j* G_{n-1} r_j on one level-n content block: the level-(n-1) Gram
+    block of the heads of its words that end in letter j, placed on those
+    words, and 0 on the rest."""
+    pos = [k for k, w in enumerate(blk.words) if w[-1] == j]
+    sub = below[tuple(sorted(blk.words[pos[0]][:-1]))]
+    at = [sub.index[blk.words[k][:-1]] for k in pos]
+    out = np.zeros((len(blk.words), len(blk.words)))
+    out[np.ix_(pos, pos)] = np.array(sub.rows, dtype=float)[np.ix_(at, at)]
+    return out
+
+
+def _right_gain(space, i, n):
+    """Squared norm of right annihilation by letter i on level n.
+
+    r_i maps the level-n block of content c to the level-(n-1) block of
+    c without i, so this is the largest generalized eigenvalue of
+    (r_i* G_{n-1} r_i, G_n[c]), maximized over the blocks c holding i.
+    """
+    best = 0.0
+    for content, blk in space.blocks(n).items():
+        if i in content:
+            quad = _lift(space.blocks(n - 1), blk, i)
+            gram = np.array(blk.rows, dtype=float)
+            best = max(best, _top_eigenvalue(quad, gram, f"level-{n} Gram block {content}"))
+    return best
 
 
 def gram_domination_residual(m, q0, d):
     """Smallest eigenvalue of w(q)^-1 G_{m+1} - G_m (x) identity.
 
-    Nonnegative up to eigensolver noise whenever the level-to-level
-    domination holds; the identity factor sits on the last letter.
+    This full-tensor domination, with the identity factor on the last
+    letter, is informational: it is genuinely violated at q = 1/2 (negative
+    from m = 3 on), while the right-annihilation estimate only needs the
+    projected comparison of ``projected_domination``. Both operators keep
+    letter content, so the minimum runs over the level-(m+1) content
+    blocks, each solved on its own.
     """
     w, _ = analytic_constants(q0)
     space = FockSpace.with_scalar_q(d, float(q0), level=m + 1)
-    upper = _float_gram(space, m + 1) / w
-    lower = np.kron(_float_gram(space, m), np.eye(d))
-    vals = scipy.linalg.eigvalsh(upper - lower)
-    return float(vals[0])
+    worst = math.inf
+    for content, blk in space.blocks(m + 1).items():
+        diff = np.array(blk.rows, dtype=float) / w
+        for j in sorted(set(content)):
+            diff -= _lift(space.blocks(m), blk, j)
+        worst = min(worst, float(scipy.linalg.eigvalsh(diff)[0]))
+    return worst
+
+
+def projected_domination(m, q0, d):
+    """Sharp constant c_m of the projected comparison c (G_m (x) P_1) <= G_{m+1}.
+
+    P_1 projects the last letter onto letter 1, so G_m (x) P_1 = r_1* G_m r_1
+    and the largest such c is the inverse of the squared norm of r_1 on
+    level m+1. Hence ||r_1||^2 = 1 / min_m c_m on the truncated space, and
+    the estimate ||r_i|| <= w(q)^(-1/2) is the statement c_m >= w(q).
+    """
+    return 1.0 / _right_gain(FockSpace.with_scalar_q(d, float(q0), level=m + 1), 1, m + 1)
 
 
 def right_annihilation_norm(i, q0, d, level):
@@ -91,45 +149,24 @@ def right_annihilation_norm(i, q0, d, level):
     if not 1 <= i <= d:
         raise ValueError(f"letter {i} outside 1..{d}")
     space = FockSpace.with_scalar_q(d, float(q0), level=level)
-    grams = [_float_gram(space, n) for n in range(level + 1)]
-    best = 0.0
-    for n in range(1, level + 1):
-        g_to, g_from = grams[n - 1], grams[n]
-        size_to, size_from = d ** (n - 1), d**n
-        sel = np.zeros((size_to, size_from))
-        rows = np.arange(size_to)
-        sel[rows, rows * d + (i - 1)] = 1.0
-        quad = sel.T @ g_to @ sel
-        try:
-            vals = scipy.linalg.eigh(quad, g_from, eigvals_only=True)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise GramSingularError(
-                f"level-{n} Gram not factorizable at q0={q0}"
-            ) from exc
-        best = max(best, float(vals[-1]))
-    return math.sqrt(best)
+    return math.sqrt(max((_right_gain(space, i, n) for n in range(1, level + 1)), default=0.0))
 
 
-def _basis_offsets(d, levels):
-    offsets, total = {}, 0
+LEVEL_MARGIN = 2  # haagerup_residual's domain holds levels 0..LEVEL_MARGIN
+
+
+def _block_basis(space, levels):
+    """The words of the given levels numbered block by block, as {word:
+    position}, and the Gram matrix in that numbering: block diagonal."""
+    words, grams = [], []
     for n in levels:
-        offsets[n] = total
-        total += d**n
-    return offsets, total
+        for blk in space.blocks(n).values():
+            words.extend(blk.words)
+            grams.append(np.array(blk.rows, dtype=float))
+    return {w: k for k, w in enumerate(words)}, scipy.linalg.block_diag(*grams)
 
 
-def _block_gram(space, levels):
-    d = space.d
-    offsets, total = _basis_offsets(d, levels)
-    out = np.zeros((total, total))
-    for n in levels:
-        g = _float_gram(space, n)
-        o = offsets[n]
-        out[o : o + d**n, o : o + d**n] = g
-    return out
-
-
-def haagerup_residual(m, q0, d, trials=50, seed=0, level_margin=2):
+def haagerup_residual(m, q0, d, trials=50, seed=0):
     """Randomized check of the level-m norm comparison.
 
     Draws level-m coefficient vectors, forms the operator with that vacuum
@@ -137,49 +174,30 @@ def haagerup_residual(m, q0, d, trials=50, seed=0, level_margin=2):
     true one) against (m+1) C^{3/2} times the twisted vector norm. The
     returned maximum over trials must not be positive.
     """
-    from .ncpoly import poly_apply, wick_recursive
-
     _, haag = analytic_constants(q0)
-    space = FockSpace.with_scalar_q(d, float(q0), level=m + level_margin)
-    dom_levels = list(range(level_margin + 1))
-    cod_levels = list(range(m + level_margin + 1))
-    dom_off, dom_dim = _basis_offsets(d, dom_levels)
-    cod_off, cod_dim = _basis_offsets(d, cod_levels)
-    cod_index = {}
-    for n in cod_levels:
-        for k, w in enumerate(space.words(n)):
-            cod_index[w] = cod_off[n] + k
+    space = FockSpace.with_scalar_q(d, float(q0), level=m + LEVEL_MARGIN)
+    dom_index, g_dom = _block_basis(space, range(LEVEL_MARGIN + 1))
+    cod_index, g_cod = _block_basis(space, range(m + LEVEL_MARGIN + 1))
 
+    # the seeded coefficients fill the level-m words in lexicographic order
     level_words = space.words(m)
-    action = np.zeros((len(level_words), cod_dim, dom_dim))
+    action = np.zeros((len(level_words), len(cod_index), len(dom_index)))
     for wi, w in enumerate(level_words):
         poly = wick_recursive(space, w)
-        for n in dom_levels:
-            for k, v in enumerate(space.words(n)):
-                image = poly_apply(space, poly, FockVector.basis(v))
-                col = dom_off[n] + k
-                for word, c in image.items():
-                    action[wi, cod_index[word], col] = c
-
-    g_dom = _block_gram(space, dom_levels)
-    g_cod = _block_gram(space, cod_levels)
-    g_level = _float_gram(space, m)
+        for v, col in dom_index.items():
+            for word, c in poly_apply(space, poly, FockVector.basis(v)).items():
+                action[wi, cod_index[word], col] = c
 
     rng = np.random.default_rng(seed)
     worst = -math.inf
     bound_factor = (m + 1) * haag**1.5
     for _ in range(trials):
         coeffs = rng.standard_normal(len(level_words))
-        vec_norm = math.sqrt(float(coeffs @ g_level @ coeffs))
+        vec = FockVector(dict(zip(level_words, coeffs)))
+        vec_norm = math.sqrt(space.inner(vec, vec))
         op = np.tensordot(coeffs, action, axes=1)
         quad = op.T @ g_cod @ op
-        try:
-            vals = scipy.linalg.eigh(quad, g_dom, eigvals_only=True)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-            raise GramSingularError(
-                f"domain Gram not factorizable at q0={q0}"
-            ) from exc
-        op_norm = math.sqrt(max(float(vals[-1]), 0.0))
+        op_norm = math.sqrt(max(_top_eigenvalue(quad, g_dom, f"domain Gram at q0={q0}"), 0.0))
         worst = max(worst, op_norm - bound_factor * vec_norm)
     return worst
 

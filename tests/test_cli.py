@@ -82,6 +82,28 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_bounds_d4_passes(self, capsys):
+        code, out = run(capsys, "verify", "bounds", "--d", "4", "--q", "1/2")
+        assert code == 0
+        names = [f"bounds/gram-domination m={m}" for m in range(5)]
+        names += ["bounds/haagerup", "bounds/right-annihilation-norm"]
+        names += [f"bounds/tail-{s}" for s in ("fisher", "gibbs", "lipschitz", "xi")]
+        assert [c["check"] for c in json.loads(out)["checks"]] == names
+
+    def test_all_passes_at_defaults(self, capsys):
+        # the gram-domination gate is the projected comparison; the
+        # full-tensor residual beside it is negative from m = 3 at q = 1/2
+        code, out = run(capsys, "verify", "all")
+        assert code == 0
+        full_tensor = {
+            c["check"]: c["params"]["full_tensor_residual"]
+            for c in json.loads(out)["checks"]
+            if c["check"].startswith("bounds/gram-domination")
+        }
+        assert len(full_tensor) == 5
+        assert full_tensor["bounds/gram-domination m=3"] < 0
+        assert full_tensor["bounds/gram-domination m=4"] < 0
+
     @pytest.mark.parametrize("level", ["0", "1"])
     def test_bounds_level_guard(self, capsys, level):
         assert main(["verify", "bounds", "--level", level]) == 2

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from gram_oracles import left_peeling_gram, permutation_gram
+from gram_oracles import dense_gram, left_peeling_gram, permutation_gram
 
 from qfock import (
     FORMAL_Q,
@@ -140,7 +143,7 @@ class TestInnerProduct:
         defm = Deformation([[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]])
         sp = FockSpace(defm, level=5)
         for n in range(5):
-            g = sp.gram(n)
+            g = dense_gram(sp, n)
             for a in range(len(g)):
                 for b in range(len(g)):
                     assert g[a][b] == g[b][a]
@@ -219,13 +222,13 @@ class TestGramOracles:
     def test_constant_matches_permutation_sum(self, q):
         sp = FockSpace.with_scalar_q(2, q, level=6)
         for n in range(7):
-            assert sp.gram(n) == permutation_gram(n, 2, q), n
+            assert dense_gram(sp, n) == permutation_gram(n, 2, q), n
 
     @pytest.mark.parametrize("defm,top", [(MIXED_2, 6), (MIXED_3, 4)], ids=["2x2", "3x3"])
     def test_mixed_matches_left_peeling(self, defm, top):
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
-            assert sp.gram(n) == left_peeling_gram(n, defm), n
+            assert dense_gram(sp, n) == left_peeling_gram(n, defm), n
 
 
 class TestFloatGram:
@@ -233,11 +236,11 @@ class TestFloatGram:
     def test_positive_definite_inside_disk(self, q0):
         sp = FockSpace.with_scalar_q(2, q0, level=6)
         for n in range(7):
-            np.linalg.cholesky(np.array(sp.gram(n), dtype=float))
+            np.linalg.cholesky(np.array(dense_gram(sp, n), dtype=float))
 
     def test_matches_exact_at_rational_point(self, half2):
-        g = half2.gram(3)
-        f = FockSpace.with_scalar_q(2, 0.5, level=3).gram(3)
+        g = dense_gram(half2, 3)
+        f = dense_gram(FockSpace.with_scalar_q(2, 0.5, level=3), 3)
         oracle = permutation_gram(3, 2, 0.5)
         for a in range(8):
             for b in range(8):
@@ -269,3 +272,40 @@ class TestFloatConjugateSeries:
         approx = FockSpace(floats, level=7)
         for i in (1, 2):
             assert _max_float_gap(exact, approx, i, 3) < 1e-9
+
+
+def _together(fn, args):
+    """fn over args on one thread each (at most 4), all released at once,
+    with a short switch interval so the threads interleave finely."""
+    start = threading.Barrier(len(args), timeout=60)
+
+    def call(arg):
+        start.wait()
+        return fn(arg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(args)) as pool:
+            return list(pool.map(call, args, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreadSafety:
+    """One fresh space shared by concurrent callers: the write-once Gram
+    blocks and memos hand every thread the same data."""
+
+    def test_blocks_are_one_object(self):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=6)
+        got = _together(lambda _: sp.blocks(6), range(4))
+        assert all(g is got[0] for g in got)
+        assert sp.blocks(6) is got[0]
+
+    def test_conjugate_series_match_serial(self):
+        q = Fraction(1, 2)
+        serial_space = FockSpace.with_scalar_q(2, q, level=5)
+        serial = {i: conjugate_series(serial_space, i, 2) for i in (1, 2)}
+        sp = FockSpace.with_scalar_q(2, q, level=5)
+        letters = [1, 2, 1, 2]
+        assert _together(lambda i: conjugate_series(sp, i, 2), letters) == [serial[i] for i in letters]

@@ -1,37 +1,22 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
-import scipy.linalg
+from gram_oracles import (
+    dense_domination_residual,
+    dense_right_annihilation_norm,
+    projected_domination_sharp,
+)
 
 from qfock import (
-    FockSpace,
     GramSingularError,
     analytic_constants,
     gram_domination_residual,
     haagerup_residual,
+    projected_domination,
     right_annihilation_norm,
     series_tail,
 )
-
-
-def projected_domination_sharp(m, q0, d):
-    """Sharp constant for the rank-one-projected comparison: the largest c
-    with c * (G_m (x) P_letter) <= G_{m+1}, via a Schur complement on the
-    block of words ending in the projected letter."""
-    space = FockSpace.with_scalar_q(d, float(q0), level=m + 1)
-    big = np.array(space.gram(m + 1), dtype=float)
-    small = np.array(space.gram(m), dtype=float)
-    keep = [k for k in range(d ** (m + 1)) if k % d == 0]
-    drop = [k for k in range(d ** (m + 1)) if k % d != 0]
-    if drop:
-        schur = big[np.ix_(keep, keep)] - big[np.ix_(keep, drop)] @ np.linalg.solve(
-            big[np.ix_(drop, drop)], big[np.ix_(drop, keep)]
-        )
-    else:
-        schur = big
-    return float(scipy.linalg.eigh(schur, small, eigvals_only=True)[0])
 
 
 class TestGramDomination:
@@ -60,6 +45,38 @@ class TestGramDomination:
         w, _ = analytic_constants(q0)
         for m in range(6):
             assert projected_domination_sharp(m, q0, 2) >= w - 1e-9
+
+
+AGREE = [
+    pytest.param(d, q0, id=f"d{d}-q{q0}") for d in (2, 3) for q0 in (0.5, -0.9, 0.9)
+]
+
+
+@pytest.mark.parametrize("d,q0", AGREE)
+class TestBlockwiseAgainstDense:
+    """The per-block eigenproblems against the same checks solved on the
+    dense d^n x d^n Gram matrices."""
+
+    def test_full_tensor_residual(self, d, q0):
+        for m in range(5):
+            got = gram_domination_residual(m, q0, d)
+            assert got == pytest.approx(dense_domination_residual(m, q0, d), rel=1e-10), m
+
+    def test_right_annihilation_norm(self, d, q0):
+        level = 6 if d == 2 else 5
+        for i in (1, d):
+            got = right_annihilation_norm(i, q0, d, level)
+            assert got == pytest.approx(dense_right_annihilation_norm(i, q0, d, level), rel=1e-10), i
+
+    def test_projected_domination_is_the_schur_complement_constant(self, d, q0):
+        for m in range(5):
+            got = projected_domination(m, q0, d)
+            assert got == pytest.approx(projected_domination_sharp(m, q0, d), rel=1e-10), m
+
+    def test_norm_squared_is_inverse_of_smallest_projected_constant(self, d, q0):
+        level = 5
+        smallest = min(projected_domination(m, q0, d) for m in range(level))
+        assert right_annihilation_norm(1, q0, d, level) ** 2 == pytest.approx(1 / smallest, rel=1e-10)
 
 
 class TestRightAnnihilationNorm:
