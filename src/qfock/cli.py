@@ -126,8 +126,12 @@ def _tolerance(mode):
 
 
 def _q_float(deformation):
+    """The float parameter of the norm and one-variable checks: the signed
+    q of a constant deformation, max |q_ij| of a matrix, None if formal."""
     if deformation.is_symbolic:
         return None
+    if deformation.is_constant:
+        return float_eval(deformation.constant_value)
     return deformation.max_abs_float()
 
 
@@ -168,7 +172,7 @@ def _suite_dual_agree(space, args, tol):
                 lhs = dual_partition(space, i, w)
                 rhs = dual_recursive(space, i, w)
                 count += 1
-                if magnitude((lhs - rhs).max_coeff_magnitude()) > tol and bad is None:
+                if (lhs - rhs).max_coeff_magnitude() > tol and bad is None:
                     bad = (i, w)
     checks.append(
         _check(
@@ -189,8 +193,7 @@ def _suite_wick_agree(space, args, tol):
         for w in space.words(n):
             count += 1
             diff = wick_partition(space, w) - wick_recursive(space, w)
-            worst = max((magnitude(c) for _, c in diff.items()), default=0)
-            if worst > tol and bad is None:
+            if diff.max_coeff_magnitude() > tol and bad is None:
                 bad = w
     return [
         _check(
@@ -210,11 +213,8 @@ def _suite_derivative_agree(space, args, tol):
         for w in space.words(n):
             for i in range(1, space.d + 1):
                 count += 1
-                lhs = diff_partition(space, i, w)
-                rhs = diff_quotient(i, wick_recursive(space, w))
-                diff = lhs - rhs
-                worst = max((magnitude(c) for _, c in diff.items()), default=0)
-                if worst > tol and bad is None:
+                diff = diff_partition(space, i, w) - diff_quotient(i, wick_recursive(space, w))
+                if diff.max_coeff_magnitude() > tol and bad is None:
                     bad = (i, w)
     return [
         _check(

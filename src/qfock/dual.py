@@ -25,6 +25,7 @@ carries an analytic tail bound.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .fock import FockSpace, FockVector, TruncationError, _add_to
@@ -46,24 +47,19 @@ __all__ = [
 def dual_recursive(space: FockSpace, i, word) -> FockVector:
     """D_i on a basis word by the commutation-rule recursion, memoized."""
     word = tuple(word)
-    key = (i, word)
-    memo = space._dual_memo
-    got = memo.get(key)
-    if got is not None:
-        return got
+    return space._memo("dual", (i, word), lambda: _dual_build(space, i, word))
+
+
+def _dual_build(space: FockSpace, i, word) -> FockVector:
     if not word:
-        result = FockVector.zero()
-    else:
-        j, rest = word[0], word[1:]
-        # e_{j rest} = A_j e_rest - l_j e_rest, then commute D_i past A_j.
-        result = space.gaussian(j, dual_recursive(space, i, rest))
-        if i == j and not rest:
-            result = result + space.vacuum()
-        for u, c in space.annihilate(j, FockVector.basis(rest)).items():
-            result = result - dual_recursive(space, i, u).scaled(c)
-    with space._lock:
-        memo.setdefault(key, result)
-    return memo[key]
+        return FockVector.zero()
+    j, rest = word[0], word[1:]
+    # e_{j rest} = A_j e_rest - l_j e_rest, then commute D_i past A_j.
+    terms = [(space.gaussian(j, dual_recursive(space, i, rest)), 1)]
+    if i == j and not rest:
+        terms.append((space.vacuum(), 1))
+    lowered = space.annihilate(j, FockVector.basis(rest))
+    return FockVector.combination(terms + [(dual_recursive(space, i, u), -c) for u, c in lowered.items()])
 
 
 def crossing_weight(space: FockSpace, part, letter_of, exclude=None):
@@ -79,25 +75,51 @@ def crossing_weight(space: FockSpace, part, letter_of, exclude=None):
     return weight
 
 
-def dual_partition(space: FockSpace, i, word) -> FockVector:
-    """D_i on a basis word by the B-family diagram sum."""
-    word = tuple(word)
+def _diagram_terms(space: FockSpace, family, word, i=None):
+    """The diagrams of one family on a word, as (signed weight, left word,
+    right word), for the diagram sums of D_i (B), of the difference
+    quotient (C) and of the Wick transform (D).
+
+    Vertex k >= 1 carries the k-th letter of the word from the right and
+    vertex 0, in B and C, the index i. Diagrams pairing unequal letters are
+    skipped. The sign is (-1) to the number of pairs not through vertex 0:
+    (-1)^(partner of 0 - 1) in B, where every vertex left of the partner of
+    0 is paired, (-1)^(pairs - 1) in C and (-1)^pairs in D. The weight
+    takes a deformation factor per crossing, except the crossings of the
+    block through 0 with the singletons below its partner. The left word
+    is read off the singletons above the partner of 0 (all of them in B
+    and D), the right word off those below it, right to left.
+    """
     n = len(word)
-    if n == 0:
-        return FockVector.zero()
 
     def letter(v):
         return i if v == 0 else word[n - v]
 
-    acc = {}
-    for part in enumerate_family("B", n + 1):
+    def read(vertices):
+        return tuple(map(letter, reversed(vertices)))
+
+    for part in enumerate_family(family, n + (family != "D")):
         if any(letter(a) != letter(b) for a, b in part.pairs):
             continue
-        coeff = crossing_weight(space, part, lambda blk: letter(blk[0]))
-        if part.partner0 % 2 == 0:
-            coeff = -coeff
-        out_word = tuple(letter(s) for s in sorted(part.singletons, reverse=True))
-        _add_to(acc, out_word, coeff)
+        zero_block = part.zero_block()
+        # singletons are sorted, so those below the partner of 0 come first
+        cut = bisect(part.singletons, zero_block[1]) if zero_block else 0
+        right, left = part.singletons[:cut], part.singletons[cut:]
+        exclude = {frozenset((zero_block, (s,))) for s in right} if right else None
+        weight = crossing_weight(space, part, lambda blk: letter(blk[0]), exclude)
+        if (part.num_pairs - (zero_block is not None)) % 2:
+            weight = -weight
+        yield weight, read(left), read(right)
+
+
+def dual_partition(space: FockSpace, i, word) -> FockVector:
+    """D_i on a basis word by the B-family diagram sum."""
+    word = tuple(word)
+    if not word:
+        return FockVector.zero()
+    acc = {}
+    for weight, out_word, _ in _diagram_terms(space, "B", word, i):
+        _add_to(acc, out_word, weight)
     return FockVector(acc)
 
 
@@ -120,10 +142,7 @@ class DualOperator:
         return _STRATEGIES[self.strategy](self.space, self.index, word)
 
     def apply(self, v: FockVector) -> FockVector:
-        out = FockVector.zero()
-        for w, c in v.items():
-            out = out + self.apply_word(w).scaled(c)
-        return out
+        return FockVector.combination((self.apply_word(w), c) for w, c in v.items())
 
 
 def commutator_residual(space: FockSpace, i, j, level_limit, strategy="partition"):
@@ -163,24 +182,20 @@ def _series_sign_weight(space: FockSpace, i, word):
 def _series_level(space: FockSpace, i, m) -> FockVector:
     """The level-(2m+1) part of the conjugate variable with index i: the
     source words of length m. Memoized per space, keyed (i, m)."""
-    key = (i, m)
-    memo = space._xi_memo
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = FockVector.zero()
+    return space._memo("xi", (i, m), lambda: FockVector.combination(_series_terms(space, i, m)))
+
+
+def _series_terms(space: FockSpace, i, m):
+    """(right-creation chain of e_w, its sign and weight) for each source
+    word w of length m with a nonzero weight."""
     for w in space.words(m):
         weight = _series_sign_weight(space, i, w)
         if not weight:
             continue
-        v = FockVector.basis(w)
-        v = space.right_annihilate_adjoint(i, v)
+        v = space.right_annihilate_adjoint(i, FockVector.basis(w))
         for letter in w:
             v = space.right_annihilate_adjoint(letter, v)
-        out = out + v.scaled(weight)
-    with space._lock:
-        memo.setdefault(key, out)
-    return memo[key]
+        yield v, weight
 
 
 def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
@@ -191,10 +206,7 @@ def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
             f"conjugate series to source length {source_length} needs level "
             f">= {2 * source_length + 1}, space has {space.level}"
         )
-    out = FockVector.zero()
-    for m in range(source_length + 1):
-        out = out + _series_level(space, i, m)
-    return out
+    return FockVector.combination((_series_level(space, i, m), 1) for m in range(source_length + 1))
 
 
 @dataclass(frozen=True)

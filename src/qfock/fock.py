@@ -31,6 +31,11 @@ left-peeling recursion for mixed q.
 Everything is exact when the deformation entries are exact; plain floats
 flow through the same code paths for numerical work. The truncation level
 is explicit and overflowing it is a hard error, never a silent projection.
+
+Vectors are word maps: ``WordMap`` is the one algebra of immutable sparse
+combinations of words (sums, scalar multiples, and ``combination``, which
+sums a whole linear extension into one map). ``FockVector`` here and the
+polynomials of :mod:`qfock.ncpoly` are its subclasses.
 """
 
 from __future__ import annotations
@@ -79,38 +84,54 @@ def _add_to(acc, word, value):
             del acc[word]
 
 
-class FockVector:
-    """Finitely supported map word -> coefficient, graded by word length."""
+class WordMap:
+    """Immutable finitely supported map key -> coefficient, zeros dropped.
+
+    The one algebra behind Fock vectors and (tensor) polynomials: sums,
+    differences, scalar multiples and linear combinations, with equality
+    strict by type. Subclasses say what a key is and add their own
+    operations.
+    """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         data = {}
         if coeffs:
-            for w, c in coeffs.items():
+            for k, c in coeffs.items():
                 if c:
-                    data[tuple(w)] = c
+                    data[self._key(k)] = c
         object.__setattr__(self, "_c", data)
 
+    @staticmethod
+    def _key(k):
+        return tuple(k)
+
+    @classmethod
+    def _wrap(cls, data):
+        """An instance owning ``data``, already canonical (no zeros)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_c", data)
+        return out
+
+    @classmethod
+    def combination(cls, terms):
+        """The sum of s * m over the (m, s) pairs, accumulated in one map."""
+        acc = {}
+        for m, s in terms:
+            if s:
+                for k, c in m._c.items():
+                    _add_to(acc, k, c * s)
+        return cls._wrap(acc)
+
     def __setattr__(self, name, value):
-        raise AttributeError("FockVector is immutable")
-
-    @classmethod
-    def basis(cls, word):
-        return cls({tuple(word): 1})
-
-    @classmethod
-    def zero(cls):
-        return cls()
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def items(self):
         return self._c.items()
 
-    def support(self):
-        return sorted(self._c, key=lambda w: (len(w), w))
-
-    def coeff(self, word):
-        return self._c.get(tuple(word), 0)
+    def coeff(self, key):
+        return self._c.get(self._key(key), 0)
 
     def is_zero(self):
         return not self._c
@@ -121,34 +142,27 @@ class FockVector:
     def __len__(self):
         return len(self._c)
 
-    def level(self, n):
-        return FockVector({w: c for w, c in self._c.items() if len(w) == n})
-
     def __add__(self, other):
-        if not isinstance(other, FockVector):
+        if type(other) is not type(self):
             return NotImplemented
         acc = dict(self._c)
-        for w, c in other._c.items():
-            _add_to(acc, w, c)
-        out = FockVector()
-        object.__setattr__(out, "_c", acc)
-        return out
+        for k, c in other._c.items():
+            _add_to(acc, k, c)
+        return self._wrap(acc)
 
     def __sub__(self, other):
-        if not isinstance(other, FockVector):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return FockVector({w: -c for w, c in self._c.items()})
+        return self._wrap({k: -c for k, c in self._c.items()})
 
     def scaled(self, s):
-        if not s:
-            return FockVector()
-        return FockVector({w: c * s for w, c in self._c.items()})
+        return self.combination(((self, s),))
 
     def __eq__(self, other):
-        if not isinstance(other, FockVector):
+        if type(other) is not type(self):
             return NotImplemented
         return self._c == other._c
 
@@ -156,7 +170,7 @@ class FockVector:
         return hash(frozenset(self._c.items()))
 
     def max_coeff_magnitude(self):
-        """Largest coefficient magnitude; zero exactly for the zero vector."""
+        """Largest coefficient magnitude; zero exactly for the zero map."""
         best = Fraction(0)
         for c in self._c.values():
             m = magnitude(c)
@@ -165,10 +179,37 @@ class FockVector:
         return best
 
     def __repr__(self):
+        name = type(self).__name__
         if not self._c:
-            return "FockVector(0)"
-        bits = [f"e{''.join(map(str, w)) or '0'}: {c!r}" for w, c in sorted(self._c.items(), key=lambda t: (len(t[0]), t[0]))]
-        return "FockVector(" + ", ".join(bits) + ")"
+            return f"{name}(0)"
+        # shorter words first; pair keys all have length 2, so pairs sort
+        # lexicographically
+        ordered = sorted(self._c.items(), key=lambda t: (len(t[0]), t[0]))
+        return f"{name}(" + ", ".join(f"{self._label(k)}: {c!r}" for k, c in ordered) + ")"
+
+
+class FockVector(WordMap):
+    """Finitely supported map word -> coefficient, graded by word length."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, word):
+        return cls({tuple(word): 1})
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def support(self):
+        return sorted(self._c, key=lambda w: (len(w), w))
+
+    def level(self, n):
+        return FockVector({w: c for w, c in self._c.items() if len(w) == n})
+
+    @staticmethod
+    def _label(w):
+        return f"e{''.join(map(str, w)) or '0'}"
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +233,11 @@ class _Block(NamedTuple):
 class FockSpace:
     """Fock space over d letters, truncated at an explicit word length.
 
-    All operator applications are pure; the per-level Gram data and the
-    solver factorizations are write-once caches guarded by a lock, so a
-    space can be shared freely between threads.
+    All operator applications are pure. The per-level words, Gram blocks
+    and their factorizations, and the memos of the dual operators, Wick
+    polynomials and conjugate-variable levels are write-once tables behind
+    one lock (see ``_memo``), so a space can be shared freely between
+    threads.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -204,28 +247,31 @@ class FockSpace:
         self.d = deformation.d
         self.level = level
         self._lock = threading.Lock()
-        self._words = {}
-        self._blocks = {}
-        self._gram_lu = {}
-        self._dual_memo = {}
-        self._wick_memo = {}
-        self._xi_memo = {}
+        self._memos = {name: {} for name in ("words", "blocks", "lu", "dual", "wick", "xi")}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
         return cls(Deformation.constant(d, q), level)
+
+    def _memo(self, table, key, build):
+        """The value ``build()`` stored once under ``key`` in the named
+        table. It is built outside the lock, since builds recurse into the
+        tables, and the first value stored is the one every caller gets."""
+        memo = self._memos[table]
+        with self._lock:
+            got = memo.get(key)
+        if got is None:
+            got = build()
+            with self._lock:
+                got = memo.setdefault(key, got)
+        return got
 
     # -- basis -------------------------------------------------------------
 
     def words(self, n):
         if n > self.level:
             raise TruncationError(f"level {n} beyond truncation {self.level}")
-        with self._lock:
-            got = self._words.get(n)
-            if got is None:
-                got = [tuple(w) for w in product(range(1, self.d + 1), repeat=n)]
-                self._words[n] = got
-            return got
+        return self._memo("words", n, lambda: list(product(range(1, self.d + 1), repeat=n)))
 
     def vacuum(self):
         return FockVector.basis(())
@@ -348,10 +394,9 @@ class FockSpace:
         """The content blocks of G_n as {content: block with ``words``,
         ``index`` and ``rows``}, built once by the right-peeling recursion
         from the blocks of G_{n-1}; every thread gets the same object."""
-        with self._lock:
-            got = self._blocks.get(n)
-        if got is not None:
-            return got
+        return self._memo("blocks", n, lambda: self._build_blocks(n))
+
+    def _build_blocks(self, n):
         if n == 0:
             # a float unit keeps float-mode data out of int/int Fractions
             one = 1.0 if self.deformation.is_float else 1
@@ -392,21 +437,14 @@ class FockSpace:
                         row.append(total)
                     rows.append(row)
                 blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows)
-        with self._lock:
-            self._blocks.setdefault(n, blocks)
-            return self._blocks[n]
+        return blocks
 
     def _factors(self, n):
         """LU factors of every content block of G_n, keyed by content; a
         singular block anywhere on the level is reported on first use."""
-        with self._lock:
-            got = self._gram_lu.get(n)
-        if got is not None:
-            return got
-        factors = {content: self._lu(n, blk.rows) for content, blk in self.blocks(n).items()}
-        with self._lock:
-            self._gram_lu.setdefault(n, factors)
-            return self._gram_lu[n]
+        return self._memo(
+            "lu", n, lambda: {content: self._lu(n, blk.rows) for content, blk in self.blocks(n).items()}
+        )
 
     def _lu(self, n, mat):
         size = len(mat)

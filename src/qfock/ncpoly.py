@@ -3,6 +3,9 @@
 An ``NCPoly`` is a finitely supported map word -> coefficient read as the
 sum of coefficient times the product of field operators along the word; an
 ``NCTensorPoly`` is the two-sided analogue supported on pairs of words.
+Both are word maps over the one algebra of :class:`qfock.fock.WordMap`
+that Fock vectors use too: sums, scalar multiples and linear combinations
+are shared, and only the products and flips live here.
 
 The module provides, each in two independent ways where a closed form
 exists:
@@ -23,9 +26,8 @@ exists:
 
 from __future__ import annotations
 
-from .dual import conjugate_series, crossing_weight
-from .fock import FockSpace, FockVector, _add_to
-from .partitions import enumerate_family
+from .dual import _diagram_terms, conjugate_series
+from .fock import FockSpace, FockVector, WordMap, _add_to
 
 __all__ = [
     "NCPoly",
@@ -44,21 +46,10 @@ __all__ = [
 ]
 
 
-class NCPoly:
+class NCPoly(WordMap):
     """Finitely supported word -> coefficient map, in canonical form."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if c:
-                    data[tuple(w)] = c
-        object.__setattr__(self, "_c", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
+    __slots__ = ()
 
     @classmethod
     def one(cls):
@@ -68,44 +59,11 @@ class NCPoly:
     def letter(cls, i):
         return cls({(i,): 1})
 
-    def items(self):
-        return self._c.items()
-
-    def coeff(self, word):
-        return self._c.get(tuple(word), 0)
-
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
     def degree(self):
         return max((len(w) for w in self._c), default=-1)
 
     def degree_part(self, k):
         return NCPoly({w: c for w, c in self._c.items() if len(w) == k})
-
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        acc = dict(self._c)
-        for w, c in other._c.items():
-            _add_to(acc, w, c)
-        return NCPoly(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return NCPoly({w: -c for w, c in self._c.items()})
-
-    def scaled(self, s):
-        if not s:
-            return NCPoly()
-        return NCPoly({w: c * s for w, c in self._c.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
@@ -120,72 +78,23 @@ class NCPoly:
         """Multiply by the letter-i generator on the left."""
         return NCPoly({(i,) + w: c for w, c in self._c.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self):
-        if not self._c:
-            return "NCPoly(0)"
-        bits = [
-            f"A{''.join(map(str, w)) or '^0'}: {c!r}"
-            for w, c in sorted(self._c.items(), key=lambda t: (len(t[0]), t[0]))
-        ]
-        return "NCPoly(" + ", ".join(bits) + ")"
+    @staticmethod
+    def _label(w):
+        return f"A{''.join(map(str, w)) or '^0'}"
 
 
-class NCTensorPoly:
+class NCTensorPoly(WordMap):
     """Finitely supported (word, word) -> coefficient map, canonical form."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for (u, v), c in coeffs.items():
-                if c:
-                    data[(tuple(u), tuple(v))] = c
-        object.__setattr__(self, "_c", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCTensorPoly is immutable")
-
-    def items(self):
-        return self._c.items()
+    @staticmethod
+    def _key(k):
+        u, v = k
+        return (tuple(u), tuple(v))
 
     def coeff(self, u, v):
-        return self._c.get((tuple(u), tuple(v)), 0)
-
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __add__(self, other):
-        if not isinstance(other, NCTensorPoly):
-            return NotImplemented
-        acc = dict(self._c)
-        for k, c in other._c.items():
-            _add_to(acc, k, c)
-        return NCTensorPoly(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, NCTensorPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return NCTensorPoly({k: -c for k, c in self._c.items()})
-
-    def scaled(self, s):
-        if not s:
-            return NCTensorPoly()
-        return NCTensorPoly({k: c * s for k, c in self._c.items()})
+        return super().coeff((u, v))
 
     def flip(self):
         return NCTensorPoly({(v, u): c for (u, v), c in self._c.items()})
@@ -197,19 +106,10 @@ class NCTensorPoly:
             _add_to(acc, v + u, c)
         return NCPoly(acc)
 
-    def __eq__(self, other):
-        if not isinstance(other, NCTensorPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __repr__(self):
-        if not self._c:
-            return "NCTensorPoly(0)"
-        bits = [
-            f"A{''.join(map(str, u)) or '^0'}(x)A{''.join(map(str, v)) or '^0'}: {c!r}"
-            for (u, v), c in sorted(self._c.items())
-        ]
-        return "NCTensorPoly(" + ", ".join(bits) + ")"
+    @staticmethod
+    def _label(k):
+        u, v = k
+        return f"{NCPoly._label(u)}(x){NCPoly._label(v)}"
 
 
 # ---------------------------------------------------------------------------
@@ -226,56 +126,34 @@ def wick_recursive(space: FockSpace, word) -> NCPoly:
     constraint and cumulative deformation weight that annihilation carries.
     """
     word = tuple(word)
-    memo = space._wick_memo
-    got = memo.get(word)
-    if got is not None:
-        return got
+    return space._memo("wick", word, lambda: _wick_build(space, word))
+
+
+def _wick_build(space: FockSpace, word) -> NCPoly:
     if not word:
-        result = NCPoly.one()
-    else:
-        a, rest = word[0], word[1:]
-        result = wick_recursive(space, rest).prepend(a)
-        for u, c in space.annihilate(a, FockVector.basis(rest)).items():
-            result = result - wick_recursive(space, u).scaled(c)
-    with space._lock:
-        memo.setdefault(word, result)
-    return memo[word]
+        return NCPoly.one()
+    a, rest = word[0], word[1:]
+    head = wick_recursive(space, rest).prepend(a)
+    lowered = space.annihilate(a, FockVector.basis(rest))
+    return NCPoly.combination([(head, 1)] + [(wick_recursive(space, u), -c) for u, c in lowered.items()])
 
 
 def wick_partition(space: FockSpace, word) -> NCPoly:
     """The same polynomial by the singleton/pair diagram sum (family D)."""
-    word = tuple(word)
-    n = len(word)
-
-    def letter(v):
-        return word[n - v]
-
     acc = {}
-    for part in enumerate_family("D", n):
-        if any(letter(a) != letter(b) for a, b in part.pairs):
-            continue
-        coeff = crossing_weight(space, part, lambda blk: letter(blk[0]))
-        if part.num_pairs % 2 == 1:
-            coeff = -coeff
-        monomial = tuple(letter(s) for s in sorted(part.singletons, reverse=True))
-        _add_to(acc, monomial, coeff)
+    for weight, monomial, _ in _diagram_terms(space, "D", tuple(word)):
+        _add_to(acc, monomial, weight)
     return NCPoly(acc)
 
 
 def vector_to_poly(space: FockSpace, v: FockVector) -> NCPoly:
     """Exact inverse of applying a polynomial to the vacuum."""
-    out = NCPoly()
-    for w, c in v.items():
-        out = out + wick_recursive(space, w).scaled(c)
-    return out
+    return NCPoly.combination((wick_recursive(space, w), c) for w, c in v.items())
 
 
 def poly_apply(space: FockSpace, p: NCPoly, v: FockVector) -> FockVector:
     """Evaluate the polynomial in the field operators on a vector."""
-    out = FockVector.zero()
-    for w, c in p.items():
-        out = out + space.gaussian_word(w, v).scaled(c)
-    return out
+    return FockVector.combination((space.gaussian_word(w, v), c) for w, c in p.items())
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +180,15 @@ def diff_partition(space: FockSpace, i, word) -> NCTensorPoly:
     crossings of right singletons with the string through vertex 0.
     """
     word = tuple(word)
-    n = len(word)
-    if n == 0:
+    if not word:
         return NCTensorPoly()
-
-    def letter(v):
-        return i if v == 0 else word[n - v]
-
     acc = {}
-    for part in enumerate_family("C", n + 1):
-        if any(letter(a) != letter(b) for a, b in part.pairs):
-            continue
-        zero_block = part.zero_block()
-        exclude = {frozenset((zero_block, (s,))) for s in part.s_right}
-        coeff = crossing_weight(space, part, lambda blk: letter(blk[0]), exclude)
-        if part.num_pairs % 2 == 0:
-            coeff = -coeff
-        left_word = tuple(letter(s) for s in sorted(part.s_left, reverse=True))
-        right_word = tuple(letter(s) for s in sorted(part.s_right, reverse=True))
+    for weight, left_word, right_word in _diagram_terms(space, "C", word, i):
         left_poly = wick_recursive(space, left_word)
         right_poly = wick_recursive(space, right_word)
         for u, cu in left_poly.items():
             for v, cv in right_poly.items():
-                _add_to(acc, (u, v), coeff * cu * cv)
+                _add_to(acc, (u, v), weight * cu * cv)
     return NCTensorPoly(acc)
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 import qfock.ncpoly
-from qfock import q_factorial
+from qfock import gram_domination_residual, q_factorial
 from qfock.cli import main
 
 
@@ -103,6 +104,17 @@ class TestVerify:
         assert len(full_tensor) == 5
         assert full_tensor["bounds/gram-domination m=3"] < 0
         assert full_tensor["bounds/gram-domination m=4"] < 0
+
+    def test_bounds_keep_the_sign_of_q(self, capsys):
+        # at q = -1/2 the full-tensor residual stays positive; the q = +1/2
+        # value at m = 3 is -0.0279
+        code, out = run(capsys, "verify", "bounds", "--d", "2", "--q=-1/2")
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        m3 = checks["bounds/gram-domination m=3"]["params"]
+        assert m3["q0"] == -0.5
+        assert m3["full_tensor_residual"] == gram_domination_residual(3, -0.5, 2)
+        assert m3["full_tensor_residual"] > 0.04
 
     @pytest.mark.parametrize("level", ["0", "1"])
     def test_bounds_level_guard(self, capsys, level):
@@ -298,3 +310,26 @@ class TestMatrixConfig:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"d": 1, "entries": [["3/2"]]}))
         assert main(["verify", "commutator", "--q-matrix", str(path), "--d", "1"]) == 2
+
+
+class TestGolden:
+    """Exact and symbolic reports are byte-identical across refactors: the
+    sha1 of stdout is pinned. Float reports are left out, since libm may
+    change their last bits."""
+
+    @pytest.mark.parametrize(
+        "argv, sha1",
+        [
+            ("export xi --d 2 --level 5 --series-m 2", "d9dd55727f14b540d7a98d9c60446876e9e5961c"),
+            ("export xi --d 2 --level 5 --series-m 2 --mode symbolic", "91368c5c2d4ffb0cd6974393ebad61ff938360e6"),
+            ("export gibbs --d 2 --level 5 --series-m 2", "a8b7ca4369b68d40a6742b5e03f081ff7051a788"),
+            ("verify dual-agree --d 2 --level 5", "d73aa3182fc87b610762a642e391c599cbf369e4"),
+            ("verify wick-agree --d 2 --level 5", "b876a34c41d3e4d619a6335a73c11d0e4e9921c3"),
+            ("verify derivative-agree --d 2 --level 5", "cb7d2fb976c7471a6b01e0d10e27839bbeda57be"),
+            ("export partitions --family C --n 7", "46e9c122d063c3121b9fe60929944fedf70cbddd"),
+        ],
+    )
+    def test_report_digest(self, capsys, argv, sha1):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1

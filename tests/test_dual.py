@@ -191,7 +191,7 @@ class TestConjugateSeries:
                     pieces = pieces + full.level(2 * m + 1)
                 assert conjugate_series(shared, i, M) == pieces
         # one memoized level per index and source length
-        assert len(shared._xi_memo) == 2 * 4
+        assert len(shared._memos["xi"]) == 2 * 4
 
 
 class TestFisher:

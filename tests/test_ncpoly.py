@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock import (
     FORMAL_Q,
@@ -226,3 +228,69 @@ class TestAlgebra:
     def test_canonical_prunes_zeros(self):
         assert NCPoly({(1,): 0}).is_zero()
         assert NCTensorPoly({((), ()): 0}).is_zero()
+
+
+WORDS = st.lists(st.integers(1, 2), max_size=3).map(tuple)
+KEYS = {FockVector: WORDS, NCPoly: WORDS, NCTensorPoly: st.tuples(WORDS, WORDS)}
+# small integers among the floats make cancelling sums likely
+COEFFS = {
+    "fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    "float": st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)),
+}
+
+
+def word_maps(kind, field):
+    return st.dictionaries(KEYS[kind], COEFFS[field], max_size=6).map(kind)
+
+
+@pytest.mark.parametrize("field", sorted(COEFFS))
+@pytest.mark.parametrize("kind", list(KEYS), ids=lambda k: k.__name__)
+class TestWordMapAlgebra:
+    """The algebra that Fock vectors, polynomials and tensor polynomials
+    share, on exact and on float coefficients."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_combination_is_the_chain_of_sums(self, kind, field, data):
+        terms = data.draw(st.lists(st.tuples(word_maps(kind, field), COEFFS[field]), max_size=5))
+        chain = kind()
+        for m, s in terms:
+            chain = chain + m.scaled(s)
+        got = kind.combination(terms)
+        assert type(got) is kind
+        # the same coefficients, bit for bit, in the same order
+        assert list(got.items()) == list(chain.items())
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_cancelled_keys_are_dropped(self, kind, field, data):
+        m = data.draw(word_maps(kind, field))
+        s = data.draw(COEFFS[field].filter(bool))
+        for zero in (m - m, m + (-m), kind.combination([(m, s), (m, -s)]), m.scaled(0)):
+            assert zero.is_zero() and not zero and len(zero) == 0
+            assert zero == kind()
+        for key, c in m.items():
+            rest = m + kind({key: -c})
+            assert dict(rest.items()) == {k: v for k, v in m.items() if k != key}
+
+    def test_rejects_attribute_assignment(self, kind, field):
+        x = kind()
+        for name in ("_c", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, {})
+        assert not hasattr(x, "__dict__")
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_types_are_unequal_on_the_same_dict(data):
+    words = data.draw(st.dictionaries(WORDS, COEFFS["fraction"], max_size=4))
+    v, p = FockVector(words), NCPoly(words)
+    assert dict(v.items()) == dict(p.items())
+    assert v != p and not v == p
+    with pytest.raises(TypeError):
+        v + p
+    pairs = data.draw(st.dictionaries(KEYS[NCTensorPoly], COEFFS["fraction"], max_size=4))
+    t, p = NCTensorPoly(pairs), NCPoly(pairs)
+    assert dict(t.items()) == dict(p.items())
+    assert t != p and not t == p
