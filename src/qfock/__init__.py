@@ -9,7 +9,6 @@ potential, and float verification of the analytic norm inequalities.
 """
 
 from .dual import (
-    DualOperator,
     FisherReport,
     commutator_residual,
     conjugate_series,

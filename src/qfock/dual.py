@@ -33,7 +33,6 @@ from .partitions import enumerate_family
 from .scalars import float_eval
 
 __all__ = [
-    "DualOperator",
     "dual_recursive",
     "dual_partition",
     "crossing_weight",
@@ -47,6 +46,7 @@ __all__ = [
 def dual_recursive(space: FockSpace, i, word) -> FockVector:
     """D_i on a basis word by the commutation-rule recursion, memoized."""
     word = tuple(word)
+    space._check_level(len(word))
     return space._memo("dual", (i, word), lambda: _dual_build(space, i, word))
 
 
@@ -123,39 +123,18 @@ def dual_partition(space: FockSpace, i, word) -> FockVector:
     return FockVector(acc)
 
 
-_STRATEGIES = {"recursive": dual_recursive, "partition": dual_partition}
-
-
-@dataclass(frozen=True)
-class DualOperator:
-    """One member of the normalized dual system, with a chosen strategy."""
-
-    space: FockSpace
-    index: int
-    strategy: str = "partition"
-
-    def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    def apply_word(self, word) -> FockVector:
-        return _STRATEGIES[self.strategy](self.space, self.index, word)
-
-    def apply(self, v: FockVector) -> FockVector:
-        return FockVector.combination((self.apply_word(w), c) for w, c in v.items())
-
-
-def commutator_residual(space: FockSpace, i, j, level_limit, strategy="partition"):
+def commutator_residual(space: FockSpace, i, j, level_limit):
     """Largest coefficient magnitude of (D_i A_j - A_j D_i - delta P) e_w
-    over all basis words of length up to level_limit. Exact zero expected."""
+    over all basis words of length up to level_limit, with D_i the B-family
+    diagram sum, so that an exact zero checks the paper's closed form."""
     if level_limit > space.level - 1:
         raise ValueError("level_limit must stay one below the truncation")
-    op = DualOperator(space, i, strategy)
     worst = 0
     for n in range(level_limit + 1):
         for w in space.words(n):
-            ew = FockVector.basis(w)
-            lhs = op.apply(space.gaussian(j, ew)) - space.gaussian(j, op.apply_word(w))
+            lifted = space.gaussian(j, FockVector.basis(w))
+            lhs = FockVector.combination((dual_partition(space, i, u), c) for u, c in lifted.items())
+            lhs = lhs - space.gaussian(j, dual_partition(space, i, w))
             if i == j and n == 0:
                 lhs = lhs - space.vacuum()
             m = lhs.max_coeff_magnitude()

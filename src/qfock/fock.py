@@ -23,8 +23,16 @@ letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
 content blocks, built from the blocks of the level below; ``blocks(n)`` is
 the only view of G_n, with no dense matrix over the whole word basis.
-Solves factor the blocks one by one, and the float norm checks solve their
-eigenproblems block by block. With constant q the recursion reproduces the
+Solves factor each block once as L·D·Lᵀ without pivoting, and the float
+norm checks solve their eigenproblems block by block.
+
+Elimination without pivoting relies on positivity: for |q_ij| < 1 the
+Gram form is strictly positive (M. Bozejko and R. Speicher, Comm. Math.
+Phys. 137, 1991; Math. Ann. 300, 1994), so every block is symmetric
+positive definite and every pivot is positive. A zero pivot raises
+``GramSingularError`` naming the level and the content. For |q_ij| >= 1 the
+blocks may be indefinite, and a zero pivot may then come from a singular
+leading minor of a block that is itself invertible. With constant q the recursion reproduces the
 permutation sum of q^inversions; the tests check both that and the
 left-peeling recursion for mixed q.
 
@@ -237,7 +245,8 @@ class FockSpace:
     and their factorizations, and the memos of the dual operators, Wick
     polynomials and conjugate-variable levels are write-once tables behind
     one lock (see ``_memo``), so a space can be shared freely between
-    threads.
+    threads. Every key stays within the truncation level, so the tables
+    are bounded by it.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -247,7 +256,7 @@ class FockSpace:
         self.d = deformation.d
         self.level = level
         self._lock = threading.Lock()
-        self._memos = {name: {} for name in ("words", "blocks", "lu", "dual", "wick", "xi")}
+        self._memos = {name: {} for name in ("words", "blocks", "ldl", "dual", "wick", "xi")}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
@@ -269,8 +278,7 @@ class FockSpace:
     # -- basis -------------------------------------------------------------
 
     def words(self, n):
-        if n > self.level:
-            raise TruncationError(f"level {n} beyond truncation {self.level}")
+        self._check_level(n)
         return self._memo("words", n, lambda: list(product(range(1, self.d + 1), repeat=n)))
 
     def vacuum(self):
@@ -364,6 +372,10 @@ class FockSpace:
         """Vacuum expectation of the operator whose vacuum vector is v."""
         return v.coeff(())
 
+    def _check_level(self, n):
+        if n > self.level:
+            raise TruncationError(f"level {n} beyond truncation {self.level}")
+
     def _check_letter(self, i):
         if not 1 <= i <= self.d:
             raise ValueError(f"letter {i} outside 1..{self.d}")
@@ -440,63 +452,62 @@ class FockSpace:
         return blocks
 
     def _factors(self, n):
-        """LU factors of every content block of G_n, keyed by content; a
-        singular block anywhere on the level is reported on first use."""
+        """L·D·Lᵀ factors of every content block of G_n, keyed by content;
+        a zero pivot anywhere on the level is reported on first use."""
         return self._memo(
-            "lu", n, lambda: {content: self._lu(n, blk.rows) for content, blk in self.blocks(n).items()}
+            "ldl", n, lambda: {content: self._ldl(n, content, blk.rows) for content, blk in self.blocks(n).items()}
         )
 
-    def _lu(self, n, mat):
-        size = len(mat)
-        lu = [list(row) for row in mat]
-        perm = list(range(size))
-        numeric = self.deformation.is_float
-        for col in range(size):
-            pivot_row = None
-            if numeric:
-                best = -1.0
-                for r in range(col, size):
-                    mag = abs(lu[r][col])
-                    if mag > best:
-                        best, pivot_row = mag, r
-                if best == 0.0:
-                    pivot_row = None
-            else:
-                for r in range(col, size):
-                    if lu[r][col]:
-                        pivot_row = r
-                        break
-            if pivot_row is None:
-                raise GramSingularError(f"level-{n} Gram is singular")
-            if pivot_row != col:
-                lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
-                perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
-            piv = lu[col][col]
-            for r in range(col + 1, size):
-                f = _div(lu[r][col], piv)
-                lu[r][col] = f
-                if f:
-                    row_r, row_c = lu[r], lu[col]
-                    for c in range(col + 1, size):
-                        row_r[c] = row_r[c] - f * row_c[c]
-        return perm, lu
+    @staticmethod
+    def _ldl(n, content, mat):
+        """Factor a symmetric block as L·D·Lᵀ, L unit lower triangular,
+        without pivoting. Row r of the result holds L[r][:r] followed by
+        the pivot D[r]; the same code runs on Fractions, q-polynomials and
+        floats.
+
+        The blocks are positive definite for |q_ij| < 1 (Bozejko and
+        Speicher; see the module docstring), so every pivot is positive and elimination without
+        pivoting is backward stable in floats. For |q_ij| >= 1 a zero pivot
+        means a singular block or an indefinite one with a singular leading
+        minor.
+        """
+        rows = []
+        for r, a in enumerate(mat):
+            scaled, row = [], []  # scaled[c] = L[r][c] * D[c]
+            for c, lc in enumerate(rows):
+                acc = a[c]
+                for s, l in zip(scaled, lc):
+                    if s and l:
+                        acc = acc - s * l
+                scaled.append(acc)
+                row.append(_div(acc, lc[c]))
+            pivot = a[r]
+            for s, l in zip(scaled, row):
+                if s and l:
+                    pivot = pivot - s * l
+            if not pivot:
+                raise GramSingularError(f"level-{n} Gram block of content {content} has a zero pivot")
+            row.append(pivot)
+            rows.append(row)
+        return rows
 
     def _gram_solve(self, n, content, rhs):
-        perm, lu = self._factors(n)[content]
-        size = len(lu)
-        y = [rhs[p] for p in perm]
-        for r in range(size):
-            row = lu[r]
-            acc = y[r]
-            for c in range(r):
-                if row[c] and y[c]:
-                    acc = acc - row[c] * y[c]
-            y[r] = acc
-        for r in range(size - 1, -1, -1):
-            row = lu[r]
-            acc = y[r]
-            for c in range(r + 1, size):
-                if row[c] and y[c]:
-                    acc = acc - row[c] * y[c]
-            y[r] = _div(acc, row[r])
-        return y
+        """Solve G_n x = rhs on one content block: forward substitution
+        through L, division by D, back substitution through Lᵀ."""
+        rows = self._factors(n)[content]
+        x = list(rhs)
+        for r, row in enumerate(rows):
+            acc = x[r]
+            for l, y in zip(row, x[:r]):
+                if l and y:
+                    acc = acc - l * y
+            x[r] = acc
+        for r, row in enumerate(rows):
+            x[r] = _div(x[r], row[r])
+        for c in range(len(rows) - 1, 0, -1):
+            xc = x[c]
+            if xc:
+                for r, l in enumerate(rows[c][:c]):
+                    if l:
+                        x[r] = x[r] - l * xc
+        return x

@@ -126,6 +126,7 @@ def wick_recursive(space: FockSpace, word) -> NCPoly:
     constraint and cumulative deformation weight that annihilation carries.
     """
     word = tuple(word)
+    space._check_level(len(word))
     return space._memo("wick", word, lambda: _wick_build(space, word))
 
 

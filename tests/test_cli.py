@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import qfock.cli
 import qfock.ncpoly
-from qfock import gram_domination_residual, q_factorial
+import qfock.onevariable
+from qfock import FockSpace, gram_domination_residual, q_factorial
 from qfock.cli import main
 
 
@@ -54,6 +56,23 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "nonsense"]) == 2
+
+    def test_univar_odd_trace_gates(self, capsys, monkeypatch):
+        # a nonzero odd moment must fail its check, not end the run
+        moments = qfock.onevariable.moments
+
+        def skewed(top, q):
+            m = moments(top, q)
+            if top:
+                m[1] = m[1] + 1
+            return m
+
+        monkeypatch.setattr(qfock.onevariable, "moments", skewed)
+        code, out = run(capsys, "verify", "univar", "--q", "9/10")
+        assert code == 1
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert checks["univar/trace-odd n=1"]["pass"] is False
+        assert checks["univar/trace-even n=1"]["pass"] is True
 
     def test_univar_suite(self, capsys):
         code, out = run(capsys, "verify", "univar", "--q", "1/2", "--level", "4")
@@ -327,9 +346,50 @@ class TestGolden:
             ("verify wick-agree --d 2 --level 5", "b876a34c41d3e4d619a6335a73c11d0e4e9921c3"),
             ("verify derivative-agree --d 2 --level 5", "cb7d2fb976c7471a6b01e0d10e27839bbeda57be"),
             ("export partitions --family C --n 7", "46e9c122d063c3121b9fe60929944fedf70cbddd"),
+            ("verify commutator --d 2 --level 5", "cc2619fba8ae9d3bab22fb80ad266f8e00648c49"),
         ],
     )
     def test_report_digest(self, capsys, argv, sha1):
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    def test_mixed_xi_digest(self, capsys, tmp_path):
+        # only the xi payload: the config holds the matrix file's path
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 2, "entries": [["1/3", "2/5"], ["2/5", "-3/7"]]}))
+        code, out = run(capsys, *"export xi --d 2 --level 5 --series-m 2 --q-matrix".split(), str(path))
+        assert code == 0
+        xi = json.dumps(json.loads(out)["xi"], sort_keys=True, indent=2)
+        assert hashlib.sha1(xi.encode()).hexdigest() == "b2a95ffa3dafddc2c7118aaf7d861dc68feefb06"
+
+
+# the level a memo key reaches, per table of FockSpace._memos
+_KEY_LEVEL = {
+    "words": lambda n: n,
+    "blocks": lambda n: n,
+    "ldl": lambda n: n,
+    "dual": lambda key: len(key[1]),
+    "wick": len,
+    "xi": lambda key: 2 * key[1] + 1,
+}
+
+
+class TestMemoBounds:
+    @pytest.mark.parametrize("suite,table", [("dual-agree", "dual"), ("wick-agree", "wick")])
+    def test_memos_within_level(self, capsys, monkeypatch, suite, table):
+        spaces = []
+
+        class Recorded(FockSpace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spaces.append(self)
+
+        monkeypatch.setattr(qfock.cli, "FockSpace", Recorded)
+        code, _ = run(capsys, "verify", suite, "--d", "2", "--level", "4")
+        assert code == 0
+        (sp,) = spaces
+        assert sp._memos[table]
+        assert set(sp._memos) == set(_KEY_LEVEL)
+        for name, memo in sp._memos.items():
+            assert all(_KEY_LEVEL[name](key) <= sp.level for key in memo), name

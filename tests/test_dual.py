@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
+import qfock.dual
 from qfock import (
     FORMAL_Q,
     Deformation,
-    DualOperator,
     FockSpace,
     FockVector,
     QPoly,
@@ -101,13 +101,19 @@ class TestStrategyAgreement:
             w = (1,) * n
             assert dual_partition(sym1, 1, w) == dual_recursive(sym1, 1, w)
 
-    def test_operator_wrapper(self, sym2):
-        v = FockVector({(1, 2): 1, (2, 1): Q})
-        a = DualOperator(sym2, 1, "partition").apply(v)
-        b = DualOperator(sym2, 1, "recursive").apply(v)
-        assert a == b
-        with pytest.raises(ValueError):
-            DualOperator(sym2, 1, "nope")
+    def test_recursion_refuses_words_beyond_level(self):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=2)
+        with pytest.raises(TruncationError):
+            dual_recursive(sp, 1, (1, 2, 1))
+        assert not sp._memos["dual"]
+
+
+def recursive_commutator_residual(space, i, j, level_limit):
+    """commutator_residual with D_i applied by the commutation-rule
+    recursion instead of the B-family diagram sum."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qfock.dual, "dual_partition", dual_recursive)
+        return commutator_residual(space, i, j, level_limit)
 
 
 class TestCommutator:
@@ -128,7 +134,7 @@ class TestCommutator:
         for i in (1, 2):
             for j in (1, 2):
                 assert commutator_residual(sp, i, j, 4) == 0
-                assert commutator_residual(sp, i, j, 4, strategy="recursive") == 0
+                assert recursive_commutator_residual(sp, i, j, 4) == 0
 
     def test_level_guard(self, sym1):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from gram_oracles import dense_gram, left_peeling_gram, permutation_gram
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock import (
     FORMAL_Q,
@@ -229,6 +231,58 @@ class TestGramOracles:
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
             assert dense_gram(sp, n) == left_peeling_gram(n, defm), n
+
+
+def _ldl_product(rows):
+    """L·D·Lᵀ from the factor rows: row r holds L[r][:r], then D[r]."""
+
+    def lower(a, k):
+        return 1 if k == a else rows[a][k]
+
+    size = len(rows)
+    return [
+        [sum((lower(a, k) * rows[k][k] * lower(b, k) for k in range(min(a, b) + 1)), 0) for b in range(size)]
+        for a in range(size)
+    ]
+
+
+class TestFactorization:
+    """Each content block is factored as L·D·Lᵀ without pivoting; inside
+    the disk every pivot is positive, since the Gram form is."""
+
+    @pytest.mark.parametrize(
+        "defm,top",
+        [(Deformation.constant(2, Fraction(1, 2)), 6), (MIXED_3, 4), (Deformation.constant(2, FORMAL_Q), 4)],
+        ids=["half", "mixed3", "formal"],
+    )
+    def test_rebuilds_every_block(self, defm, top):
+        sp = FockSpace(defm, level=top)
+        for n in range(top + 1):
+            for content, rows in sp._factors(n).items():
+                assert _ldl_product(rows) == sp.blocks(n)[content].rows, (n, content)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        level=st.integers(0, 5),
+        q=st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda q: abs(q) < 1),
+    )
+    def test_pivots_positive_inside_disk(self, d, level, q):
+        sp = FockSpace.with_scalar_q(d, q, level)
+        for n in range(level + 1):
+            for rows in sp._factors(n).values():
+                assert all(row[-1] > 0 for row in rows)
+
+    def test_exact_q_minus_one_is_singular(self):
+        sp = FockSpace.with_scalar_q(2, Fraction(-1), level=3)
+        with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 1\)"):
+            sp.right_annihilate_adjoint(1, e((1,)))
+
+    def test_unit_mixed_entry_is_singular(self):
+        half = Fraction(1, 2)
+        sp = FockSpace(Deformation([[half, 1], [1, half]]), level=2)
+        with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
+            sp.right_annihilate_adjoint(2, e((1,)))
 
 
 class TestFloatGram:

@@ -12,6 +12,7 @@ from qfock import (
     FockVector,
     NCPoly,
     NCTensorPoly,
+    TruncationError,
     conjugate_expansions,
     conjugate_series,
     cyclic_derivative,
@@ -73,6 +74,12 @@ class TestWick:
         sp = FockSpace.with_scalar_q(2, Fraction(0), level=5)
         got = wick_partition(sp, (1, 1, 1, 1))
         assert got == NCPoly({(1,) * 4: 1, (1, 1): -3, (): 1})
+
+    def test_recursion_refuses_words_beyond_level(self):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=2)
+        with pytest.raises(TruncationError):
+            wick_recursive(sp, (1, 2, 1, 2, 1, 2, 1))
+        assert not sp._memos["wick"]
 
     def test_vacuum_evaluation_inverts(self, sym2):
         for n in range(5):
