@@ -392,6 +392,7 @@ def _word_json(word):
 def _export_xi(space, args):
     rows = []
     q0 = _q_float(space.deformation)
+    tail = series_tail("xi", args.series_m, q0, space.d).bound_float if q0 is not None else None
     for i in range(1, space.d + 1):
         xi = conjugate_series(space, i, args.series_m)
         terms = []
@@ -404,11 +405,6 @@ def _export_xi(space, args):
             else:
                 entry["coeff"] = _scalar_json(c)
             terms.append(entry)
-        tail = (
-            series_tail("xi", args.series_m, q0, space.d).bound_float
-            if q0 is not None
-            else None
-        )
         rows.append({"i": i, "M": args.series_m, "terms": terms, "tail_bound": tail})
     return {"xi": rows}
 

@@ -12,15 +12,17 @@ basis {1..d}^n without the library's right-peeling content blocks:
 ``dense_gram`` lays the library's content blocks into that dense matrix, and
 the norm oracles below solve the float norm checks of ``qfock.norms`` on the
 dense d^n x d^n matrices (a kron product, a selection matrix, a Schur
-complement), as a check on the library's per-block eigenproblems.
+complement, a block-diagonal Gram over several levels), as a check on the
+library's per-block eigenproblems.
 """
 
+import math
 from itertools import permutations, product
 
 import numpy as np
 import scipy.linalg
 
-from qfock import FockSpace, analytic_constants
+from qfock import FockSpace, FockVector, analytic_constants, poly_apply, wick_recursive
 
 
 def _words(d, n):
@@ -124,3 +126,37 @@ def projected_domination_sharp(m, q0, d):
     else:
         schur = big
     return float(scipy.linalg.eigh(schur, small, eigvals_only=True)[0])
+
+
+def dense_haagerup_residual(m, q0, d, trials, seed):
+    """``haagerup_residual`` on dense matrices: the Gram of levels 0..m+2 as
+    one block-diagonal matrix over the lexicographic words, the action as a
+    dense words x codomain x domain tensor, and the same seeded level-m
+    coefficients in the same order."""
+    _, haag = analytic_constants(q0)
+    space = FockSpace.with_scalar_q(d, float(q0), level=m + 2)
+
+    def basis(levels):
+        words = [w for n in levels for w in space.words(n)]
+        gram = scipy.linalg.block_diag(*(np.array(dense_gram(space, n), dtype=float) for n in levels))
+        return {w: k for k, w in enumerate(words)}, gram
+
+    dom, g_dom = basis(range(3))
+    cod, g_cod = basis(range(m + 3))
+    level_words = space.words(m)
+    action = np.zeros((len(level_words), len(cod), len(dom)))
+    for wi, w in enumerate(level_words):
+        poly = wick_recursive(space, w)
+        for v, col in dom.items():
+            for word, c in poly_apply(space, poly, FockVector.basis(v)).items():
+                action[wi, cod[word], col] = c
+    g_level = np.array(dense_gram(space, m), dtype=float)
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(trials):
+        coeffs = rng.standard_normal(len(level_words))
+        op = np.tensordot(coeffs, action, axes=1)
+        top = scipy.linalg.eigh(op.T @ g_cod @ op, g_dom, eigvals_only=True)[-1]
+        vec_norm = math.sqrt(coeffs @ g_level @ coeffs)
+        worst = max(worst, math.sqrt(max(top, 0.0)) - (m + 1) * haag**1.5 * vec_norm)
+    return worst

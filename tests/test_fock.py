@@ -1,7 +1,4 @@
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +6,7 @@ import pytest
 from gram_oracles import dense_gram, left_peeling_gram, permutation_gram
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from threads import together
 
 from qfock import (
     FORMAL_Q,
@@ -328,31 +326,13 @@ class TestFloatConjugateSeries:
             assert _max_float_gap(exact, approx, i, 3) < 1e-9
 
 
-def _together(fn, args):
-    """fn over args on one thread each (at most 4), all released at once,
-    with a short switch interval so the threads interleave finely."""
-    start = threading.Barrier(len(args), timeout=60)
-
-    def call(arg):
-        start.wait()
-        return fn(arg)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=len(args)) as pool:
-            return list(pool.map(call, args, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestThreadSafety:
     """One fresh space shared by concurrent callers: the write-once Gram
     blocks and memos hand every thread the same data."""
 
     def test_blocks_are_one_object(self):
         sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=6)
-        got = _together(lambda _: sp.blocks(6), range(4))
+        got = together(lambda _: sp.blocks(6), range(4))
         assert all(g is got[0] for g in got)
         assert sp.blocks(6) is got[0]
 
@@ -362,4 +342,4 @@ class TestThreadSafety:
         serial = {i: conjugate_series(serial_space, i, 2) for i in (1, 2)}
         sp = FockSpace.with_scalar_q(2, q, level=5)
         letters = [1, 2, 1, 2]
-        assert _together(lambda i: conjugate_series(sp, i, 2), letters) == [serial[i] for i in letters]
+        assert together(lambda i: conjugate_series(sp, i, 2), letters) == [serial[i] for i in letters]

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 from gram_oracles import (
     dense_domination_residual,
+    dense_haagerup_residual,
     dense_right_annihilation_norm,
     projected_domination_sharp,
 )
+from tail_oracles import closed_form_terms
+from threads import together
 
+import qfock
 from qfock import (
     GramSingularError,
     analytic_constants,
@@ -17,6 +24,7 @@ from qfock import (
     right_annihilation_norm,
     series_tail,
 )
+from qfock.norms import SERIES_IDS, _majorant
 
 
 class TestGramDomination:
@@ -120,6 +128,14 @@ class TestHaagerup:
         b = haagerup_residual(2, 0.5, 2, trials=10, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "m,q0,d,trials,seed",
+        [(2, 0.5, 2, 10, 3), (3, 0.5, 2, 20, 0), (3, -0.9, 2, 10, 4), (2, 0.9, 3, 10, 7), (3, 0.5, 3, 5, 1)],
+    )
+    def test_blockwise_matches_dense(self, m, q0, d, trials, seed):
+        got = haagerup_residual(m, q0, d, trials=trials, seed=seed)
+        assert got == pytest.approx(dense_haagerup_residual(m, q0, d, trials, seed), rel=1e-9, abs=1e-9)
+
 
 class TestSeriesTails:
     def test_free_point_vanishes(self):
@@ -164,3 +180,106 @@ class TestSeriesTails:
         assert rep.is_finite()
         assert rep.bound > mp.mpf(10) ** 300  # far beyond double range
         assert rep.bound_float == math.inf
+
+
+def _oracle_tail(series, truncation, q0, d, op_norm_bound):
+    """(bound, terms summed) by the stopping rule of ``series_tail``, from
+    the closed-form terms at 300 bits: sum from the first term past the
+    truncation until, beyond m_safe, the next term is below half the last
+    one, and bound the rest by twice that term."""
+    x = abs(q0)
+    start = truncation + (2 if series == "fisher" else 1)
+    m_safe = start + (0 if x == 0 else math.ceil(8 / (1 - x)))
+    with mp.workprec(300):
+        term = closed_form_terms(series, q0, d, op_norm_bound)
+        m, prev = start, term(start)
+        total, count = prev, 1
+        while prev != 0:
+            nxt = term(m + 1)
+            count += 1
+            if m >= m_safe and nxt < prev / 2:
+                return total + 2 * nxt, count
+            total, prev, m = total + nxt, nxt, m + 1
+        return total, count
+
+
+ORACLE_CASES = [
+    pytest.param(series, q0, d, None, id=f"{series}-q{q0}-d{d}")
+    for series in SERIES_IDS
+    for q0 in (0.0, 0.5, -0.9, 0.95)
+    for d in (1, 2, 3)
+] + [
+    pytest.param("gibbs", q0, d, 3.0, id=f"gibbs-A3-q{q0}-d{d}") for q0 in (0.0, 0.5, -0.9, 0.95) for d in (1, 2, 3)
+]
+
+
+class TestRatioBuiltTerms:
+    """The shared term sequences, built by the closed-form ratios, against
+    every term evaluated on its own from the closed form."""
+
+    @pytest.mark.parametrize("series,q0,d,op_norm_bound", ORACLE_CASES)
+    def test_every_summed_term_matches_closed_form(self, series, q0, d, op_norm_bound):
+        x = abs(q0)
+        if series == "gibbs" and op_norm_bound is None:
+            op_norm_bound = 2.0 / math.sqrt(1.0 - x)
+        majorant = _majorant(series, x, d, op_norm_bound)
+        last = max(
+            majorant.m0 + M + series_tail(series, M, q0, d, op_norm_bound).terms_summed for M in range(7)
+        )
+        got = [majorant.term(m) for m in range(majorant.m0 + 1, last + 1)]
+        with mp.workprec(300):
+            term = closed_form_terms(series, q0, d, op_norm_bound)
+            for m, value in zip(range(majorant.m0 + 1, last + 1), got):
+                exact = term(m)
+                assert abs(value - exact) <= 1e-12 * exact, (m, value, exact)
+
+    @pytest.mark.parametrize("series", SERIES_IDS)
+    @pytest.mark.parametrize("q0,d", [(0.5, 2), (3 / 7, 2), (-0.9, 3), (0.95, 3)])
+    def test_bound_is_the_rounded_exact_sum(self, series, q0, d):
+        # within half an ulp of the exact truncated sum: a bound summed in
+        # double precision misses by up to 5e-13 at q0 = 0.95
+        for M in (0, 3, 6):
+            rep = series_tail(series, M, q0, d)
+            exact, count = _oracle_tail(series, M, q0, d, rep.params.get("op_norm_bound"))
+            assert rep.terms_summed == count, M
+            assert abs(rep.bound - exact) <= 2.0**-53 * exact, (M, rep.bound, exact)
+
+    def test_memo_stays_within_maxsize(self):
+        maxsize = _majorant.cache_info().maxsize
+        for k in range(maxsize + 8):
+            series_tail("xi", 0, 0.01 * (k + 1), 2)
+        assert _majorant.cache_info().currsize <= maxsize
+
+    def test_concurrent_calls_see_the_same_terms(self):
+        truncations = [0, 3, 6, 1]
+        serial = [series_tail("lipschitz", M, 0.95, 3) for M in truncations]
+        for _ in range(3):
+            _majorant.cache_clear()
+            assert together(lambda M: series_tail("lipschitz", M, 0.95, 3), truncations) == serial
+
+
+class TestBenchmarkTailProperty:
+    """The property the benchmark checks on its tails workload: at d = 3
+    every series is non-increasing in M = 0..6, and at q0 = 1/2 it falls
+    from M = 0 to M = 6. Equal neighbours are allowed: where the sum peaks
+    far beyond M (gibbs and lipschitz, and every series at 0.95), dropping a
+    leading term is below the rounding of the sum."""
+
+    @pytest.mark.parametrize("series", SERIES_IDS)
+    @pytest.mark.parametrize("q0", [0.5, 0.95])
+    def test_monotone_in_truncation(self, series, q0):
+        bounds = [series_tail(series, M, q0, 3).bound for M in range(7)]
+        assert all(mp.isfinite(b) and b > 0 for b in bounds)
+        assert all(hi <= lo for lo, hi in zip(bounds, bounds[1:]))
+        if q0 == 0.5:
+            assert bounds[-1] < bounds[0]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(qfock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qfock.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"
