@@ -21,6 +21,7 @@ from .ncpoly import (
     NCPoly,
     NCTensorPoly,
     conjugate_expansions,
+    cyclic_commutator,
     cyclic_derivative,
     diff_partition,
     diff_quotient,
@@ -44,7 +45,6 @@ from .onevariable import (
     IdentityCheck,
     Poly1,
     cheb,
-    conjugate_cheb_series,
     hermite,
     moments,
     q_identity_residual,
@@ -55,8 +55,6 @@ from .onevariable import (
 from .partitions import (
     DrawnPartition,
     enumerate_family,
-    induced_permutation,
-    inversions,
 )
 from .scalars import (
     FORMAL_Q,

@@ -16,10 +16,18 @@ The two strategies agree word for word and the test suite pins that down.
 Applying the adjoint of D_i to the vacuum yields the conjugate variable:
 a graded series whose level-(2m+1) part sums, over all source words w of
 length m, the right-creation chains r*_{w_m} ... r*_{w_1} r*_i e_w with
-weight (-1)^m times the product of deformation entries q(j_k, j_l) over
-1 <= k <= m, 0 <= l < k (the pure power q^{m(m+1)/2} in the constant
-case). Each level depends only on the index and m, so a space builds it
-once. Partial sums are truncated by source-word length and every report
+weight sigma(i, w): (-1)^m times the product of deformation entries
+q(j_k, j_l) over 1 <= k <= m, 0 <= l < k (q^{m(m+1)/2} for constant q).
+Each adjoint is a Gram solve, G_{n+1} r*_j x = (G_n x) (x) e_j, and the
+next adjoint multiplies that solution back by G_{n+1}, so a chain
+telescopes and the whole level is one solve:
+
+    xi_i^(2m+1) = G_{2m+1}^{-1} b_i,
+    b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw}.
+
+b_i reaches only contents with an odd count of i and even counts of the
+other letters, one right-hand side per block. A space builds each level
+once; partial sums are truncated by source-word length and every report
 carries an analytic tail bound.
 """
 
@@ -159,22 +167,24 @@ def _series_sign_weight(space: FockSpace, i, word):
 
 
 def _series_level(space: FockSpace, i, m) -> FockVector:
-    """The level-(2m+1) part of the conjugate variable with index i: the
-    source words of length m. Memoized per space, keyed (i, m)."""
-    return space._memo("xi", (i, m), lambda: FockVector.combination(_series_terms(space, i, m)))
+    """The level-(2m+1) part of xi_i, from the source words of length m:
+    one Gram solve, memoized per space under the key (i, m)."""
+    return space._memo("xi", (i, m), lambda: space.solve(_series_rhs(space, i, m)))
 
 
-def _series_terms(space: FockSpace, i, m):
-    """(right-creation chain of e_w, its sign and weight) for each source
-    word w of length m with a nonzero weight."""
-    for w in space.words(m):
-        weight = _series_sign_weight(space, i, w)
-        if not weight:
-            continue
-        v = space.right_annihilate_adjoint(i, FockVector.basis(w))
-        for letter in w:
-            v = space.right_annihilate_adjoint(letter, v)
-        yield v, weight
+def _series_rhs(space: FockSpace, i, m) -> FockVector:
+    """b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw}, read
+    off the rows of the level-m blocks."""
+    acc = {}
+    for blk in space.blocks(m).values():
+        for w, row in zip(blk.words, blk.rows):
+            weight = _series_sign_weight(space, i, w)
+            if not weight:
+                continue
+            tail = (i,) + w
+            for y, g in zip(blk.words, row):
+                _add_to(acc, y + tail, weight * g)
+    return FockVector._wrap(acc)
 
 
 def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:

@@ -23,8 +23,9 @@ letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
 content blocks, built from the blocks of the level below; ``blocks(n)`` is
 the only view of G_n, with no dense matrix over the whole word basis.
-Solves factor each block once as L·D·Lᵀ without pivoting, and the float
-norm checks solve their eigenproblems block by block.
+``solve`` is the one Gram solve: it finds x with G x = v block by block,
+factoring each block that v touches as L·D·Lᵀ without pivoting. The float
+norm checks solve their eigenproblems block by block too.
 
 Elimination without pivoting relies on positivity: for |q_ij| < 1 the
 Gram form is strictly positive (M. Bozejko and R. Speicher, Comm. Math.
@@ -32,9 +33,9 @@ Phys. 137, 1991; Math. Ann. 300, 1994), so every block is symmetric
 positive definite and every pivot is positive. A zero pivot raises
 ``GramSingularError`` naming the level and the content. For |q_ij| >= 1 the
 blocks may be indefinite, and a zero pivot may then come from a singular
-leading minor of a block that is itself invertible. With constant q the recursion reproduces the
-permutation sum of q^inversions; the tests check both that and the
-left-peeling recursion for mixed q.
+leading minor of a block that is itself invertible. With constant q the
+recursion reproduces the permutation sum of q^inversions; the tests check
+both that and the left-peeling recursion for mixed q.
 
 Everything is exact when the deformation entries are exact; plain floats
 flow through the same code paths for numerical work. The truncation level
@@ -241,9 +242,9 @@ class _Block(NamedTuple):
 class FockSpace:
     """Fock space over d letters, truncated at an explicit word length.
 
-    All operator applications are pure. The per-level words, Gram blocks
-    and their factorizations, and the memos of the dual operators, Wick
-    polynomials and conjugate-variable levels are write-once tables behind
+    All operator applications are pure. The per-level words and Gram
+    blocks, and the memos of the dual operators, Wick polynomials and
+    conjugate-variable levels are write-once tables behind
     one lock (see ``_memo``), so a space can be shared freely between
     threads. Every key stays within the truncation level, so the tables
     are bounded by it.
@@ -256,7 +257,7 @@ class FockSpace:
         self.d = deformation.d
         self.level = level
         self._lock = threading.Lock()
-        self._memos = {name: {} for name in ("words", "blocks", "ldl", "dual", "wick", "xi")}
+        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi")}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
@@ -324,49 +325,6 @@ class FockSpace:
         for letter in reversed(tuple(word)):
             v = self.gaussian(letter, v)
         return v
-
-    def right_annihilate(self, i, v: FockVector) -> FockVector:
-        """Strip the rightmost letter when it equals i; kill the vacuum."""
-        self._check_letter(i)
-        acc = {}
-        for w, c in v.items():
-            if w and w[-1] == i:
-                _add_to(acc, w[:-1], c)
-        return FockVector(acc)
-
-    def right_annihilate_adjoint(self, i, v: FockVector) -> FockVector:
-        """Adjoint of right annihilation with respect to the twisted product.
-
-        There is no closed letter-level formula for general deformation, so
-        each level-n component x solves <adjoint(x), y> = <x, right_annihilate(y)>
-        for all level-(n+1) y, that is G_{n+1} adjoint(x) = (G_n x) (x) e_i.
-        The right side of a content block of x lives in one content block
-        at level n+1, so each touched block is solved on its own.
-        """
-        self._check_letter(i)
-        groups = {}
-        for w, c in v.items():
-            if len(w) + 1 > self.level:
-                raise TruncationError(
-                    f"adjoint on a level-{len(w)} component exceeds level {self.level}"
-                )
-            groups.setdefault(_content(w), []).append((w, c))
-        acc = {}
-        for content, terms in groups.items():
-            n = len(content)
-            blk = self.blocks(n)[content]
-            up_content = _content(content + (i,))
-            up = self.blocks(n + 1)[up_content]
-            rhs = [0] * len(up.words)
-            cols = [(blk.rows[blk.index[w]], c) for w, c in terms]
-            for k, y in enumerate(blk.words):
-                total = 0
-                for row, c in cols:
-                    total = total + c * row[k]
-                rhs[up.index[y + (i,)]] = total
-            for word, c in zip(up.words, self._gram_solve(n + 1, up_content, rhs)):
-                _add_to(acc, word, c)
-        return FockVector(acc)
 
     def trace(self, v: FockVector):
         """Vacuum expectation of the operator whose vacuum vector is v."""
@@ -451,12 +409,36 @@ class FockSpace:
                 blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows)
         return blocks
 
-    def _factors(self, n):
-        """L·D·Lᵀ factors of every content block of G_n, keyed by content;
-        a zero pivot anywhere on the level is reported on first use."""
-        return self._memo(
-            "ldl", n, lambda: {content: self._ldl(n, content, blk.rows) for content, blk in self.blocks(n).items()}
-        )
+    def solve(self, v: FockVector) -> FockVector:
+        """The x with G x = v, block by block: each content block that v
+        touches is factored as L·D·Lᵀ here (the factors are not kept),
+        then solved through L, D and Lᵀ."""
+        groups = {}
+        for w, c in v.items():
+            groups.setdefault(_content(w), []).append((w, c))
+        acc = {}
+        for content, terms in groups.items():
+            n = len(content)
+            blk = self.blocks(n)[content]
+            rows = self._ldl(n, content, blk.rows)
+            x = [0] * len(rows)
+            for w, c in terms:
+                x[blk.index[w]] = c
+            for r, row in enumerate(rows):
+                for l, y in zip(row, x[:r]):
+                    if l and y:
+                        x[r] = x[r] - l * y
+            for r, row in enumerate(rows):
+                x[r] = _div(x[r], row[r])
+            for c in range(len(rows) - 1, 0, -1):
+                xc = x[c]
+                if xc:
+                    for r, l in enumerate(rows[c][:c]):
+                        if l:
+                            x[r] = x[r] - l * xc
+            for word, c in zip(blk.words, x):
+                _add_to(acc, word, c)
+        return FockVector._wrap(acc)
 
     @staticmethod
     def _ldl(n, content, mat):
@@ -466,8 +448,8 @@ class FockSpace:
         floats.
 
         The blocks are positive definite for |q_ij| < 1 (Bozejko and
-        Speicher; see the module docstring), so every pivot is positive and elimination without
-        pivoting is backward stable in floats. For |q_ij| >= 1 a zero pivot
+        Speicher; see the module docstring), so every pivot is positive
+        and elimination without pivoting is backward stable in floats. For |q_ij| >= 1 a zero pivot
         means a singular block or an indefinite one with a singular leading
         minor.
         """
@@ -490,24 +472,3 @@ class FockSpace:
             row.append(pivot)
             rows.append(row)
         return rows
-
-    def _gram_solve(self, n, content, rhs):
-        """Solve G_n x = rhs on one content block: forward substitution
-        through L, division by D, back substitution through Lᵀ."""
-        rows = self._factors(n)[content]
-        x = list(rhs)
-        for r, row in enumerate(rows):
-            acc = x[r]
-            for l, y in zip(row, x[:r]):
-                if l and y:
-                    acc = acc - l * y
-            x[r] = acc
-        for r, row in enumerate(rows):
-            x[r] = _div(x[r], row[r])
-        for c in range(len(rows) - 1, 0, -1):
-            xc = x[c]
-            if xc:
-                for r, l in enumerate(rows[c][:c]):
-                    if l:
-                        x[r] = x[r] - l * xc
-        return x

@@ -21,7 +21,8 @@ exists:
 * the duality pairing between a monomial and a truncated conjugate
   variable, which must vanish exactly;
 * the potential whose cyclic gradient reproduces the conjugate variables
-  degree by degree.
+  degree by degree, and the commutator criterion that the conjugate
+  variables form a cyclic gradient at all.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "conjugate_expansions",
     "gibbs_potential",
     "gibbs_gradient_residuals",
+    "cyclic_commutator",
 ]
 
 
@@ -263,9 +265,9 @@ def gibbs_gradient_residuals(space: FockSpace, source_length: int, potential, ex
     only, and so is every degree for one letter, where the gradient of
     alpha/(k+1) x^(k+1) is alpha x^k. For d >= 2 the degree-k part of xi_i
     collects contributions from every odd level >= k, which the truncated
-    series cannot complete. Degrees 1 and 3 still come out exactly zero
-    (as measured at M = 2, 3, 4); degrees 5 and up are small but not zero
-    (about 2.1e-3 at degree 5 for q = 1/2, M = 3).
+    series cannot complete: degrees 1 and 3 come out zero as measured at
+    M = 2, 3, 4, degree 5 does not (2.1e-3 for q = 1/2, M = 3).
+    :func:`cyclic_commutator` is the exact statement.
     """
     from .scalars import magnitude
 
@@ -283,3 +285,23 @@ def gibbs_gradient_residuals(space: FockSpace, source_length: int, potential, ex
                     worst = m
             out[k] = worst
     return out
+
+
+def cyclic_commutator(space: FockSpace, source_length: int, expansions) -> FockVector:
+    """Sum over i of (X_i P_i - P_i X_i) on the vacuum, for the conjugate
+    expansions P_i, on levels up to 2 * source_length + 2.
+
+    The full conjugate variables form a cyclic gradient, so the sum of
+    their commutators [X_i, xi_i] vanishes (G.-C. Rota, B. Sagan and P. R.
+    Stein, J. Algebra 64, 1980; D. Voiculescu, Indiana Univ. Math. J. 49,
+    2000). Truncation drops the levels of xi_i above 2M+1, and by the Wick
+    product formula a level-k Wick polynomial sends e_i to levels k +- 1,
+    so every level up to 2M+1 of the result is exactly zero. Only field
+    operators act, so the level-(2M+2) space builds no Gram block.
+    """
+    top = FockSpace(space.deformation, 2 * source_length + 2)
+    terms = []
+    for i, poly in expansions.items():
+        terms.append((top.gaussian(i, poly_apply(top, poly, top.vacuum())), 1))
+        terms.append((poly_apply(top, poly, FockVector.basis((i,))), -1))
+    return FockVector.combination(terms)

@@ -32,7 +32,6 @@ __all__ = [
     "rescale_identity_residual",
     "IdentityCheck",
     "q_identity_residual",
-    "conjugate_cheb_series",
 ]
 
 
@@ -265,22 +264,3 @@ def q_identity_residual(m, q0, N) -> IdentityCheck:
     eps = 2.0**-52
     noise = (N - m + 4) * eps * (abs(pref) * total_abs + abs(rhs))
     return IdentityCheck(abs(lhs - rhs), _summation_tail(m, q0, N), noise)
-
-
-def conjugate_cheb_series(M, q0) -> Poly1:
-    """Partial sum of the first-kind Chebyshev expansion of the conjugate
-    variable: sqrt(1-q) sum_{n<=M} (-1)^n q^{n(n+1)/2} C_{2n+1}(x sqrt(1-q)),
-    returned as a float polynomial in the unrescaled variable."""
-    if not -1 < q0 < 1:
-        raise ValueError("needs |q0| < 1")
-    q0 = float(q0)
-    s = math.sqrt(1.0 - q0)
-    out = [0.0] * (2 * M + 2)
-    for n in range(M + 1):
-        factor = (-1.0) ** n * q0 ** (n * (n + 1) // 2)
-        c = cheb("C", 2 * n + 1)
-        for k in range(2 * n + 2):
-            ck = c.coeff(k)
-            if ck:
-                out[k] += factor * float(ck) * s ** (k + 1)
-    return Poly1(out)

@@ -14,9 +14,14 @@ the norm oracles below solve the float norm checks of ``qfock.norms`` on the
 dense d^n x d^n matrices (a kron product, a selection matrix, a Schur
 complement, a block-diagonal Gram over several levels), as a check on the
 library's per-block eigenproblems.
+
+``ChainedAdjoints`` builds the conjugate variables the way the paper writes
+them, as chains of right-creation adjoints with one Gram solve per adjoint,
+against the library's single solve per level.
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -160,3 +165,80 @@ def dense_haagerup_residual(m, q0, d, trials, seed):
         vec_norm = math.sqrt(coeffs @ g_level @ coeffs)
         worst = max(worst, math.sqrt(max(top, 0.0)) - (m + 1) * haag**1.5 * vec_norm)
     return worst
+
+
+def right_annihilate(i, v):
+    """Strip the rightmost letter when it equals i; kill the vacuum."""
+    return FockVector({w[:-1]: c for w, c in v.items() if w and w[-1] == i})
+
+
+class ChainedAdjoints:
+    """Right-creation adjoints r*_i, each its own Gram solve, and the
+    conjugate variables as sums of their chains. The L·D·Lᵀ factors of a
+    block are kept for the next solve on it."""
+
+    def __init__(self, space):
+        self.space = space
+        self._factors = {}
+
+    def adjoint(self, i, v):
+        """r*_i v: each level-n content block of v gives the one-block solve
+        G_{n+1} x = (G_n v) (x) e_i."""
+        groups = {}
+        for w, c in v.items():
+            groups.setdefault(tuple(sorted(w)), []).append((w, c))
+        acc = FockVector()
+        for content, terms in groups.items():
+            n = len(content)
+            blk = self.space.blocks(n)[content]
+            up_content = tuple(sorted(content + (i,)))
+            up = self.space.blocks(n + 1)[up_content]
+            rhs = [0] * len(up.words)
+            for k, y in enumerate(blk.words):
+                total = 0
+                for w, c in terms:
+                    total = total + c * blk.rows[blk.index[w]][k]
+                rhs[up.index[y + (i,)]] = total
+            x = self._solve(n + 1, up_content, rhs)
+            acc = acc + FockVector(dict(zip(up.words, x)))
+        return acc
+
+    def _solve(self, n, content, rhs):
+        key = (n, content)
+        if key not in self._factors:
+            self._factors[key] = FockSpace._ldl(n, content, self.space.blocks(n)[content].rows)
+        rows = self._factors[key]
+        x = list(rhs)
+        for r, row in enumerate(rows):
+            for c in range(r):
+                if row[c] and x[c]:
+                    x[r] = x[r] - row[c] * x[c]
+        x = [(Fraction(y) if isinstance(y, int) else y) / row[r] for r, (y, row) in enumerate(zip(x, rows))]
+        for c in range(len(rows) - 1, 0, -1):
+            for r in range(c):
+                if rows[c][r] and x[c]:
+                    x[r] = x[r] - rows[c][r] * x[c]
+        return x
+
+    def sign_weight(self, i, w):
+        """(-1)^m times q(j_k, j_l) over 1 <= k <= m, 0 <= l < k, with j_0 = i
+        and j_k the k-th letter of w from the right."""
+        q = self.space.deformation.q
+        letters = (i,) + tuple(reversed(w))
+        weight = (-1) ** len(w)
+        for k in range(1, len(letters)):
+            for l in range(k):
+                weight = weight * q(letters[k], letters[l])
+        return weight
+
+    def conjugate_series(self, i, source_length):
+        """Sum over source words w of length up to ``source_length`` of the
+        weighted chain r*_{w_m} ... r*_{w_1} r*_i e_w."""
+        acc = FockVector()
+        for m in range(source_length + 1):
+            for w in self.space.words(m):
+                v = self.adjoint(i, FockVector.basis(w))
+                for letter in w:
+                    v = self.adjoint(letter, v)
+                acc = acc + v.scaled(self.sign_weight(i, w))
+        return acc

@@ -7,7 +7,7 @@ import pytest
 import qfock.cli
 import qfock.ncpoly
 import qfock.onevariable
-from qfock import FockSpace, gram_domination_residual, q_factorial
+from qfock import FockSpace, FockVector, gram_domination_residual, q_factorial
 from qfock.cli import main
 
 
@@ -101,6 +101,33 @@ class TestVerify:
             capsys, "verify", "gibbs", "--q", "1/2", "--level", "5", "--series-m", "2"
         )
         assert code == 0
+
+    @pytest.mark.parametrize("q", ["1/2", "4/5"])
+    def test_gibbs_gates_the_cyclic_gradient(self, capsys, q):
+        # the degree-5 residual is truncated (2.07e-3 at q = 1/2, 11.1 at
+        # q = 4/5) and rides along in the params; the criterion is exact
+        code, out = run(capsys, "verify", "gibbs", "--d", "2", "--q", q, "--level", "7", "--series-m", "3")
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert sorted(checks) == ["gibbs/cyclic-gradient"] + [f"gibbs/degree={k}" for k in (0, 2, 4, 6)]
+        cyclic = checks["gibbs/cyclic-gradient"]
+        assert cyclic["value"] == 0
+        assert cyclic["params"]["max_level"] == 7
+        assert sorted(cyclic["params"]["truncated_degree_residuals"]) == ["1", "3", "5"]
+        assert Fraction(cyclic["params"]["truncated_degree_residuals"]["5"]) > Fraction(1, 1000)
+
+    def test_gibbs_rejects_a_non_cyclic_xi(self, capsys, monkeypatch):
+        original = qfock.ncpoly.conjugate_series
+
+        def bent(space, i, source_length):
+            xi = original(space, i, source_length)
+            return xi + FockVector({(2, 2, 2): Fraction(1, 10)}) if i == 1 else xi
+
+        monkeypatch.setattr(qfock.ncpoly, "conjugate_series", bent)
+        code, out = run(capsys, "verify", "gibbs", "--d", "2", "--level", "7", "--series-m", "3")
+        assert code == 1
+        failed = [c["check"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == ["gibbs/cyclic-gradient"]
 
     def test_bounds_d4_passes(self, capsys):
         code, out = run(capsys, "verify", "bounds", "--d", "4", "--q", "1/2")
@@ -368,7 +395,6 @@ class TestGolden:
 _KEY_LEVEL = {
     "words": lambda n: n,
     "blocks": lambda n: n,
-    "ldl": lambda n: n,
     "dual": lambda key: len(key[1]),
     "wick": len,
     "xi": lambda key: 2 * key[1] + 1,

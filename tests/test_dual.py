@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from gram_oracles import ChainedAdjoints
 
 import qfock.dual
 from qfock import (
@@ -198,6 +199,77 @@ class TestConjugateSeries:
                 assert conjugate_series(shared, i, M) == pieces
         # one memoized level per index and source length
         assert len(shared._memos["xi"]) == 2 * 4
+
+
+MIXED_2 = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+MIXED_3 = Deformation(
+    [
+        [Fraction(-1, 3), Fraction(2, 5), Fraction(1, 7)],
+        [Fraction(2, 5), Fraction(3, 7), Fraction(-1, 5)],
+        [Fraction(1, 7), Fraction(-1, 5), Fraction(2, 3)],
+    ]
+)
+
+
+class TestOneSolvePerLevel:
+    """Each level of the conjugate variable is one Gram solve; the chains
+    of right-creation adjoints it telescopes, one solve per adjoint, are
+    the oracle. A constant q is invariant under relabelling the letters,
+    so there xi_1 stands for the others on the larger spaces."""
+
+    @pytest.mark.parametrize(
+        "defm,level,letters",
+        [
+            (Deformation.constant(2, Fraction(1, 2)), 9, (1,)),
+            (Deformation.constant(3, Fraction(-1, 3)), 7, (1,)),
+            (Deformation.constant(1, Fraction(2, 5)), 9, (1,)),
+            (MIXED_2, 7, (1, 2)),
+            (MIXED_3, 5, (1, 2, 3)),
+            (Deformation.constant(2, Q), 5, (1, 2)),
+            (Deformation.constant(2, Q), 7, (1,)),
+        ],
+        ids=["half-d2-L9", "third-d3-L7", "2/5-d1-L9", "mixed-d2-L7", "mixed-d3-L5", "formal-d2-L5", "formal-d2-L7"],
+    )
+    def test_equals_chained_adjoints(self, defm, level, letters):
+        sp = FockSpace(defm, level)
+        chains = ChainedAdjoints(sp)
+        M = (level - 1) // 2
+        for i in letters:
+            assert conjugate_series(sp, i, M) == chains.conjugate_series(i, M), i
+
+    def test_float_mixed_within_relative_1e12(self):
+        # relative to the largest coefficient: single coefficients near
+        # 1e-8 come out of cancellation and differ in their last bits
+        floats = Deformation([[float(v) for v in row] for row in MIXED_2.entries])
+        sp = FockSpace(floats, level=7)
+        chains = ChainedAdjoints(sp)
+        for i in (1, 2):
+            got, want = conjugate_series(sp, i, 3), chains.conjugate_series(i, 3)
+            assert got.support() == want.support()
+            assert (got - want).max_coeff_magnitude() <= 1e-12 * want.max_coeff_magnitude(), i
+
+    def test_factors_only_the_solved_blocks(self, monkeypatch):
+        # b_1 reaches the level-(2m+1) contents with an odd count of letter
+        # 1 and even counts of the others, and each of them is factored
+        # once; every other block is built for the recursion only
+        factored = []
+        ldl = FockSpace._ldl
+
+        def counted(n, content, mat):
+            factored.append(content)
+            return ldl(n, content, mat)
+
+        monkeypatch.setattr(FockSpace, "_ldl", staticmethod(counted))
+        sp = FockSpace.with_scalar_q(3, 0.5, level=7)
+        conjugate_series(sp, 1, 3)
+        solved = [
+            content
+            for m in range(4)
+            for content in sp.blocks(2 * m + 1)
+            if content.count(1) % 2 == 1 and content.count(2) % 2 == 0 and content.count(3) % 2 == 0
+        ]
+        assert len(factored) == len(solved) == 20
+        assert sorted(factored) == sorted(solved)
 
 
 class TestFisher:

