@@ -15,6 +15,7 @@ from .dual import (
     dual_partition,
     dual_recursive,
     fisher_info,
+    fisher_reports,
 )
 from .fock import FockSpace, FockVector, GramSingularError, TruncationError
 from .ncpoly import (

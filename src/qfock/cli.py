@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_info
+from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_reports
 from .fock import FockSpace, FockVector
 from .ncpoly import (
     conjugate_expansions,
@@ -456,11 +456,10 @@ def _export_hermite(space, args):
 
 def _export_fisher(space, args):
     rows = []
-    for m in range(args.series_m + 1):
-        rep = fisher_info(space, m)
+    for rep in fisher_reports(space, args.series_m):
         rows.append(
             {
-                "M": m,
+                "M": rep.source_length,
                 "value": _scalar_json(rep.value),
                 "value_float": rep.value_float,
                 "tail_bound": rep.tail_bound,

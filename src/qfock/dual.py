@@ -26,15 +26,25 @@ telescopes and the whole level is one solve:
     b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw}.
 
 b_i reaches only contents with an odd count of i and even counts of the
-other letters, one right-hand side per block. A space builds each level
-once; partial sums are truncated by source-word length and every report
-carries an analytic tail bound.
+other letters, one right-hand side per block. For a rational deformation
+with common denominator s, the level-m blocks hold s^(m(m-1)/2) G_m in
+integers and the integer numerators of the deformation give
+s^(m(m+1)/2) sigma, so b_i is formed in integers over the one denominator
+s^(m^2); ``FockSpace.solve`` then solves each block exactly by p-adic
+lifting. A space builds each level once; partial sums are truncated by
+source-word length and every report carries an analytic tail bound.
+
+Levels of different length are orthogonal, so the Fisher information of
+the truncation M is the sum over levels m <= M of the squared norms of the
+level-(2m+1) parts. ``fisher_reports`` pairs each level once and keeps a
+running sum over M.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fock import FockSpace, FockVector, TruncationError, _add_to
 from .partitions import enumerate_family
@@ -47,6 +57,7 @@ __all__ = [
     "commutator_residual",
     "conjugate_series",
     "fisher_info",
+    "fisher_reports",
     "FisherReport",
 ]
 
@@ -151,16 +162,17 @@ def commutator_residual(space: FockSpace, i, j, level_limit):
     return worst
 
 
-def _series_sign_weight(space: FockSpace, i, word):
-    """(-1)^|w| times the product of q(j_k, j_l) over 1<=k<=m, 0<=l<k,
-    reading j_k as the k-th letter from the right and j_0 as i."""
+def _series_sign_weight(a, i, word):
+    """(-1)^|w| times the product of a(j_k, j_l) over 1<=k<=m, 0<=l<k,
+    reading j_k as the k-th letter from the right and j_0 as i; with a the
+    deformation matrix this is sigma(i, w), with its integer numerators it
+    is s^(m(m+1)/2) sigma(i, w)."""
     m = len(word)
     letters = [i] + [word[m - k] for k in range(1, m + 1)]
     weight = 1
-    q = space.deformation.q
     for k in range(1, m + 1):
         for l in range(k):
-            weight = weight * q(letters[k], letters[l])
+            weight = weight * a[letters[k] - 1][letters[l] - 1]
     if m % 2 == 1:
         weight = -weight
     return weight
@@ -174,27 +186,38 @@ def _series_level(space: FockSpace, i, m) -> FockVector:
 
 def _series_rhs(space: FockSpace, i, m) -> FockVector:
     """b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw}, read
-    off the rows of the level-m blocks."""
+    off the rows of the level-m blocks. Those rows are s^(m(m-1)/2) G_m and
+    the weights s^(m(m+1)/2) sigma, so the sum is formed over the single
+    denominator s^(m^2), in integers for a rational deformation, and
+    divided by it once."""
+    s, a = space._cleared
     acc = {}
     for blk in space.blocks(m).values():
         for w, row in zip(blk.words, blk.rows):
-            weight = _series_sign_weight(space, i, w)
+            weight = _series_sign_weight(a, i, w)
             if not weight:
                 continue
             tail = (i,) + w
             for y, g in zip(blk.words, row):
                 _add_to(acc, y + tail, weight * g)
+    den = s ** (m * m)
+    if den != 1:
+        acc = {y: Fraction(c, den) for y, c in acc.items()}
     return FockVector._wrap(acc)
 
 
-def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
-    """Partial sum of the conjugate variable over source words up to the
-    given length; the level-(2m+1) component comes from words of length m."""
+def _check_source_length(space: FockSpace, source_length):
     if 2 * source_length + 1 > space.level:
         raise TruncationError(
             f"conjugate series to source length {source_length} needs level "
             f">= {2 * source_length + 1}, space has {space.level}"
         )
+
+
+def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
+    """Partial sum of the conjugate variable over source words up to the
+    given length; the level-(2m+1) component comes from words of length m."""
+    _check_source_length(space, source_length)
     return FockVector.combination((_series_level(space, i, m), 1) for m in range(source_length + 1))
 
 
@@ -216,9 +239,11 @@ class FisherReport:
         )
 
 
-def fisher_info(space: FockSpace, source_length: int) -> FisherReport:
-    """Sum over indices of the squared twisted norm of the truncated
-    conjugate variables, plus the tail bound of the remainder functional."""
+def fisher_reports(space: FockSpace, source_length: int):
+    """The ``FisherReport`` of every truncation M = 0..source_length, from
+    one running sum. Levels of different length are orthogonal, so
+    truncation M adds the squared twisted norms of the level-(2M+1) parts
+    of the conjugate variables, and each level is paired once."""
     from .norms import series_tail
 
     if space.deformation.is_symbolic:
@@ -226,17 +251,25 @@ def fisher_info(space: FockSpace, source_length: int) -> FisherReport:
             "fisher_info needs a numeric deformation for its tail bound; "
             "use conjugate_series directly in symbolic mode"
         )
-    total = 0
-    for i in range(1, space.d + 1):
-        xi = conjugate_series(space, i, source_length)
-        total = total + space.inner(xi, xi)
+    _check_source_length(space, source_length)
     heuristic = not space.deformation.is_constant
     q0 = space.deformation.max_abs_float()
-    tail = series_tail("fisher", source_length, q0, space.d)
-    return FisherReport(
-        source_length=source_length,
-        value=total,
-        value_float=float_eval(total),
-        tail_bound=tail.bound_float,
-        tail_heuristic=heuristic,
-    )
+    total = 0
+    for m in range(source_length + 1):
+        for i in range(1, space.d + 1):
+            part = _series_level(space, i, m)
+            total = total + space.inner(part, part)
+        yield FisherReport(
+            source_length=m,
+            value=total,
+            value_float=float_eval(total),
+            tail_bound=series_tail("fisher", m, q0, space.d).bound_float,
+            tail_heuristic=heuristic,
+        )
+
+
+def fisher_info(space: FockSpace, source_length: int) -> FisherReport:
+    """Sum over indices of the squared twisted norm of the truncated
+    conjugate variables, plus the tail bound of the remainder functional."""
+    *_, report = fisher_reports(space, source_length)
+    return report

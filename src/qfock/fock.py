@@ -23,14 +23,30 @@ letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
 content blocks, built from the blocks of the level below; ``blocks(n)`` is
 the only view of G_n, with no dense matrix over the whole word basis.
-``solve`` is the one Gram solve: it finds x with G x = v block by block,
-factoring each block that v touches as L·D·Lᵀ without pivoting. The float
-norm checks solve their eigenproblems block by block too.
+
+For rational entries the blocks are integers. With s the common
+denominator of the entries and A = s q their numerators, s^(n-1) times a
+peeling weight is the integer s^t prod_{r>t} A(j, v[r]), so the same
+recursion run on A gives Ĝ_n = s^(n(n-1)/2) G_n in Python ints. A block
+stores Ĝ_n with that scale, and its readers (``inner``, the right-hand
+sides of the conjugate variables) divide by it once. Float and formal
+entries take s = 1 through the same code, so their blocks are the Gram
+entries themselves.
+
+``solve`` is the one Gram solve: it finds x with G x = v block by block.
+A rational block is solved exactly by p-adic lifting on Ĝ_n (Dixon, Numer.
+Math. 40, 1982): one factorization modulo a word-size prime, O(N^2) work per
+lifting step, rational reconstruction of every entry (Wang, Guy and
+Davenport, SIGSAM Bull. 16, 1982), and an exact integer check of Ĝ_n x = b
+before the answer is accepted; see :mod:`qfock.lifting`. Float and formal
+blocks are factored as L·D·Lᵀ without pivoting. The float norm checks
+solve their eigenproblems block by block too.
 
 Elimination without pivoting relies on positivity: for |q_ij| < 1 the
 Gram form is strictly positive (M. Bozejko and R. Speicher, Comm. Math.
 Phys. 137, 1991; Math. Ann. 300, 1994), so every block is symmetric
-positive definite and every pivot is positive. A zero pivot raises
+positive definite and every pivot is positive. A zero pivot (for a
+rational block: a leading minor that is singular over the integers) raises
 ``GramSingularError`` naming the level and the content. For |q_ij| >= 1 the
 blocks may be indefinite, and a zero pivot may then come from a singular
 leading minor of a block that is itself invertible. With constant q the
@@ -38,8 +54,9 @@ recursion reproduces the permutation sum of q^inversions; the tests check
 both that and the left-peeling recursion for mixed q.
 
 Everything is exact when the deformation entries are exact; plain floats
-flow through the same code paths for numerical work. The truncation level
-is explicit and overflowing it is a hard error, never a silent projection.
+flow through the same recursion and readers for numerical work. The
+truncation level is explicit and overflowing it is a hard error, never a
+silent projection.
 
 Vectors are word maps: ``WordMap`` is the one algebra of immutable sparse
 combinations of words (sums, scalar multiples, and ``combination``, which
@@ -52,8 +69,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import NamedTuple
 
+from .lifting import SingularMinor, solve_integer
 from .scalars import Deformation, magnitude
 
 __all__ = [
@@ -232,11 +251,29 @@ def _content(word):
 
 
 class _Block(NamedTuple):
-    """Gram matrix of the level-n words of one letter content."""
+    """Gram matrix of the level-n words of one letter content, stored as
+    ``rows`` = ``scale`` times it: integers for a rational deformation, and
+    the Gram entries themselves (scale 1) for float and formal ones."""
 
     words: list  # in lexicographic order
     index: dict  # word -> position in words
-    rows: list  # rows[a][b] = <e_{words[a]}, e_{words[b]}>
+    rows: list  # rows[a][b] = scale * <e_{words[a]}, e_{words[b]}>
+    scale: int  # s^(n(n-1)/2), s the common denominator of the entries
+
+
+def _cleared(deformation):
+    """(s, A) for rational entries: their common denominator s and their
+    integer numerators A = s q."""
+    entries = deformation.entries
+    s = lcm(*(Fraction(v).denominator for row in entries for v in row))
+    return s, tuple(tuple(int(v * s) for v in row) for row in entries)
+
+
+def _over_one_denominator(terms):
+    """Integer numerators of rational coefficients over their common
+    denominator, with that denominator."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return [c.numerator * (den // c.denominator) for _, c in terms], den
 
 
 class FockSpace:
@@ -256,6 +293,8 @@ class FockSpace:
         self.deformation = deformation
         self.d = deformation.d
         self.level = level
+        self._rational = not (deformation.is_float or deformation.is_symbolic)
+        self._cleared = _cleared(deformation) if self._rational else (1, deformation.entries)
         self._lock = threading.Lock()
         self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi")}
 
@@ -342,10 +381,31 @@ class FockSpace:
 
     def inner(self, u: FockVector, v: FockVector):
         """Twisted inner product, read off the content blocks; words of
-        different content (in particular of different length) are orthogonal."""
+        different content (in particular of different length) are orthogonal.
+        With a rational deformation each block pairs integer numerators and
+        divides by its denominators and its scale once."""
         right = {}
         for b, cb in v.items():
             right.setdefault(_content(b), []).append((b, cb))
+        if self._rational:
+            left = {}
+            for a, ca in u.items():
+                left.setdefault(_content(a), []).append((a, ca))
+            total = 0
+            for content, terms in left.items():
+                same = right.get(content)
+                if not same:
+                    continue
+                blk = self.blocks(len(content))[content]
+                nums_u, den_u = _over_one_denominator(terms)
+                nums_v, den_v = _over_one_denominator(same)
+                cols = [blk.index[b] for b, _ in same]
+                part = 0
+                for (a, _), na in zip(terms, nums_u):
+                    row = blk.rows[blk.index[a]]
+                    part = part + na * sum(nb * row[c] for nb, c in zip(nums_v, cols))
+                total = total + _div(part, den_u * den_v * blk.scale)
+            return total
         total = 0
         for a, ca in u.items():
             content = _content(a)
@@ -367,27 +427,29 @@ class FockSpace:
         return self._memo("blocks", n, lambda: self._build_blocks(n))
 
     def _build_blocks(self, n):
+        s, a = self._cleared
         if n == 0:
             # a float unit keeps float-mode data out of int/int Fractions
             one = 1.0 if self.deformation.is_float else 1
-            blocks = {(): _Block([()], {(): 0}, [[one]])}
+            blocks = {(): _Block([()], {(): 0}, [[one]], 1)}
         else:
             below = self.blocks(n - 1)
-            q = self.deformation.q
+            scale = s ** (n * (n - 1) // 2)
             grouped = {}
             for w in self.words(n):
                 grouped.setdefault(_content(w), []).append(w)
             blocks = {}
             for content, words in grouped.items():
                 # peel[b][j]: (position of v without t below, weight) over
-                # the positions t of v = words[b] with v[t] = j
+                # the positions t of v = words[b] with v[t] = j; the weight
+                # s^t prod_{r>t} A(j, v[r]) is s^(n-1) times the one for G_n
                 peel = []
                 for v in words:
                     by_letter = {}
                     for t, j in enumerate(v):
-                        weight = 1
-                        for s in v[t + 1 :]:
-                            weight = weight * q(j, s)
+                        weight = s**t
+                        for r in v[t + 1 :]:
+                            weight = weight * a[j - 1][r - 1]
                         if not weight:
                             continue
                         rest = v[:t] + v[t + 1 :]
@@ -406,13 +468,27 @@ class FockSpace:
                             total = total + weight * row_below[pos]
                         row.append(total)
                     rows.append(row)
-                blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows)
+                blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows, scale)
         return blocks
 
     def solve(self, v: FockVector) -> FockVector:
-        """The x with G x = v, block by block: each content block that v
-        touches is factored as L·D·Lᵀ here (the factors are not kept),
-        then solved through L, D and Lᵀ."""
+        """The x with G x = v, block by block over the contents v touches.
+
+        With a rational deformation a block's rows are the integer matrix
+        scale * G_n. The block's part of v is cleared to integers b over one
+        denominator D, and ``lifting.solve_integer`` finds y = (scale G_n)^-1 b
+        by p-adic lifting (Dixon): one L·U factorization modulo a word-size
+        prime, O(N^2) work per lifting step, and a rational reconstruction of
+        every entry (Wang, Guy and Davenport). It accepts y only after
+        checking (scale G_n) y = b exactly in integers. The factorization
+        shows the determinant nonzero modulo the prime, so the block is
+        nonsingular and a y passing that check is the solution, whatever
+        the reconstruction guessed. Then x = scale y / D. A leading minor
+        that is singular over the integers raises ``GramSingularError``.
+
+        Float and formal blocks are factored as L·D·Lᵀ here (the factors are
+        not kept), then solved through L, D and Lᵀ.
+        """
         groups = {}
         for w, c in v.items():
             groups.setdefault(_content(w), []).append((w, c))
@@ -420,32 +496,51 @@ class FockSpace:
         for content, terms in groups.items():
             n = len(content)
             blk = self.blocks(n)[content]
-            rows = self._ldl(n, content, blk.rows)
-            x = [0] * len(rows)
-            for w, c in terms:
-                x[blk.index[w]] = c
-            for r, row in enumerate(rows):
-                for l, y in zip(row, x[:r]):
-                    if l and y:
-                        x[r] = x[r] - l * y
-            for r, row in enumerate(rows):
-                x[r] = _div(x[r], row[r])
-            for c in range(len(rows) - 1, 0, -1):
-                xc = x[c]
-                if xc:
-                    for r, l in enumerate(rows[c][:c]):
-                        if l:
-                            x[r] = x[r] - l * xc
+            if self._rational:
+                x = self._solve_rational(n, content, blk, terms)
+            else:
+                x = self._solve_ldl(n, content, blk, terms)
             for word, c in zip(blk.words, x):
                 _add_to(acc, word, c)
         return FockVector._wrap(acc)
 
     @staticmethod
+    def _solve_rational(n, content, blk, terms):
+        nums, den = _over_one_denominator(terms)
+        b = [0] * len(blk.words)
+        for (w, _), c in zip(terms, nums):
+            b[blk.index[w]] = c
+        try:
+            y, y_den = solve_integer(blk.rows, b)
+        except SingularMinor:
+            raise GramSingularError(f"level-{n} Gram block of content {content} has a zero pivot") from None
+        return [Fraction(blk.scale * c, den * y_den) for c in y]
+
+    @classmethod
+    def _solve_ldl(cls, n, content, blk, terms):
+        rows = cls._ldl(n, content, blk.rows)
+        x = [0] * len(rows)
+        for w, c in terms:
+            x[blk.index[w]] = c
+        for r, row in enumerate(rows):
+            for l, y in zip(row, x[:r]):
+                if l and y:
+                    x[r] = x[r] - l * y
+        for r, row in enumerate(rows):
+            x[r] = _div(x[r], row[r])
+        for c in range(len(rows) - 1, 0, -1):
+            xc = x[c]
+            if xc:
+                for r, l in enumerate(rows[c][:c]):
+                    if l:
+                        x[r] = x[r] - l * xc
+        return x
+
+    @staticmethod
     def _ldl(n, content, mat):
         """Factor a symmetric block as L·D·Lᵀ, L unit lower triangular,
         without pivoting. Row r of the result holds L[r][:r] followed by
-        the pivot D[r]; the same code runs on Fractions, q-polynomials and
-        floats.
+        the pivot D[r]; the same code runs on q-polynomial and float blocks.
 
         The blocks are positive definite for |q_ij| < 1 (Bozejko and
         Speicher; see the module docstring), so every pivot is positive

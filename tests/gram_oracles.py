@@ -15,6 +15,13 @@ dense d^n x d^n matrices (a kron product, a selection matrix, a Schur
 complement, a block-diagonal Gram over several levels), as a check on the
 library's per-block eigenproblems.
 
+``gram_rows`` reads a content block back as the Gram entries themselves:
+the library stores rational blocks as integers, scale times G_n.
+
+``ldl_solve`` is the Fraction solve the library ran on rational blocks
+before its p-adic lifting: each touched block factored as L·D·Lᵀ without
+pivoting, then substituted through L, D and Lᵀ.
+
 ``ChainedAdjoints`` builds the conjugate variables the way the paper writes
 them, as chains of right-creation adjoints with one Gram solve per adjoint,
 against the library's single solve per level.
@@ -75,6 +82,13 @@ def left_peeling_gram(n, deformation):
     return [[ip(u, v) for v in words] for u in words]
 
 
+def gram_rows(blk):
+    """The Gram entries of a content block: its rows divided by its scale."""
+    if blk.scale == 1:
+        return blk.rows
+    return [[Fraction(g, blk.scale) for g in row] for row in blk.rows]
+
+
 def dense_gram(space, n):
     """Level-n Gram matrix of the space as a dense list of rows in the
     lexicographic word basis: its content blocks placed on their words,
@@ -83,7 +97,7 @@ def dense_gram(space, n):
     mat = [[0] * len(idx) for _ in idx]
     for blk in space.blocks(n).values():
         pos = [idx[w] for w in blk.words]
-        for r, row in zip(pos, blk.rows):
+        for r, row in zip(pos, gram_rows(blk)):
             for c, value in zip(pos, row):
                 mat[r][c] = value
     return mat
@@ -172,6 +186,40 @@ def right_annihilate(i, v):
     return FockVector({w[:-1]: c for w, c in v.items() if w and w[-1] == i})
 
 
+def _substitute(factors, rhs):
+    """x with L·D·Lᵀ x = rhs, from the rows of ``FockSpace._ldl``."""
+    x = list(rhs)
+    for r, row in enumerate(factors):
+        for c in range(r):
+            if row[c] and x[c]:
+                x[r] = x[r] - row[c] * x[c]
+    x = [(Fraction(y) if isinstance(y, int) else y) / row[r] for r, (y, row) in enumerate(zip(x, factors))]
+    for c in range(len(factors) - 1, 0, -1):
+        for r in range(c):
+            if factors[c][r] and x[c]:
+                x[r] = x[r] - factors[c][r] * x[c]
+    return x
+
+
+def ldl_solve(space, v):
+    """The x with G x = v: each content block v touches is factored from
+    its Gram entries as L·D·Lᵀ without pivoting, which raises
+    ``GramSingularError`` on a zero pivot, and substituted."""
+    groups = {}
+    for w, c in v.items():
+        groups.setdefault(tuple(sorted(w)), []).append((w, c))
+    acc = FockVector()
+    for content, terms in groups.items():
+        n = len(content)
+        blk = space.blocks(n)[content]
+        rhs = [0] * len(blk.words)
+        for w, c in terms:
+            rhs[blk.index[w]] = c
+        x = _substitute(FockSpace._ldl(n, content, gram_rows(blk)), rhs)
+        acc = acc + FockVector(dict(zip(blk.words, x)))
+    return acc
+
+
 class ChainedAdjoints:
     """Right-creation adjoints r*_i, each its own Gram solve, and the
     conjugate variables as sums of their chains. The L·D·Lᵀ factors of a
@@ -191,13 +239,14 @@ class ChainedAdjoints:
         for content, terms in groups.items():
             n = len(content)
             blk = self.space.blocks(n)[content]
+            rows = gram_rows(blk)
             up_content = tuple(sorted(content + (i,)))
             up = self.space.blocks(n + 1)[up_content]
             rhs = [0] * len(up.words)
             for k, y in enumerate(blk.words):
                 total = 0
                 for w, c in terms:
-                    total = total + c * blk.rows[blk.index[w]][k]
+                    total = total + c * rows[blk.index[w]][k]
                 rhs[up.index[y + (i,)]] = total
             x = self._solve(n + 1, up_content, rhs)
             acc = acc + FockVector(dict(zip(up.words, x)))
@@ -206,19 +255,8 @@ class ChainedAdjoints:
     def _solve(self, n, content, rhs):
         key = (n, content)
         if key not in self._factors:
-            self._factors[key] = FockSpace._ldl(n, content, self.space.blocks(n)[content].rows)
-        rows = self._factors[key]
-        x = list(rhs)
-        for r, row in enumerate(rows):
-            for c in range(r):
-                if row[c] and x[c]:
-                    x[r] = x[r] - row[c] * x[c]
-        x = [(Fraction(y) if isinstance(y, int) else y) / row[r] for r, (y, row) in enumerate(zip(x, rows))]
-        for c in range(len(rows) - 1, 0, -1):
-            for r in range(c):
-                if rows[c][r] and x[c]:
-                    x[r] = x[r] - rows[c][r] * x[c]
-        return x
+            self._factors[key] = FockSpace._ldl(n, content, gram_rows(self.space.blocks(n)[content]))
+        return _substitute(self._factors[key], rhs)
 
     def sign_weight(self, i, w):
         """(-1)^m times q(j_k, j_l) over 1 <= k <= m, 0 <= l < k, with j_0 = i

@@ -5,6 +5,8 @@ import pytest
 from gram_oracles import ChainedAdjoints
 
 import qfock.dual
+import qfock.fock
+import qfock.lifting
 from qfock import (
     FORMAL_Q,
     Deformation,
@@ -248,19 +250,35 @@ class TestOneSolvePerLevel:
             assert got.support() == want.support()
             assert (got - want).max_coeff_magnitude() <= 1e-12 * want.max_coeff_magnitude(), i
 
-    def test_factors_only_the_solved_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("q", [0.5, Fraction(1, 2)], ids=["float", "exact"])
+    def test_factors_only_the_solved_blocks(self, monkeypatch, q):
         # b_1 reaches the level-(2m+1) contents with an odd count of letter
         # 1 and even counts of the others, and each of them is factored
-        # once; every other block is built for the recursion only
+        # once: as L·D·Lᵀ in floats, modulo one prime when exact; every
+        # other block is built for the recursion only
         factored = []
-        ldl = FockSpace._ldl
+        if isinstance(q, float):
+            ldl = FockSpace._ldl
 
-        def counted(n, content, mat):
-            factored.append(content)
-            return ldl(n, content, mat)
+            def counted(n, content, mat):
+                factored.append(content)
+                return ldl(n, content, mat)
 
-        monkeypatch.setattr(FockSpace, "_ldl", staticmethod(counted))
-        sp = FockSpace.with_scalar_q(3, 0.5, level=7)
+            monkeypatch.setattr(FockSpace, "_ldl", staticmethod(counted))
+        else:
+            factor, solve, rows_solved = qfock.lifting._factor_mod, qfock.fock.solve_integer, []
+
+            def counted(mat, p):
+                factored.append(p)
+                return factor(mat, p)
+
+            def recorded(rows, rhs):
+                rows_solved.append(rows)
+                return solve(rows, rhs)
+
+            monkeypatch.setattr(qfock.lifting, "_factor_mod", counted)
+            monkeypatch.setattr(qfock.fock, "solve_integer", recorded)
+        sp = FockSpace.with_scalar_q(3, q, level=7)
         conjugate_series(sp, 1, 3)
         solved = [
             content
@@ -269,10 +287,38 @@ class TestOneSolvePerLevel:
             if content.count(1) % 2 == 1 and content.count(2) % 2 == 0 and content.count(3) % 2 == 0
         ]
         assert len(factored) == len(solved) == 20
-        assert sorted(factored) == sorted(solved)
+        if isinstance(q, float):
+            assert sorted(factored) == sorted(solved)
+        else:
+            of_rows = {id(sp.blocks(len(c))[c].rows): c for c in solved}
+            assert sorted(of_rows[id(rows)] for rows in rows_solved) == sorted(solved)
 
 
 class TestFisher:
+    @pytest.mark.parametrize("defm", [Deformation.constant(2, Fraction(9, 10)), MIXED_2], ids=["9/10", "mixed"])
+    def test_running_sum_pairs_each_level_once(self, monkeypatch, defm):
+        # the report for M equals the squared norms of the whole partial
+        # series, while only d (M + 1) level pairings are made for all M
+        reference = FockSpace(defm, level=7)
+        want = [
+            sum(reference.inner(xi, xi) for xi in (conjugate_series(reference, i, M) for i in (1, 2)))
+            for M in range(4)
+        ]
+        sp = FockSpace(defm, level=7)
+        pairs = []
+        inner = FockSpace.inner
+
+        def counted(self, u, v):
+            pairs.append(u is v)
+            return inner(self, u, v)
+
+        monkeypatch.setattr(FockSpace, "inner", counted)
+        reports = list(qfock.dual.fisher_reports(sp, 3))
+        assert [r.source_length for r in reports] == [0, 1, 2, 3]
+        assert [r.value for r in reports] == want
+        assert pairs == [True] * 8
+        assert fisher_info(sp, 3) == reports[-1]
+
     def test_free_case_counts_letters(self):
         sp = FockSpace.with_scalar_q(2, Fraction(0), level=7)
         rep = fisher_info(sp, 3)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from gram_oracles import ChainedAdjoints, dense_gram, left_peeling_gram, permutation_gram, right_annihilate
+from gram_oracles import ChainedAdjoints, dense_gram, gram_rows, left_peeling_gram, permutation_gram, right_annihilate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from threads import together
 
+import qfock.lifting as lifting
 from qfock import (
     FORMAL_Q,
     Deformation,
@@ -241,19 +242,37 @@ def _ldl_product(rows):
 
 
 class TestFactorization:
-    """Each content block is factored as L·D·Lᵀ without pivoting; inside
-    the disk every pivot is positive, since the Gram form is."""
+    """Formal and float blocks are factored as L·D·Lᵀ without pivoting,
+    rational blocks (stored as integers, scale times G_n) as L·U modulo a
+    prime; inside the disk every pivot of the Gram form is positive."""
 
     @pytest.mark.parametrize(
         "defm,top",
-        [(Deformation.constant(2, Fraction(1, 2)), 6), (MIXED_3, 4), (Deformation.constant(2, FORMAL_Q), 4)],
-        ids=["half", "mixed3", "formal"],
+        [(Deformation.constant(2, FORMAL_Q), 4)],
+        ids=["formal"],
     )
     def test_rebuilds_every_block(self, defm, top):
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
             for content, blk in sp.blocks(n).items():
                 assert _ldl_product(FockSpace._ldl(n, content, blk.rows)) == blk.rows, (n, content)
+
+    @pytest.mark.parametrize(
+        "defm,top",
+        [(Deformation.constant(2, Fraction(1, 2)), 6), (MIXED_3, 4)],
+        ids=["half", "mixed3"],
+    )
+    def test_mod_p_rebuilds_every_block(self, defm, top):
+        sp = FockSpace(defm, level=top)
+        for n in range(top + 1):
+            for content, blk in sp.blocks(n).items():
+                assert all(isinstance(g, int) for row in blk.rows for g in row)
+                size = len(blk.words)
+                p = next(lifting._primes(size))
+                residues = np.array([[g % p for g in row] for row in blk.rows], dtype=np.int64)
+                packed, _ = lifting._factor_mod(residues, p)
+                lower = np.tril(packed, -1) + np.eye(size, dtype=np.int64)
+                assert ((lower @ np.triu(packed)) % p == residues).all(), (n, content)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -265,7 +284,8 @@ class TestFactorization:
         sp = FockSpace.with_scalar_q(d, q, level)
         for n in range(level + 1):
             for content, blk in sp.blocks(n).items():
-                assert all(row[-1] > 0 for row in FockSpace._ldl(n, content, blk.rows))
+                assert blk.scale == q.denominator ** (n * (n - 1) // 2)
+                assert all(row[-1] > 0 for row in FockSpace._ldl(n, content, gram_rows(blk)))
 
 
 class TestSolve:

@@ -1,0 +1,168 @@
+"""The p-adic lifting solve of rational Gram blocks against the Fraction
+L·D·Lᵀ solve it replaced (``gram_oracles.ldl_solve``), and its handling
+of unlucky primes, early reconstructions and singular minors. The
+singular Gram blocks at exact q = -1 and q_12 = 1 are in ``test_fock``."""
+
+import random
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from gram_oracles import ldl_solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qfock.lifting as lifting
+from qfock import Deformation, FockSpace, FockVector, GramSingularError
+from qfock.dual import _series_rhs
+
+
+def _random_vector(space, top, seed):
+    """Rational coefficients on every word up to level ``top``."""
+    rng = random.Random(seed)
+    return FockVector(
+        {w: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for n in range(top + 1) for w in space.words(n)}
+    )
+
+
+def _right_hand_sides(space):
+    """b_i of every letter and every level 2m+1 the space holds."""
+    return [_series_rhs(space, i, m) for i in range(1, space.d + 1) for m in range((space.level - 1) // 2 + 1)]
+
+
+MIXED_ZERO_NEGATIVE = [
+    Deformation([[Fraction(0), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 3)]]),
+    Deformation(
+        [
+            [Fraction(-2, 3), Fraction(0), Fraction(1, 4)],
+            [Fraction(0), Fraction(0), Fraction(-3, 5)],
+            [Fraction(1, 4), Fraction(-3, 5), Fraction(5, 7)],
+        ]
+    ),
+]
+
+
+class TestAgainstFractionSolve:
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-1, 2), Fraction(9, 10), Fraction(0), Fraction(3, 7)], ids=str)
+    @pytest.mark.parametrize("d,level", [(2, 7), (3, 5)], ids=["d2-L7", "d3-L5"])
+    def test_constant(self, q, d, level):
+        sp = FockSpace.with_scalar_q(d, q, level)
+        for v in _right_hand_sides(sp) + [_random_vector(sp, level, seed=d)]:
+            assert sp.solve(v) == ldl_solve(sp, v)
+
+    @pytest.mark.parametrize("defm,level", list(zip(MIXED_ZERO_NEGATIVE, (7, 5))), ids=["d2", "d3"])
+    def test_mixed_with_zero_and_negative_entries(self, defm, level):
+        sp = FockSpace(defm, level)
+        for v in _right_hand_sides(sp) + [_random_vector(sp, level, seed=level)]:
+            assert sp.solve(v) == ldl_solve(sp, v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        q=st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+        d=st.integers(1, 3),
+        level=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sweep(self, q, d, level, seed):
+        # both solves raise on the same singular blocks (q = -1 and q = 1
+        # among them), or both return the same vector
+        sp = FockSpace.with_scalar_q(d, q, level)
+        v = _random_vector(sp, level, seed)
+        try:
+            want = ldl_solve(sp, v)
+        except GramSingularError as err:
+            with pytest.raises(GramSingularError, match=re.escape(str(err))):
+                sp.solve(v)
+        else:
+            assert sp.solve(v) == want
+
+
+class TestRobustness:
+    # at q = 1/2 the level-5 block of content (1, 1, 1, 2, 2) has a leading
+    # 6 x 6 minor divisible by 13, so elimination mod 13 meets a zero pivot
+    # at position 5 of a block that is nonsingular
+    CONTENT = (1, 1, 1, 2, 2)
+
+    def test_prime_dividing_a_pivot_is_replaced(self, monkeypatch):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
+        v = FockVector({w: Fraction(k - 4, k + 1) for k, w in enumerate(sp.blocks(5)[self.CONTENT].words)})
+        want = ldl_solve(sp, v)
+        primes, factored = lifting._primes, []
+        factor = lifting._factor_mod
+
+        def unlucky_first(size):
+            yield 13
+            yield from primes(size)
+
+        def recorded(mat, p):
+            factored.append((p, factor(mat, p)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(lifting, "_primes", unlucky_first)
+        monkeypatch.setattr(lifting, "_factor_mod", recorded)
+        assert sp.solve(v) == want
+        assert factored[0] == (13, 5)
+        assert len(factored) == 2 and factored[1][0] == next(primes(len(sp.blocks(5)[self.CONTENT].words)))
+
+    def test_early_reconstruction_is_rejected(self, monkeypatch):
+        # the first reconstruction is forced on the residues as they stand,
+        # as integers over denominator 1; the exact check must turn it down
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
+        v = _series_rhs(sp, 1, 2)
+        want = ldl_solve(sp, v)
+        reconstruct, calls = lifting._reconstruct, []
+
+        def forced_first(residues, modulus):
+            calls.append(modulus)
+            if len(calls) == 1:
+                return [int(x) if 2 * x < modulus else int(x) - modulus for x in residues], 1
+            return reconstruct(residues, modulus)
+
+        monkeypatch.setattr(lifting, "_reconstruct", forced_first)
+        got = sp.solve(v)
+        assert got == want
+        assert any(c.denominator != 1 for _, c in got.items())
+        assert len(calls) > 1
+
+
+class TestSolveInteger:
+    def test_large_entries_and_many_limbs(self):
+        # entries far above 2^63, of both signs, and a dense solution
+        rng = random.Random(3)
+        n = 12
+        base = [[rng.randint(-(2**120), 2**120) for _ in range(n)] for _ in range(n)]
+        mat = [[sum(base[k][a] * base[k][b] for k in range(n)) + (a == b) for b in range(n)] for a in range(n)]
+        rhs = [rng.randint(-(2**90), 2**90) for _ in range(n)]
+        nums, den = lifting.solve_integer(mat, rhs)
+        assert den > 0
+        assert [sum(g * x for g, x in zip(row, nums)) for row in mat] == [den * b for b in rhs]
+
+    def test_uncertified_lifting_stops_at_the_hadamard_bound(self, monkeypatch):
+        # with the exact product A x off by one, only the first lifting
+        # digit is right; this solution needs more, so no candidate passes
+        # the check, and the loop ends at the bound instead of running on
+        big = 10**20
+        mat, rhs = [[5 * big, 2, 1], [2, 7 * big, 3], [1, 3, 9 * big]], [1, -2, 4]
+        nums, den = lifting.solve_integer(mat, rhs)
+        assert den > 2**64
+        times = lifting._times
+        monkeypatch.setattr(lifting, "_times", lambda limbs, x: times(limbs, x) + 1)
+        with pytest.raises(ArithmeticError, match="Hadamard"):
+            lifting.solve_integer(mat, rhs)
+
+    def test_singular_leading_minor_is_reported(self):
+        with pytest.raises(lifting.SingularMinor) as err:
+            lifting.solve_integer([[2, 3, 1], [4, 6, 5], [1, 1, 1]], [1, 2, 3])
+        assert err.value.size == 2
+
+    def test_mod_p_factors_rebuild_the_matrix(self):
+        rng = random.Random(5)
+        n = 9
+        mat = [[rng.randint(-(10**30), 10**30) for _ in range(n)] for _ in range(n)]
+        p = next(lifting._primes(n))
+        packed, inverses = lifting._factor_mod(np.array([[g % p for g in row] for row in mat], dtype=np.int64), p)
+        lower = np.tril(packed, -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(packed)
+        assert ((lower @ upper) % p).tolist() == [[g % p for g in row] for row in mat]
+        assert all(int(u) * int(i) % p == 1 for u, i in zip(np.diag(upper), inverses))
