@@ -12,6 +12,12 @@ independent implementations are provided:
   factor per crossing of the two strings involved.
 
 The two strategies agree word for word and the test suite pins that down.
+The diagram sums here and in ``ncpoly`` (families C and D) read the
+combinatorics from ``partitions.diagram_table``: one table per family and
+letter pattern, the word's vertex letters relabelled by first occurrence,
+so (3,1,3) and (2,1,2) share the table of (0,1,0). A word maps the pattern
+classes back to its letters and evaluates each entry as its signed count
+times the deformation entry of each class pair to its crossing exponent.
 
 Applying the adjoint of D_i to the vacuum yields the conjugate variable:
 a graded series whose level-(2m+1) part sums, over all source words w of
@@ -42,18 +48,16 @@ running sum over M.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import FockSpace, FockVector, TruncationError, _add_to
-from .partitions import enumerate_family
+from .partitions import diagram_table
 from .scalars import float_eval
 
 __all__ = [
     "dual_recursive",
     "dual_partition",
-    "crossing_weight",
     "commutator_residual",
     "conjugate_series",
     "fisher_info",
@@ -81,54 +85,34 @@ def _dual_build(space: FockSpace, i, word) -> FockVector:
     return FockVector.combination(terms + [(dual_recursive(space, i, u), -c) for u, c in lowered.items()])
 
 
-def crossing_weight(space: FockSpace, part, letter_of, exclude=None):
-    """Product over crossings of the deformation entry of the two
-    crossing strings; block pairs listed in ``exclude`` contribute nothing."""
-    weight = 1
-    q = space.deformation.q
-    for bpair, count in part.crossing_pairs().items():
-        if exclude is not None and bpair in exclude:
-            continue
-        a, b = tuple(bpair)
-        weight = weight * q(letter_of(a), letter_of(b)) ** count
-    return weight
-
-
 def _diagram_terms(space: FockSpace, family, word, i=None):
-    """The diagrams of one family on a word, as (signed weight, left word,
-    right word), for the diagram sums of D_i (B), of the difference
-    quotient (C) and of the Wick transform (D).
+    """The terms of one family's diagram sum on a word, as (signed weight,
+    left word, right word), for the diagram sums of D_i (B), of the
+    difference quotient (C) and of the Wick transform (D).
 
     Vertex k >= 1 carries the k-th letter of the word from the right and
-    vertex 0, in B and C, the index i. Diagrams pairing unequal letters are
-    skipped. The sign is (-1) to the number of pairs not through vertex 0:
+    vertex 0, in B and C, the index i. The word's letter pattern keys the
+    diagram table (see ``partitions.diagram_table``), which holds the
+    diagrams pairing equal letters only, grouped by their left and right
+    class words and their crossing exponent per class pair into a signed
+    count. The sign is (-1) to the number of pairs not through vertex 0:
     (-1)^(partner of 0 - 1) in B, where every vertex left of the partner of
-    0 is paired, (-1)^(pairs - 1) in C and (-1)^pairs in D. The weight
-    takes a deformation factor per crossing, except the crossings of the
-    block through 0 with the singletons below its partner. The left word
-    is read off the singletons above the partner of 0 (all of them in B
-    and D), the right word off those below it, right to left.
+    0 is paired, (-1)^(pairs - 1) in C and (-1)^pairs in D. The weight is
+    count times q(a, b)^e over the class pairs; the crossings of the block
+    through 0 with the singletons below its partner take no factor. The
+    left word is read off the singletons above the partner of 0 (all of
+    them in B and D), the right word off those below it, right to left.
     """
-    n = len(word)
-
-    def letter(v):
-        return i if v == 0 else word[n - v]
-
-    def read(vertices):
-        return tuple(map(letter, reversed(vertices)))
-
-    for part in enumerate_family(family, n + (family != "D")):
-        if any(letter(a) != letter(b) for a, b in part.pairs):
-            continue
-        zero_block = part.zero_block()
-        # singletons are sorted, so those below the partner of 0 come first
-        cut = bisect(part.singletons, zero_block[1]) if zero_block else 0
-        right, left = part.singletons[:cut], part.singletons[cut:]
-        exclude = {frozenset((zero_block, (s,))) for s in right} if right else None
-        weight = crossing_weight(space, part, lambda blk: letter(blk[0]), exclude)
-        if (part.num_pairs - (zero_block is not None)) % 2:
-            weight = -weight
-        yield weight, read(left), read(right)
+    classes = {}
+    vertex_letters = ((i,) if family != "D" else ()) + word[::-1]
+    pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
+    letter = tuple(classes)
+    q = space.deformation.q
+    for count, left, right, exponents in diagram_table(family, pattern):
+        weight = count
+        for (a, b), e in exponents:
+            weight = weight * q(letter[a], letter[b]) ** e
+        yield weight, tuple(letter[c] for c in left), tuple(letter[c] for c in right)
 
 
 def dual_partition(space: FockSpace, i, word) -> FockVector:
@@ -145,15 +129,24 @@ def dual_partition(space: FockSpace, i, word) -> FockVector:
 def commutator_residual(space: FockSpace, i, j, level_limit):
     """Largest coefficient magnitude of (D_i A_j - A_j D_i - delta P) e_w
     over all basis words of length up to level_limit, with D_i the B-family
-    diagram sum, so that an exact zero checks the paper's closed form."""
+    diagram sum, so that an exact zero checks the paper's closed form. Each
+    D_i e_u is summed once per call."""
     if level_limit > space.level - 1:
         raise ValueError("level_limit must stay one below the truncation")
+    duals = {}
+
+    def dual(u):
+        got = duals.get(u)
+        if got is None:
+            got = duals[u] = dual_partition(space, i, u)
+        return got
+
     worst = 0
     for n in range(level_limit + 1):
         for w in space.words(n):
             lifted = space.gaussian(j, FockVector.basis(w))
-            lhs = FockVector.combination((dual_partition(space, i, u), c) for u, c in lifted.items())
-            lhs = lhs - space.gaussian(j, dual_partition(space, i, w))
+            lhs = FockVector.combination((dual(u), c) for u, c in lifted.items())
+            lhs = lhs - space.gaussian(j, dual(w))
             if i == j and n == 0:
                 lhs = lhs - space.vacuum()
             m = lhs.max_coeff_magnitude()

@@ -339,15 +339,21 @@ class FockSpace:
         return FockVector(acc)
 
     def annihilate(self, i, v: FockVector) -> FockVector:
-        """Left annihilation with cumulative deformation weights."""
+        """Left annihilation with cumulative deformation weights; the
+        running weight stops at the last occurrence of the letter."""
         self._check_letter(i)
         q = self.deformation.q
         acc = {}
         for w, cv in v.items():
+            if i not in w:
+                continue
+            last = len(w) - 1 - w[::-1].index(i)
             c = 1
             for t, letter in enumerate(w):
                 if letter == i:
                     _add_to(acc, w[:t] + w[t + 1 :], cv * c)
+                    if t == last:
+                        break
                 c = c * q(i, letter)
         return FockVector(acc)
 

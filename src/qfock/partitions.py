@@ -29,15 +29,32 @@ alone (the interval rule):
 Nested arcs therefore cross a spanning pair twice and are counted twice.
 The crossings of a diagram are counted per block pair, because the
 operator weights take one deformation factor per crossing of two strings.
+
+A diagram sum over a word only sees which vertices carry equal letters:
+its letter pattern, the vertex letters relabelled 0, 1, 2, ... by first
+occurrence. ``diagram_table`` groups the diagrams of a family that pair
+equal classes of a pattern into signed integer counts, so the sums for
+all words of one pattern share one enumeration.
+
+Two process-wide ``lru_cache`` tables hold the combinatorics, neither of
+them the deformation:
+
+* ``enumerate_family``, at most 32 entries, one tuple of diagrams (with
+  their crossing maps) per (family, vertex count);
+* ``diagram_table``, at most 1024 entries, one table per (family,
+  pattern). A d=3 level-6 verification of every diagram sum meets 919
+  patterns: 549 in B, 184 in C and 186 in D.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import permutations
 
 __all__ = [
     "DrawnPartition",
+    "diagram_table",
     "enumerate_family",
 ]
 
@@ -161,6 +178,50 @@ def enumerate_family(family, n_vertices):
     if family == "D":
         return tuple(_enum_d(n_vertices))
     raise ValueError(f"unknown family {family!r}")
+
+
+@lru_cache(maxsize=1024)
+def diagram_table(family, pattern):
+    """The diagrams of the family on len(pattern) vertices that pair equal
+    classes of the letter pattern, grouped by what their terms depend on.
+
+    ``pattern[k]`` is the class of the k-th vertex (vertex 0 first in B
+    and C, vertex 1 first in D). Returns a tuple of entries
+    (count, left, right, exponents):
+
+    * left and right are the class words read off the singletons above
+      and below the partner of 0 (all singletons are left in B and D),
+      each right to left;
+    * exponents is a sorted tuple of ((a, b), e) with a <= b: the number
+      of crossings between strings of classes a and b, leaving out the
+      crossings of the block through 0 with the right singletons;
+    * count is the number of such diagrams, each signed by (-1) to the
+      number of pairs not through vertex 0; entries whose signs cancel
+      are dropped.
+    """
+    lo = 0 if family in ("B", "C") else 1
+
+    def read(vertices):
+        return tuple(pattern[v - lo] for v in reversed(vertices))
+
+    groups = {}
+    for part in enumerate_family(family, len(pattern)):
+        if any(pattern[a - lo] != pattern[b - lo] for a, b in part.pairs):
+            continue
+        zero = part.zero_block()
+        # singletons are sorted, so those below the partner of 0 come first
+        cut = bisect(part.singletons, zero[1]) if zero else 0
+        right, left = part.singletons[:cut], part.singletons[cut:]
+        skipped = {frozenset((zero, (s,))) for s in right}
+        exponents = {}
+        for bpair, n in part.crossing_pairs().items():
+            if bpair not in skipped:
+                key = tuple(sorted(pattern[blk[0] - lo] for blk in bpair))
+                exponents[key] = exponents.get(key, 0) + n
+        key = (read(left), read(right), tuple(sorted(exponents.items())))
+        sign = -1 if (part.num_pairs - (zero is not None)) % 2 else 1
+        groups[key] = groups.get(key, 0) + sign
+    return tuple((count,) + key for key, count in groups.items() if count)
 
 
 def _enum_b(n_vertices):

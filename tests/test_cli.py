@@ -374,6 +374,11 @@ class TestGolden:
             ("verify derivative-agree --d 2 --level 5", "cb7d2fb976c7471a6b01e0d10e27839bbeda57be"),
             ("export partitions --family C --n 7", "46e9c122d063c3121b9fe60929944fedf70cbddd"),
             ("verify commutator --d 2 --level 5", "cc2619fba8ae9d3bab22fb80ad266f8e00648c49"),
+            # three letter classes: d=3 words reach patterns d=2 cannot
+            ("verify commutator --d 3 --level 5 --q=-1/2", "58ec77247d02a802b66da56043bc2d50e1cebd98"),
+            ("verify dual-agree --d 3 --level 5 --q=-1/2", "871a0ae067908f5b7d789d4c07e352063f1121c6"),
+            ("verify wick-agree --d 3 --level 5 --q=-1/2", "a2a5ee754e2c634e5ca0040b14e4e3e2323786b0"),
+            ("verify derivative-agree --d 3 --level 5 --q=-1/2", "3ea7f9fd6f84c30cbd52e78a383adace17aec561"),
         ],
     )
     def test_report_digest(self, capsys, argv, sha1):
@@ -389,6 +394,16 @@ class TestGolden:
         assert code == 0
         xi = json.dumps(json.loads(out)["xi"], sort_keys=True, indent=2)
         assert hashlib.sha1(xi.encode()).hexdigest() == "9a8832871925713b46fbaf7c1a1c7ee8b32c9a84"
+
+    def test_mixed_wick_agree_digest(self, capsys, tmp_path):
+        # a zero entry, negative entries and distinct off-diagonal values
+        path = tmp_path / "m.json"
+        entries = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
+        path.write_text(json.dumps({"d": 3, "entries": entries}))
+        code, out = run(capsys, *"verify wick-agree --d 3 --level 5 --q-matrix".split(), str(path))
+        assert code == 0
+        checks = json.dumps(json.loads(out)["checks"], sort_keys=True, indent=2)
+        assert hashlib.sha1(checks.encode()).hexdigest() == "3c1eaa87278bb7b534eed7176d513e6bd53f9ef1"
 
 
 # the level a memo key reaches, per table of FockSpace._memos

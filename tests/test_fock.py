@@ -61,6 +61,13 @@ class TestOperators:
         sp = FockSpace.with_scalar_q(2, Fraction(0), level=4)
         assert sp.annihilate(1, e((1, 2, 1))) == e((2, 1))
 
+    def test_annihilate_weights_each_occurrence_mixed(self):
+        third, fifth, seventh = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
+        defm = Deformation([[third, fifth, seventh], [fifth, 0, 0], [seventh, 0, 0]])
+        sp = FockSpace(defm, level=4)
+        got = sp.annihilate(1, FockVector({(1, 2, 1, 3): 2, (2, 3): 5, (3, 1): 1}))
+        assert got == FockVector({(2, 1, 3): 2, (1, 2, 3): 2 * third * fifth, (3,): seventh})
+
     def test_create_prepends(self, sym2):
         assert sym2.create(1, e(())) == e((1,))
 
