@@ -41,7 +41,7 @@ from .onevariable import (
 )
 from .norms import gram_domination_residual, haagerup_residual, projected_domination, right_annihilation_norm, series_tail
 from .partitions import enumerate_family
-from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, float_eval, magnitude
+from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude
 
 SUITES = (
     "commutator",
@@ -98,9 +98,7 @@ def _parse_config(args):
         if mode == "exact" and deformation.is_float:
             raise ConfigError("exact mode requires rational matrix entries")
         if mode == "float":
-            deformation = Deformation(
-                [[float_eval(v) for v in row] for row in deformation.entries]
-            )
+            deformation = deformation.as_float()
         if deformation.d != args.d:
             raise ConfigError("matrix dimension disagrees with --d")
         if deformation.max_abs_float() >= 1.0:
@@ -126,13 +124,17 @@ def _tolerance(mode):
     return 1e-10 if mode == "float" else 0
 
 
+def _float_deformation(deformation):
+    """The deformation the float checks run on: every entry a float, with
+    a formal q evaluated at 1/2."""
+    return deformation.as_float(0.5)
+
+
 def _q_float(deformation):
-    """The float parameter of the norm and one-variable checks: the signed
-    q of a constant deformation, max |q_ij| of a matrix, None if formal."""
-    if deformation.is_symbolic:
-        return None
+    """The float parameter of the tail and one-variable checks, read off a
+    float deformation: its signed q when constant, else max |q_ij|."""
     if deformation.is_constant:
-        return float_eval(deformation.constant_value)
+        return deformation.constant_value
     return deformation.max_abs_float()
 
 
@@ -162,69 +164,46 @@ def _suite_commutator(space, args, tol):
     return checks
 
 
-def _suite_dual_agree(space, args, tol):
-    checks = []
-    limit = min(args.level, 6)
+def _agreement(space, check, limit, unit, tol, residuals):
+    """One check that two strategies agree on every word up to the length
+    limit: ``residuals(w)`` yields (case, difference) for each case of the
+    word w. The value counts the cases, or names the first counterexample."""
     bad = None
     count = 0
     for n in range(limit + 1):
         for w in space.words(n):
-            for i in range(1, space.d + 1):
-                lhs = dual_partition(space, i, w)
-                rhs = dual_recursive(space, i, w)
+            for case, diff in residuals(w):
                 count += 1
-                if (lhs - rhs).max_coeff_magnitude() > tol and bad is None:
-                    bad = (i, w)
-    checks.append(
-        _check(
-            "dual-agree/strategies",
-            f"{count} words" if bad is None else f"counterexample i={bad[0]} w={bad[1]}",
-            bad is None,
-            max_length=limit,
-        )
+                if diff.max_coeff_magnitude() > tol and bad is None:
+                    bad = case
+    value = f"{count} {unit}" if bad is None else f"counterexample {bad}"
+    return [_check(check, value, bad is None, max_length=limit)]
+
+
+def _suite_dual_agree(space, args, tol):
+    letters = range(1, space.d + 1)
+    return _agreement(
+        space, "dual-agree/strategies", min(args.level, 6), "words", tol,
+        lambda w: ((f"i={i} w={w}", dual_partition(space, i, w) - dual_recursive(space, i, w)) for i in letters),
     )
-    return checks
 
 
 def _suite_wick_agree(space, args, tol):
-    limit = min(args.level, 6)
-    bad = None
-    count = 0
-    for n in range(limit + 1):
-        for w in space.words(n):
-            count += 1
-            diff = wick_partition(space, w) - wick_recursive(space, w)
-            if diff.max_coeff_magnitude() > tol and bad is None:
-                bad = w
-    return [
-        _check(
-            "wick-agree/strategies",
-            f"{count} words" if bad is None else f"counterexample w={bad}",
-            bad is None,
-            max_length=limit,
-        )
-    ]
+    return _agreement(
+        space, "wick-agree/strategies", min(args.level, 6), "words", tol,
+        lambda w: [(f"w={w}", wick_partition(space, w) - wick_recursive(space, w))],
+    )
 
 
 def _suite_derivative_agree(space, args, tol):
-    limit = min(args.level, 5)
-    bad = None
-    count = 0
-    for n in range(limit + 1):
-        for w in space.words(n):
-            for i in range(1, space.d + 1):
-                count += 1
-                diff = diff_partition(space, i, w) - diff_quotient(i, wick_recursive(space, w))
-                if diff.max_coeff_magnitude() > tol and bad is None:
-                    bad = (i, w)
-    return [
-        _check(
-            "derivative-agree/strategies",
-            f"{count} pairs" if bad is None else f"counterexample i={bad[0]} w={bad[1]}",
-            bad is None,
-            max_length=limit,
-        )
-    ]
+    letters = range(1, space.d + 1)
+    return _agreement(
+        space, "derivative-agree/strategies", min(args.level, 5), "pairs", tol,
+        lambda w: (
+            (f"i={i} w={w}", diff_partition(space, i, w) - diff_quotient(i, wick_recursive(space, w)))
+            for i in letters
+        ),
+    )
 
 
 def _suite_duality(space, args, tol):
@@ -276,24 +255,25 @@ def _suite_gibbs(space, args, tol):
 def _suite_bounds(space, args, tol):
     if args.level < 2:
         raise ConfigError("bounds suite needs level >= 2")
-    q0 = _q_float(space.deformation)
-    if q0 is None:
-        q0 = 0.5
+    # one float space for every norm engine: a matrix is checked on its
+    # own blocks, against w and C at q0
+    floats = FockSpace(_float_deformation(space.deformation), args.level)
+    q0 = _q_float(floats.deformation)
     d = space.d
     checks = []
     w, _ = analytic_constants(q0)
     for m in range(min(4, args.level - 1) + 1):
         # gated on the projected comparison the norm estimate needs; the
         # full-tensor residual is reported beside it and may be negative
-        c_m, full = projected_domination(m, q0, d), gram_domination_residual(m, q0, d)
+        c_m, full = projected_domination(floats, m), gram_domination_residual(floats, m)
         name = f"bounds/gram-domination m={m}"
         checks.append(_check(name, c_m, c_m >= w - 1e-9, q0=q0, bound=w, full_tensor_residual=full))
-    norm = right_annihilation_norm(1, q0, d, min(args.level, 6))
+    norm = right_annihilation_norm(floats, 1, min(args.level, 6))
     bound = 1.0 / (w**0.5)
     checks.append(
         _check("bounds/right-annihilation-norm", norm, norm <= bound + 1e-9, bound=bound)
     )
-    res = haagerup_residual(min(3, args.level - 2), q0, d, trials=20, seed=args.seed)
+    res = haagerup_residual(floats, min(3, args.level - 2), trials=20, seed=args.seed)
     checks.append(_check("bounds/haagerup", res, res <= 1e-12, trials=20))
     for series in ("xi", "fisher", "gibbs", "lipschitz"):
         t1 = series_tail(series, args.series_m, q0, d)
@@ -319,9 +299,7 @@ def _suite_univar(space, args, tol):
     for n in range(1, 3):
         value = magnitude(trace_cheb_odd(n))
         checks.append(_check(f"univar/trace-odd n={n}", value, value == 0))
-    q0 = _q_float(space.deformation)
-    if q0 is None:
-        q0 = 0.5
+    q0 = _q_float(_float_deformation(space.deformation))
     for n in range(1, 7):
         res = rescale_identity_residual(n, q0)
         checks.append(_check(f"univar/rescale n={n}", res, res < 1e-10, q0=q0))
@@ -390,8 +368,9 @@ def _word_json(word):
 
 def _export_xi(space, args):
     rows = []
-    q0 = _q_float(space.deformation)
-    tail = series_tail("xi", args.series_m, q0, space.d).bound_float if q0 is not None else None
+    tail = None
+    if not space.deformation.is_symbolic:
+        tail = series_tail("xi", args.series_m, _q_float(space.deformation.as_float()), space.d).bound_float
     for i in range(1, space.d + 1):
         xi = conjugate_series(space, i, args.series_m)
         terms = []

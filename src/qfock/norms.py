@@ -13,6 +13,15 @@ letter i maps the block of content c+i to the block of content c. So each
 check is a min or max over small per-block eigenproblems on the blocks of
 ``FockSpace.blocks``; none of them depends on the order of the word basis.
 
+The norm engines read the blocks of the float space they are given, so a
+mixed q_ij space is checked on its own Gram blocks, against the constants
+w and C at q0 = max |q_ij|, the same q0 as its series tails. The paper
+indicates that both estimates carry over to mixed q_ij relations (M.
+Bożejko and R. Speicher, Math. Ann. 300, 1994); the projected comparison
+and the norm gate read letter 1. A space over rational or formal entries
+is refused, since its blocks do not hold G_n itself (rational blocks hold
+scale * G_n in integers).
+
 Series tails are summed in arbitrary-precision floats: at strong
 deformation the majorant terms pass through astronomically large magnitudes
 before the quadratic exponent wins, far beyond double range, yet the sums
@@ -32,7 +41,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .fock import FockSpace, FockVector, GramSingularError
+from .fock import FockVector, GramSingularError
 from .ncpoly import poly_apply, wick_recursive
 from .scalars import analytic_constants
 
@@ -116,7 +125,14 @@ def _right_gain(space, i, n):
     return best
 
 
-def gram_domination_residual(m, q0, d):
+def _require_float(space):
+    """Refuse a space whose blocks do not hold the float Gram entries:
+    rational blocks hold scale * G_n in integers."""
+    if not space.deformation.is_float:
+        raise ValueError("norm checks need a float deformation; see Deformation.as_float")
+
+
+def gram_domination_residual(space, m):
     """Smallest eigenvalue of w(q)^-1 G_{m+1} - G_m (x) identity.
 
     This full-tensor domination, with the identity factor on the last
@@ -126,8 +142,8 @@ def gram_domination_residual(m, q0, d):
     letter content, so the minimum runs over the level-(m+1) content
     blocks, each solved on its own.
     """
-    w, _ = analytic_constants(q0)
-    space = FockSpace.with_scalar_q(d, float(q0), level=m + 1)
+    _require_float(space)
+    w, _ = analytic_constants(space.deformation.max_abs_float())
     worst = math.inf
     for content, blk in space.blocks(m + 1).items():
         diff = np.array(blk.rows, dtype=float) / w
@@ -137,7 +153,7 @@ def gram_domination_residual(m, q0, d):
     return worst
 
 
-def projected_domination(m, q0, d):
+def projected_domination(space, m):
     """Sharp constant c_m of the projected comparison c (G_m (x) P_1) <= G_{m+1}.
 
     P_1 projects the last letter onto letter 1, so G_m (x) P_1 = r_1* G_m r_1
@@ -145,18 +161,18 @@ def projected_domination(m, q0, d):
     level m+1. Hence ||r_1||^2 = 1 / min_m c_m on the truncated space, and
     the estimate ||r_i|| <= w(q)^(-1/2) is the statement c_m >= w(q).
     """
-    return 1.0 / _right_gain(FockSpace.with_scalar_q(d, float(q0), level=m + 1), 1, m + 1)
+    _require_float(space)
+    return 1.0 / _right_gain(space, 1, m + 1)
 
 
-def right_annihilation_norm(i, q0, d, level):
+def right_annihilation_norm(space, i, level):
     """Norm of right annihilation on the truncated space, by level.
 
     Each level contributes the largest generalized singular value against
     the Gram weights; the result must stay below w(q)^(-1/2) plus noise.
     """
-    if not 1 <= i <= d:
-        raise ValueError(f"letter {i} outside 1..{d}")
-    space = FockSpace.with_scalar_q(d, float(q0), level=level)
+    space._check_letter(i)
+    _require_float(space)
     return math.sqrt(max((_right_gain(space, i, n) for n in range(1, level + 1)), default=0.0))
 
 
@@ -176,7 +192,7 @@ def _block_basis(space, levels):
     return index, blocks
 
 
-def haagerup_residual(m, q0, d, trials=50, seed=0):
+def haagerup_residual(space, m, trials=50, seed=0):
     """Randomized check of the level-m norm comparison.
 
     Draws level-m coefficient vectors, forms the operator with that vacuum
@@ -189,8 +205,8 @@ def haagerup_residual(m, q0, d, trials=50, seed=0):
     over its content blocks, so no dense codomain Gram or words x codomain x
     domain tensor is formed.
     """
-    _, haag = analytic_constants(q0)
-    space = FockSpace.with_scalar_q(d, float(q0), level=m + LEVEL_MARGIN)
+    _require_float(space)
+    _, haag = analytic_constants(space.deformation.max_abs_float())
     dom_index, dom_blocks = _block_basis(space, range(LEVEL_MARGIN + 1))
     cod_index, cod_blocks = _block_basis(space, range(m + LEVEL_MARGIN + 1))
     g_dom = np.zeros((len(dom_index), len(dom_index)))
@@ -221,7 +237,7 @@ def haagerup_residual(m, q0, d, trials=50, seed=0):
         vec_norm = math.sqrt(space.inner(vec, vec))
         op = np.bincount(cell, weights=coeffs[word_of] * value, minlength=shape[0] * shape[1]).reshape(shape)
         quad = sum(op[at].T @ gram @ op[at] for at, gram in cod_blocks)
-        op_norm = math.sqrt(max(_top_eigenvalue(quad, g_dom, f"domain Gram at q0={q0}"), 0.0))
+        op_norm = math.sqrt(max(_top_eigenvalue(quad, g_dom, f"domain Gram of levels 0..{LEVEL_MARGIN}"), 0.0))
         worst = max(worst, op_norm - bound_factor * vec_norm)
     return worst
 

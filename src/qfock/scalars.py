@@ -683,6 +683,13 @@ def parse_scalar(value):
 # ---------------------------------------------------------------------------
 
 
+def _float_rows(rows, q0=None):
+    """The rows with every entry evaluated as a float, formal ones at q0."""
+    if q0 is None and any(isinstance(v, (QPoly, QRat)) for row in rows for v in row):
+        raise ValueError("symbolic deformation needs a point q0")
+    return [[float_eval(v, q0) for v in row] for row in rows]
+
+
 class Deformation:
     """Symmetric d x d matrix of deformation parameters.
 
@@ -724,7 +731,7 @@ class Deformation:
             raise ValueError("entry rows do not match d")
         parsed = [[parse_scalar(v) for v in row] for row in rows]
         if any(isinstance(v, float) for row in parsed for v in row):
-            parsed = [[float_eval(v) for v in row] for row in parsed]
+            parsed = _float_rows(parsed)
         return cls(parsed)
 
     def q(self, i, j):
@@ -750,18 +757,14 @@ class Deformation:
     def is_symbolic(self):
         return any(isinstance(v, (QPoly, QRat)) for row in self.entries for v in row)
 
+    def as_float(self, q0=None):
+        """The matrix with every entry a float: rationals rounded once,
+        formal entries evaluated at the point q0."""
+        return Deformation(_float_rows(self.entries, q0))
+
     def max_abs_float(self, q0=None):
         """Largest |entry| after float evaluation (at q0 for symbolic ones)."""
-        vals = []
-        for row in self.entries:
-            for v in row:
-                if isinstance(v, (QPoly, QRat)):
-                    if q0 is None:
-                        raise ValueError("symbolic deformation needs a point q0")
-                    vals.append(abs(float_eval(v, q0)))
-                else:
-                    vals.append(abs(float_eval(v)))
-        return max(vals)
+        return max(abs(v) for row in self.as_float(q0).entries for v in row)
 
     def __eq__(self, other):
         return isinstance(other, Deformation) and self.entries == other.entries

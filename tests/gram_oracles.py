@@ -103,23 +103,24 @@ def dense_gram(space, n):
     return mat
 
 
-def _float_grams(q0, d, level):
-    space = FockSpace.with_scalar_q(d, float(q0), level=level)
+def _float_grams(space, level):
     return [np.array(dense_gram(space, n), dtype=float) for n in range(level + 1)]
 
 
-def dense_domination_residual(m, q0, d):
-    """Smallest eigenvalue of w(q)^-1 G_{m+1} - G_m (x) identity."""
-    w, _ = analytic_constants(q0)
-    grams = _float_grams(q0, d, m + 1)
-    return float(scipy.linalg.eigvalsh(grams[m + 1] / w - np.kron(grams[m], np.eye(d)))[0])
+def dense_domination_residual(space, m):
+    """Smallest eigenvalue of w(q0)^-1 G_{m+1} - G_m (x) identity, with
+    q0 = max |q_ij|."""
+    w, _ = analytic_constants(space.deformation.max_abs_float())
+    grams = _float_grams(space, m + 1)
+    return float(scipy.linalg.eigvalsh(grams[m + 1] / w - np.kron(grams[m], np.eye(space.d)))[0])
 
 
-def dense_right_annihilation_norm(i, q0, d, level):
+def dense_right_annihilation_norm(space, i, level):
     """Norm of right annihilation by letter i: per level, the largest
     generalized eigenvalue of (S^T G_{n-1} S, G_n) with S selecting the
     words that end in i."""
-    grams = _float_grams(q0, d, level)
+    d = space.d
+    grams = _float_grams(space, level)
     best = 0.0
     for n in range(1, level + 1):
         rows = np.arange(d ** (n - 1))
@@ -130,11 +131,12 @@ def dense_right_annihilation_norm(i, q0, d, level):
     return best**0.5
 
 
-def projected_domination_sharp(m, q0, d):
+def projected_domination_sharp(space, m):
     """Sharp constant for the rank-one-projected comparison: the largest c
     with c * (G_m (x) P_1) <= G_{m+1}, via a Schur complement on the
     block of words ending in letter 1."""
-    grams = _float_grams(q0, d, m + 1)
+    d = space.d
+    grams = _float_grams(space, m + 1)
     big, small = grams[m + 1], grams[m]
     keep = [k for k in range(d ** (m + 1)) if k % d == 0]
     drop = [k for k in range(d ** (m + 1)) if k % d != 0]
@@ -147,13 +149,12 @@ def projected_domination_sharp(m, q0, d):
     return float(scipy.linalg.eigh(schur, small, eigvals_only=True)[0])
 
 
-def dense_haagerup_residual(m, q0, d, trials, seed):
+def dense_haagerup_residual(space, m, trials, seed):
     """``haagerup_residual`` on dense matrices: the Gram of levels 0..m+2 as
     one block-diagonal matrix over the lexicographic words, the action as a
     dense words x codomain x domain tensor, and the same seeded level-m
     coefficients in the same order."""
-    _, haag = analytic_constants(q0)
-    space = FockSpace.with_scalar_q(d, float(q0), level=m + 2)
+    _, haag = analytic_constants(space.deformation.max_abs_float())
 
     def basis(levels):
         words = [w for n in levels for w in space.words(n)]

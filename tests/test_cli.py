@@ -7,7 +7,15 @@ import pytest
 import qfock.cli
 import qfock.ncpoly
 import qfock.onevariable
-from qfock import FockSpace, FockVector, gram_domination_residual, q_factorial
+from qfock import (
+    Deformation,
+    FockSpace,
+    FockVector,
+    gram_domination_residual,
+    projected_domination,
+    q_factorial,
+    right_annihilation_norm,
+)
 from qfock.cli import main
 
 
@@ -56,6 +64,27 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "suite, strategy, expected",
+        [
+            ("dual-agree", "dual_recursive", "counterexample i=2 w=(1, 2)"),  # D_1 e_12 = 0
+            ("wick-agree", "wick_partition", "counterexample w=(1, 2)"),
+            ("derivative-agree", "diff_partition", "counterexample i=1 w=(1, 2)"),
+        ],
+    )
+    def test_agreement_names_the_first_counterexample(self, capsys, monkeypatch, suite, strategy, expected):
+        right = getattr(qfock.cli, strategy)
+
+        def bent(space, *key):
+            value = right(space, *key)
+            return value.scaled(2) if key[-1] == (1, 2) else value
+
+        monkeypatch.setattr(qfock.cli, strategy, bent)
+        code, out = run(capsys, "verify", suite, "--d", "2", "--level", "4")
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert (check["value"], check["pass"]) == (expected, False)
 
     def test_univar_odd_trace_gates(self, capsys, monkeypatch):
         # a nonzero odd moment must fail its check, not end the run
@@ -159,12 +188,26 @@ class TestVerify:
         checks = {c["check"]: c for c in json.loads(out)["checks"]}
         m3 = checks["bounds/gram-domination m=3"]["params"]
         assert m3["q0"] == -0.5
-        assert m3["full_tensor_residual"] == gram_domination_residual(3, -0.5, 2)
+        assert m3["full_tensor_residual"] == gram_domination_residual(FockSpace.with_scalar_q(2, -0.5, 4), 3)
         assert m3["full_tensor_residual"] > 0.04
 
     @pytest.mark.parametrize("level", ["0", "1"])
     def test_bounds_level_guard(self, capsys, level):
         assert main(["verify", "bounds", "--level", level]) == 2
+
+    def test_bounds_build_one_float_space(self, capsys, monkeypatch):
+        # the run's own space and one float space shared by the four engines
+        built = []
+        init = FockSpace.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FockSpace, "__init__", counted)
+        code, _ = run(capsys, "verify", "bounds", "--d", "3", "--q", "9/10")
+        assert code == 0
+        assert len(built) <= 2
 
 
 class TestExport:
@@ -356,6 +399,32 @@ class TestMatrixConfig:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"d": 1, "entries": [["3/2"]]}))
         assert main(["verify", "commutator", "--q-matrix", str(path), "--d", "1"]) == 2
+
+    def test_constant_matrix_bounds_match_scalar_q(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 3, "entries": [["9/10"] * 3] * 3}))
+        code, out = run(capsys, "verify", "bounds", "--d", "3", "--q-matrix", str(path))
+        assert code == 0
+        scalar_code, scalar_out = run(capsys, "verify", "bounds", "--d", "3", "--q", "9/10")
+        assert scalar_code == 0
+        assert json.loads(out)["checks"] == json.loads(scalar_out)["checks"]
+
+    def test_mixed_bounds_read_the_matrix_blocks(self, capsys, tmp_path):
+        # max |q_ij| = 3/4 as a constant gives c_4 = 0.1319 and ||r_1|| = 3.037
+        entries = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 3, "entries": entries}))
+        code, out = run(capsys, "verify", "bounds", "--d", "3", "--q-matrix", str(path))
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        space = FockSpace(Deformation([[float(Fraction(v)) for v in row] for row in entries]), 6)
+        c_4 = checks["bounds/gram-domination m=4"]
+        assert c_4["value"] == projected_domination(space, 4)
+        assert c_4["value"] == pytest.approx(0.8201, abs=1e-4)
+        assert c_4["params"]["q0"] == 0.75
+        norm = checks["bounds/right-annihilation-norm"]["value"]
+        assert norm == right_annihilation_norm(space, 1, 6)
+        assert norm == pytest.approx(1.1071, abs=1e-4)
 
 
 class TestGolden:

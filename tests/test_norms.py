@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,9 @@ from threads import together
 
 import qfock
 from qfock import (
+    FORMAL_Q,
+    Deformation,
+    FockSpace,
     GramSingularError,
     analytic_constants,
     gram_domination_residual,
@@ -27,18 +31,22 @@ from qfock import (
 from qfock.norms import SERIES_IDS, _majorant
 
 
+def scalar_space(q0, d, level):
+    return FockSpace.with_scalar_q(d, float(q0), level)
+
+
 class TestGramDomination:
     def test_free_point_exactly_flat(self):
         for m in range(4):
-            assert abs(gram_domination_residual(m, 0.0, 2)) < 1e-12
+            assert abs(gram_domination_residual(scalar_space(0.0, 2, m + 1), m)) < 1e-12
 
     def test_half_holds_at_low_levels(self):
         for m in range(3):
-            assert gram_domination_residual(m, 0.5, 2) >= -1e-9
+            assert gram_domination_residual(scalar_space(0.5, 2, m + 1), m) >= -1e-9
 
     def test_strong_negative_holds_through_level_six(self):
         for m in range(6):
-            assert gram_domination_residual(m, -0.9, 2) >= -1e-9
+            assert gram_domination_residual(scalar_space(-0.9, 2, m + 1), m) >= -1e-9
 
     def test_half_fails_from_level_three(self):
         # The full tensor comparison with this constant is genuinely violated
@@ -46,86 +54,112 @@ class TestGramDomination:
         # annihilation-norm argument only needs it after projecting the last
         # letter onto one index. That projected comparison holds with a wide
         # margin (test_projected_comparison_holds).
-        assert gram_domination_residual(3, 0.5, 2) < -1e-3
+        assert gram_domination_residual(scalar_space(0.5, 2, 4), 3) < -1e-3
 
     @pytest.mark.parametrize("q0", [0.5, -0.9])
     def test_projected_comparison_holds(self, q0):
         w, _ = analytic_constants(q0)
         for m in range(6):
-            assert projected_domination_sharp(m, q0, 2) >= w - 1e-9
+            assert projected_domination_sharp(scalar_space(q0, 2, m + 1), m) >= w - 1e-9
 
+
+# a zero entry, negative entries and distinct off-diagonal values, so a
+# mix-up of letters or contents between blocks changes the numbers
+MIXED = [[1 / 2, -1 / 3, 0.0], [-1 / 3, -1 / 5, 2 / 7], [0.0, 2 / 7, 3 / 4]]
 
 AGREE = [
-    pytest.param(d, q0, id=f"d{d}-q{q0}") for d in (2, 3) for q0 in (0.5, -0.9, 0.9)
-]
+    pytest.param(Deformation.constant(d, q0), id=f"d{d}-q{q0}") for d in (2, 3) for q0 in (0.5, -0.9, 0.9)
+] + [pytest.param(Deformation(MIXED), id="d3-mixed")]
 
 
-@pytest.mark.parametrize("d,q0", AGREE)
+@pytest.mark.parametrize("deformation", AGREE)
 class TestBlockwiseAgainstDense:
     """The per-block eigenproblems against the same checks solved on the
     dense d^n x d^n Gram matrices."""
 
-    def test_full_tensor_residual(self, d, q0):
+    def test_full_tensor_residual(self, deformation):
+        space = FockSpace(deformation, 5)
         for m in range(5):
-            got = gram_domination_residual(m, q0, d)
-            assert got == pytest.approx(dense_domination_residual(m, q0, d), rel=1e-10), m
+            got = gram_domination_residual(space, m)
+            assert got == pytest.approx(dense_domination_residual(space, m), rel=1e-10), m
 
-    def test_right_annihilation_norm(self, d, q0):
+    def test_right_annihilation_norm(self, deformation):
+        d = deformation.d
         level = 6 if d == 2 else 5
+        space = FockSpace(deformation, level)
         for i in (1, d):
-            got = right_annihilation_norm(i, q0, d, level)
-            assert got == pytest.approx(dense_right_annihilation_norm(i, q0, d, level), rel=1e-10), i
+            got = right_annihilation_norm(space, i, level)
+            assert got == pytest.approx(dense_right_annihilation_norm(space, i, level), rel=1e-10), i
 
-    def test_projected_domination_is_the_schur_complement_constant(self, d, q0):
+    def test_projected_domination_is_the_schur_complement_constant(self, deformation):
+        space = FockSpace(deformation, 5)
         for m in range(5):
-            got = projected_domination(m, q0, d)
-            assert got == pytest.approx(projected_domination_sharp(m, q0, d), rel=1e-10), m
+            got = projected_domination(space, m)
+            assert got == pytest.approx(projected_domination_sharp(space, m), rel=1e-10), m
 
-    def test_norm_squared_is_inverse_of_smallest_projected_constant(self, d, q0):
+    def test_norm_squared_is_inverse_of_smallest_projected_constant(self, deformation):
         level = 5
-        smallest = min(projected_domination(m, q0, d) for m in range(level))
-        assert right_annihilation_norm(1, q0, d, level) ** 2 == pytest.approx(1 / smallest, rel=1e-10)
+        space = FockSpace(deformation, level)
+        smallest = min(projected_domination(space, m) for m in range(level))
+        assert right_annihilation_norm(space, 1, level) ** 2 == pytest.approx(1 / smallest, rel=1e-10)
 
 
 class TestRightAnnihilationNorm:
     def test_free_point_partial_isometry(self):
-        assert abs(right_annihilation_norm(1, 0.0, 2, 5) - 1.0) < 1e-9
+        assert abs(right_annihilation_norm(scalar_space(0.0, 2, 5), 1, 5) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("q0", [0.5, -0.9])
     def test_bound_respected(self, q0):
         w, _ = analytic_constants(q0)
-        assert right_annihilation_norm(1, q0, 2, 6) <= 1.0 / math.sqrt(w) + 1e-9
+        assert right_annihilation_norm(scalar_space(q0, 2, 6), 1, 6) <= 1.0 / math.sqrt(w) + 1e-9
 
     def test_monotone_in_truncation(self):
-        values = [right_annihilation_norm(1, 0.5, 2, L) for L in (3, 4, 5)]
+        values = [right_annihilation_norm(scalar_space(0.5, 2, L), 1, L) for L in (3, 4, 5)]
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
 
     def test_singular_gram_reported_distinctly(self):
         with pytest.raises(GramSingularError):
-            right_annihilation_norm(1, 1.0, 2, 3)
+            right_annihilation_norm(scalar_space(1.0, 2, 3), 1, 3)
 
     def test_letter_guard(self):
         with pytest.raises(ValueError):
-            right_annihilation_norm(3, 0.5, 2, 3)
+            right_annihilation_norm(scalar_space(0.5, 2, 3), 3, 3)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda space: gram_domination_residual(space, 2),
+        lambda space: projected_domination(space, 2),
+        lambda space: right_annihilation_norm(space, 1, 3),
+        lambda space: haagerup_residual(space, 1, trials=2),
+    ],
+    ids=["gram-domination", "projected", "right-annihilation", "haagerup"],
+)
+@pytest.mark.parametrize("q", [Fraction(1, 2), FORMAL_Q], ids=["rational", "formal"])
+def test_engines_refuse_a_space_without_float_blocks(engine, q):
+    # rational blocks hold scale * G_n in integers, formal ones polynomials
+    with pytest.raises(ValueError):
+        engine(FockSpace.with_scalar_q(2, q, 3))
 
 
 class TestHaagerup:
     def test_level_zero_is_tight_at_free_point(self):
-        assert abs(haagerup_residual(0, 0.0, 2, trials=5, seed=0)) < 1e-9
+        assert abs(haagerup_residual(scalar_space(0.0, 2, 2), 0, trials=5, seed=0)) < 1e-9
 
     def test_level_zero_negative_otherwise(self):
-        assert haagerup_residual(0, 0.5, 2, trials=5, seed=0) < 0
+        assert haagerup_residual(scalar_space(0.5, 2, 2), 0, trials=5, seed=0) < 0
 
     def test_free_point_level_two(self):
-        assert haagerup_residual(2, 0.0, 2, trials=20, seed=1) <= 1e-12
+        assert haagerup_residual(scalar_space(0.0, 2, 4), 2, trials=20, seed=1) <= 1e-12
 
     def test_desk_scale(self):
-        assert haagerup_residual(3, 0.5, 2, trials=50, seed=0) <= 1e-12
+        assert haagerup_residual(scalar_space(0.5, 2, 5), 3, trials=50, seed=0) <= 1e-12
 
     def test_deterministic_given_seed(self):
-        a = haagerup_residual(2, 0.5, 2, trials=10, seed=3)
-        b = haagerup_residual(2, 0.5, 2, trials=10, seed=3)
+        a = haagerup_residual(scalar_space(0.5, 2, 4), 2, trials=10, seed=3)
+        b = haagerup_residual(scalar_space(0.5, 2, 4), 2, trials=10, seed=3)
         assert a == b
 
     @pytest.mark.parametrize(
@@ -133,8 +167,9 @@ class TestHaagerup:
         [(2, 0.5, 2, 10, 3), (3, 0.5, 2, 20, 0), (3, -0.9, 2, 10, 4), (2, 0.9, 3, 10, 7), (3, 0.5, 3, 5, 1)],
     )
     def test_blockwise_matches_dense(self, m, q0, d, trials, seed):
-        got = haagerup_residual(m, q0, d, trials=trials, seed=seed)
-        assert got == pytest.approx(dense_haagerup_residual(m, q0, d, trials, seed), rel=1e-9, abs=1e-9)
+        space = scalar_space(q0, d, m + 2)
+        got = haagerup_residual(space, m, trials=trials, seed=seed)
+        assert got == pytest.approx(dense_haagerup_residual(space, m, trials, seed), rel=1e-9, abs=1e-9)
 
 
 class TestSeriesTails:

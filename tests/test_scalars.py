@@ -313,3 +313,22 @@ class TestDeformation:
         with pytest.raises(ValueError):
             m.max_abs_float()
         assert m.max_abs_float(0.25) == 0.25
+
+    def test_as_float_formal_entry_needs_point(self):
+        m = Deformation.constant(2, FORMAL_Q)
+        with pytest.raises(ValueError):
+            m.as_float()
+        assert m.as_float(0.25) == Deformation.constant(2, 0.25)
+
+    def test_as_float_rounds_rationals_once(self):
+        entries = [[Fraction(1, 3), Fraction(-2, 7)], [Fraction(-2, 7), Fraction(0)]]
+        floats = Deformation(entries).as_float()
+        assert floats.entries == ((1 / 3, -2 / 7), (-2 / 7, 0.0))
+        assert all(type(v) is float for row in floats.entries for v in row)
+        assert floats.as_float() == floats
+
+    def test_max_abs_float_values(self):
+        assert Deformation([[Fraction(1, 3), Fraction(-3, 4)], [Fraction(-3, 4), Fraction(1, 2)]]).max_abs_float() == 0.75
+        assert Deformation.constant(3, -0.9).max_abs_float() == 0.9
+        assert Deformation.constant(2, Fraction(0)).max_abs_float() == 0.0
+        assert Deformation.constant(1, FORMAL_Q**2).max_abs_float(Fraction(1, 3)) == 1 / 9
