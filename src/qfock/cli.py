@@ -120,6 +120,15 @@ def _parse_config(args):
     return deformation
 
 
+def _require_constants(deformation):
+    """Refuse a deformation whose constants w and C at q0 are not normal
+    doubles: the norm gates and every series tail are built from them."""
+    try:
+        analytic_constants(_q_float(_float_deformation(deformation)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _tolerance(mode):
     return 1e-10 if mode == "float" else 0
 
@@ -268,7 +277,10 @@ def _suite_bounds(space, args, tol):
         c_m, full = projected_domination(floats, m), gram_domination_residual(floats, m)
         name = f"bounds/gram-domination m={m}"
         checks.append(_check(name, c_m, c_m >= w - 1e-9, q0=q0, bound=w, full_tensor_residual=full))
-    norm = right_annihilation_norm(floats, 1, min(args.level, 6))
+    # relabelling letters is an isometry at constant q, so letter 1 stands
+    # for every letter there; a mixed space gates the largest
+    letters = [1] if floats.deformation.is_constant else range(1, d + 1)
+    norm = max(right_annihilation_norm(floats, i, min(args.level, 6)) for i in letters)
     bound = 1.0 / (w**0.5)
     checks.append(
         _check("bounds/right-annihilation-norm", norm, norm <= bound + 1e-9, bound=bound)
@@ -332,9 +344,11 @@ _SUITE_FN = {
 
 def run_verify(args) -> int:
     deformation = _parse_config(args)
+    names = list(_SUITE_FN) if args.suite == "all" else [args.suite]
+    if "bounds" in names:
+        _require_constants(deformation)
     space = FockSpace(deformation, args.level)
     tol = _tolerance(args.mode)
-    names = list(_SUITE_FN) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
         checks.extend(_SUITE_FN[name](space, args, tol))
@@ -465,6 +479,8 @@ def run_export(args) -> int:
             raise ConfigError("export needs level >= 2*series_m + 1")
         if args.what in ("fisher",) and deformation.is_symbolic:
             raise ConfigError("fisher export needs numeric entries")
+        if args.what in ("xi", "fisher"):
+            _require_constants(deformation)
     space = FockSpace(deformation, args.level)
     payload = _EXPORT_FN[args.what](space, args)
     if args.format == "csv":

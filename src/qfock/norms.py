@@ -18,17 +18,19 @@ mixed q_ij space is checked on its own Gram blocks, against the constants
 w and C at q0 = max |q_ij|, the same q0 as its series tails. The paper
 indicates that both estimates carry over to mixed q_ij relations (M.
 Bożejko and R. Speicher, Math. Ann. 300, 1994); the projected comparison
-and the norm gate read letter 1. A space over rational or formal entries
-is refused, since its blocks do not hold G_n itself (rational blocks hold
-scale * G_n in integers).
+reads letter 1. A space over rational or formal entries is refused, since
+its blocks do not hold G_n itself (rational blocks hold scale * G_n in
+integers).
 
 Series tails are summed in arbitrary-precision floats: at strong
 deformation the majorant terms pass through astronomically large magnitudes
 before the quadratic exponent wins, far beyond double range, yet the sums
 stay finite. Each majorant's terms are built once per process, each from
-the one before by its closed-form ratio, and kept in a small memo shared by
-every truncation (``_majorant``); the terms and sums carry 113 bits, so a
-reported bound is the exact truncated sum rounded once to double precision.
+the one before by its closed-form ratio with one power of |q| per term, and
+kept in a small memo shared by every truncation (``_majorant``). Terms and
+sums are raw ``mpmath.libmp`` values at 113 bits, with the operations and
+roundings of mpf arithmetic at that precision, so a reported bound is the
+exact truncated sum rounded once to double precision.
 """
 
 from __future__ import annotations
@@ -37,9 +39,14 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    fone, from_float, from_int, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_pow_int,
+    mpf_rdiv_int, mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 from .fock import FockVector, GramSingularError
 from .ncpoly import poly_apply, wick_recursive
@@ -246,22 +253,36 @@ def haagerup_residual(space, m, trials=50, seed=0):
 # series tails
 # ---------------------------------------------------------------------------
 
-# The majorant terms and the tail sums are carried in this private context,
-# 60 bits beyond double precision, and each bound is rounded once into the
-# global one. Its precision is fixed here and never changed, so threads can
-# share it (``mp.workprec`` would change the global context for all of them).
+# The majorant terms and the tail sums are raw mpmath values (``mpf._mpf_``
+# tuples) worked on by ``mpmath.libmp`` at 113 bits, 60 beyond double
+# precision, rounding to nearest: the operations and roundings of mpf
+# arithmetic in a context of that precision, without its wrapper objects.
+# Each bound is rounded once into the global context. ``_WIDE`` is that
+# context, used only to hand raw values out as mpfs; its precision is never
+# changed, so threads can share it.
+_PREC, _RND = 113, round_nearest
 _WIDE = mp.MPContext()
-_WIDE.prec = 113
+_WIDE.prec = _PREC
+
+
+def _mul(*factors):
+    """The product of raw values, multiplied left to right and each
+    product rounded, as a chain of mpf products is."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = mpf_mul(out, f, _PREC, _RND)
+    return out
 
 
 class _Majorant:
-    """The terms t(m0), t(m0+1), ... of one majorant series, grown on demand.
+    """The raw terms t(m0), t(m0+1), ... of one majorant series, grown on demand.
 
     t(m0) is the last term that every truncation keeps: the tail beyond
     truncation M starts at t(m0 + 1 + M). Each new term is the one before it
-    times the closed-form ratio ``ratio(m) = t(m+1) / t(m)``, computed under
-    the lock so that concurrent callers extend one list and read the same
-    terms.
+    times the closed-form ratio ``ratio(m) = t(m+1) / t(m)``. The list only
+    grows, and only under the lock, so concurrent callers extend one list
+    and read the same terms; an entry once there never changes, so it can be
+    read without the lock.
     """
 
     def __init__(self, m0, first, ratio, formula):
@@ -271,67 +292,110 @@ class _Majorant:
         self._terms = [first]
         self._lock = threading.Lock()
 
+    def _grow(self, k):
+        """The term list, extended through index k; the lock is held."""
+        terms = self._terms
+        while len(terms) <= k:
+            terms.append(mpf_mul(terms[-1], self._ratio(self.m0 + len(terms) - 1), _PREC, _RND))
+        return terms
+
     def term(self, m):
-        k = m - self.m0
         with self._lock:
-            terms = self._terms
-            while len(terms) <= k:
-                terms.append(terms[-1] * self._ratio(self.m0 + len(terms) - 1))
-            return terms[k]
+            return _WIDE.make_mpf(self._grow(m - self.m0)[m - self.m0])
+
+    def tail(self, start, m_safe):
+        """(raw sum, count) of the terms from t(start) by the stop rule of
+        ``series_tail``: summed left to right until a term is 0, or until,
+        at some m >= m_safe, t(m+1) < t(m) / 2, and then t(m+1) is added
+        twice. The stop is found under the lock, taken once, growing the
+        list as far as it needs; the sum reads the list without it."""
+        lo = k = start - self.m0
+        safe, doubled = m_safe - self.m0, False
+        with self._lock:
+            terms = self._grow(k)
+            while terms[k] != fzero:
+                if len(terms) == k + 1:
+                    self._grow(k + 1)
+                k += 1
+                # halving is exact, so this is the test t(m+1) < t(m) / 2
+                if k > safe and mpf_lt(terms[k], mpf_shift(terms[k - 1], -1)):
+                    doubled = True
+                    break
+                if k - lo >= 100000:
+                    raise RuntimeError("series tail failed to enter geometric decay")
+        total = terms[lo]
+        for t in islice(terms, lo + 1, k):
+            total = mpf_add(total, t, _PREC, _RND)
+        if k > lo:
+            total = mpf_add(total, mpf_shift(terms[k], 1) if doubled else terms[k], _PREC, _RND)
+        return total, k - lo + 1
 
 
 @lru_cache(maxsize=32)
 def _majorant(series, x, d, op_norm_bound):
-    """The shared term sequence of the named majorant at |q| = x.
+    """The shared raw term sequence of the named majorant at |q| = x.
+
+    Each ratio raises x to one power k and takes the q-integer [k]_x and
+    its square root from it (lipschitz also needs [2m+1]_x and [2m+2]_x);
+    every factor is formed and multiplied in the order of the closed-form
+    ratio, so each term is the one mpf arithmetic at 113 bits gives.
 
     The cache holds the four series at a few (x, d) pairs, which is what
     one verification run or one Fisher scan asks for; the longest sequence
     (lipschitz at x = 0.95) has about 1,200 terms.
     """
     w, haag = analytic_constants(x)
-    x, haag = _WIDE.mpf(x), _WIDE.mpf(haag)
-    r = 1 / _WIDE.sqrt(w)
-    dr = d * r
+    x, haag = from_float(x), from_float(haag)
+    gap = mpf_sub(fone, x, _PREC, _RND)
+    r = mpf_rdiv_int(1, mpf_sqrt(from_float(w), _PREC, _RND), _PREC, _RND)
+    dr = mpf_mul_int(r, d, _PREC, _RND)
 
-    def bracket(k):  # the q-integer [k]_x
-        return (1 - x**k) / (1 - x)
+    def bracket(xk):  # the q-integer [k]_x from x^k
+        return mpf_div(mpf_sub(fone, xk, _PREC, _RND), gap, _PREC, _RND)
 
-    def root_bracket(k):
-        return _WIDE.sqrt(bracket(k))
+    def root_bracket(xk):
+        return mpf_sqrt(bracket(xk), _PREC, _RND)
+
+    def power(k):
+        return mpf_pow_int(x, k, _PREC, _RND)
 
     if series == "fisher":
-        return _Majorant(
-            1, r, lambda m: x**m * dr * root_bracket(m), "x^(m(m-1)/2) d^(m-1) r^m sqrt([m-1]!)"
-        )
-    if series == "xi":
-        return _Majorant(
-            0,
-            2 * haag * _WIDE.sqrt(haag) * r,
-            lambda m: x ** (m + 1) * _WIDE.mpf(2 * m + 4) / (2 * m + 2) * dr * root_bracket(m + 1),
-            "d^m x^(m(m+1)/2) (2m+2) C^(3/2) r^(m+1) sqrt([m]!)",
-        )
-    if series == "lipschitz":
-        dr3 = dr**3
 
         def ratio(m):
-            factorials = _WIDE.mpf((2 * m + 3) ** 3 * (2 * m + 4)) / (2 * m + 1) ** 2
-            return x ** (m + 1) * factorials * dr3 * root_bracket(m + 1) * bracket(2 * m + 1) * bracket(2 * m + 2)
+            xk = power(m)
+            return _mul(xk, dr, root_bracket(xk))
 
-        return _Majorant(
-            0,
-            2 * d * haag**3 * r**2,
-            ratio,
-            "C' x^(m(m+1)/2) (2m+1)^2 (2m+2)! (d r)^(3m) sqrt([m]!) [2m]!",
-        )
+        return _Majorant(1, r, ratio, "x^(m(m-1)/2) d^(m-1) r^m sqrt([m-1]!)")
+    if series == "xi":
+
+        def ratio(m):
+            xk = power(m + 1)
+            grow = mpf_div(mpf_mul(xk, from_int(2 * m + 4), _PREC, _RND), from_int(2 * m + 2), _PREC, _RND)
+            return _mul(grow, dr, root_bracket(xk))
+
+        first = _mul(mpf_mul_int(haag, 2, _PREC, _RND), mpf_sqrt(haag, _PREC, _RND), r)
+        return _Majorant(0, first, ratio, "d^m x^(m(m+1)/2) (2m+2) C^(3/2) r^(m+1) sqrt([m]!)")
+    if series == "lipschitz":
+        dr3 = mpf_pow_int(dr, 3, _PREC, _RND)
+
+        def ratio(m):
+            xk = power(m + 1)
+            factorials = mpf_div(from_int((2 * m + 3) ** 3 * (2 * m + 4)), from_int((2 * m + 1) ** 2), _PREC, _RND)
+            brackets = bracket(power(2 * m + 1)), bracket(power(2 * m + 2))
+            return _mul(xk, factorials, dr3, root_bracket(xk), *brackets)
+
+        first = _mul(mpf_mul_int(mpf_pow_int(haag, 3, _PREC, _RND), 2 * d, _PREC, _RND), mpf_pow_int(r, 2, _PREC, _RND))
+        return _Majorant(0, first, ratio, "C' x^(m(m+1)/2) (2m+1)^2 (2m+2)! (d r)^(3m) sqrt([m]!) [2m]!")
     if series == "gibbs":
-        a = _WIDE.mpf(op_norm_bound)
-        step = dr**3 * a**2
-        return _Majorant(
-            0,
-            a * dr**2,
-            lambda m: x ** (m + 1) * step * root_bracket(m + 1) * ((2 * m + 2) * (2 * m + 3)),
-            "x^(m(m+1)/2) (d r)^(3m+2) sqrt([m]!) (2m+1)! A^(2m+1)",
-        )
+        a = _WIDE.mpf(op_norm_bound)._mpf_
+        step = _mul(mpf_pow_int(dr, 3, _PREC, _RND), mpf_pow_int(a, 2, _PREC, _RND))
+
+        def ratio(m):
+            xk = power(m + 1)
+            return mpf_mul_int(_mul(xk, step, root_bracket(xk)), (2 * m + 2) * (2 * m + 3), _PREC, _RND)
+
+        first = _mul(a, mpf_pow_int(dr, 2, _PREC, _RND))
+        return _Majorant(0, first, ratio, "x^(m(m+1)/2) (d r)^(3m+2) sqrt([m]!) (2m+1)! A^(2m+1)")
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_IDS}")
 
 
@@ -345,8 +409,9 @@ def series_tail(series, truncation, q0, d, op_norm_bound=None) -> TailReport:
 
     The terms come from one sequence per (series, |q|, d, A) in a bounded
     process-wide memo, built by the closed-form term ratios, so the calls
-    for truncations M, M+2, ... share every term; each call still sums its
-    own range forward from its start.
+    for truncations M, M+2, ... share every term; each call takes the
+    sequence's lock once, to grow it as far as its stop, then sums its own
+    range forward from its start on raw 113-bit values.
 
     Accuracy: term m is a product of m ratios, each formed with at most a
     dozen roundings, so in double precision the longest sequences (about
@@ -374,25 +439,11 @@ def series_tail(series, truncation, q0, d, op_norm_bound=None) -> TailReport:
     start = truncation + majorant.m0 + 1
     # beyond m_safe the ratio of consecutive terms is strictly decreasing
     m_safe = start + (0 if x == 0.0 else int(math.ceil(8.0 / (1.0 - x))))
-    m = start
-    prev = total = majorant.term(m)
-    count = 1
-    while prev != 0:
-        nxt = majorant.term(m + 1)
-        if m >= m_safe and nxt < prev / 2:
-            total += 2 * nxt
-            count += 1
-            break
-        total += nxt
-        prev = nxt
-        m += 1
-        count += 1
-        if count > 100000:
-            raise RuntimeError("series tail failed to enter geometric decay")
+    total, count = majorant.tail(start, m_safe)
     return TailReport(
         series=series,
         truncation=truncation,
-        bound=mp.mpf(total),
+        bound=mp.mpf(_WIDE.make_mpf(total)),
         terms_summed=count,
         formula=majorant.formula,
         params=params,

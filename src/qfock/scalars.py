@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -583,6 +584,9 @@ def q_binom(n, k, q):
 # ---------------------------------------------------------------------------
 
 
+_RESCALE_BELOW = 2.0**-900  # analytic_constants rescales its products below this
+
+
 def analytic_constants(q0):
     """Return (w, C) for |q0| < 1.
 
@@ -591,6 +595,13 @@ def analytic_constants(q0):
     constant with 1/C = prod_m (1-|q|^m). Both infinite products are
     truncated once a log-series estimate bounds the remaining multiplicative
     tail below 1e-15.
+
+    Each running product is rescaled by a power of two whenever it falls
+    below 2^-900, with the exponent kept apart, so it cannot underflow;
+    scaling by a power of two is exact, so wherever the plain product stays
+    a normal double the result is the same to the bit. Near |q| = 1 the
+    constants leave the double range (C first, from |q| ~ 0.99768), and a
+    ValueError says so.
     """
     x = abs(float(q0))
     if x >= 1.0:
@@ -600,25 +611,45 @@ def analytic_constants(q0):
 
     inv_gap = 1.0 / (1.0 - x)
 
-    c_prod = 1.0
+    out_of_range = ValueError(
+        f"analytic constants at |q| = {x!r} are not normal doubles: C = 1/prod_m (1 - |q|^m) "
+        "overflows from |q| ~ 0.99768"
+    )
+    c_prod, c_exp = 1.0, 0
     m = 1
     while True:
         c_prod *= 1.0 - x**m
+        if c_prod < _RESCALE_BELOW:  # every factor is at least 2^-53
+            c_prod, e = math.frexp(c_prod)
+            c_exp += e
+            if c_exp <= -1024:  # the product only falls, and C > 2^1024 already
+                raise out_of_range
         # remaining |log| tail <= sum_{j>m} x^j/(1-x) = x^(m+1)/(1-x)^2
         if x ** (m + 1) * inv_gap * inv_gap < 1e-15:
             break
         m += 1
-    C = 1.0 / c_prod
 
-    w_prod = 1.0
+    w_prod, w_exp = 1.0, 0
     k = 1
     while True:
         w_prod *= (1.0 - x**k) / (1.0 + x**k)
+        if w_prod < _RESCALE_BELOW:
+            w_prod, e = math.frexp(w_prod)
+            w_exp += e
         # |log factor_j| <= x^j (1 + 1/(1-x)); geometric tail over j > k
         if x ** (k + 1) * (1.0 + inv_gap) * inv_gap < 1e-15:
             break
         k += 1
-    w = math.sqrt(w_prod / (1.0 - x * x))
+    # w = sqrt(w_prod 2^r / (1 - x^2)) 2^half with w_exp = 2 half + r: the
+    # quotient and the root round as they would on the plain product
+    half = w_exp // 2
+    w = math.ldexp(math.sqrt(math.ldexp(w_prod, w_exp - 2 * half) / (1.0 - x * x)), half)
+    try:
+        C = math.ldexp(1.0 / c_prod, -c_exp)
+    except OverflowError:
+        raise out_of_range from None
+    if w < sys.float_info.min:
+        raise out_of_range
     return w, C
 
 

@@ -1,15 +1,104 @@
-"""Closed-form oracle for the majorant terms of ``qfock.norms.series_tail``.
+"""Oracles for the majorant terms and tails of ``qfock.norms.series_tail``.
 
-The library builds each majorant's terms from the one before by their
-closed-form ratio; here every term is evaluated on its own from its closed
-form (powers, factorials and q-factorials), as the library did before it
-shared the term sequences. Evaluate under ``mp.workprec`` to get the exact
-terms to that precision.
+``closed_form_terms`` evaluates every term on its own from its closed form
+(powers, factorials and q-factorials), as the library did before it shared
+the term sequences; evaluate it under ``mp.workprec`` to get the exact terms
+to that precision.
+
+``context_tail`` builds the terms by the closed-form ratios and sums them in
+mpf arithmetic of a private 113-bit context, as the library did before it
+worked on raw libmp values: the library must reproduce it bit for bit.
 """
+
+import math
+from functools import lru_cache
 
 import mpmath as mp
 
 from qfock import analytic_constants
+
+_WIDE = mp.MPContext()
+_WIDE.prec = 113
+
+
+@lru_cache(maxsize=2)
+def context_terms(series, x, d, op_norm_bound):
+    """(m0, terms) of the named majorant at |q| = x in the 113-bit context:
+    terms(k) is t(m0 + k), each term the one before times its ratio."""
+    w, haag = analytic_constants(x)
+    x, haag = _WIDE.mpf(x), _WIDE.mpf(haag)
+    r = 1 / _WIDE.sqrt(w)
+    dr = d * r
+
+    def bracket(k):  # the q-integer [k]_x
+        return (1 - x**k) / (1 - x)
+
+    def root_bracket(k):
+        return _WIDE.sqrt(bracket(k))
+
+    if series == "fisher":
+        m0, first = 1, r
+
+        def ratio(m):
+            return x**m * dr * root_bracket(m)
+
+    elif series == "xi":
+        m0, first = 0, 2 * haag * _WIDE.sqrt(haag) * r
+
+        def ratio(m):
+            return x ** (m + 1) * _WIDE.mpf(2 * m + 4) / (2 * m + 2) * dr * root_bracket(m + 1)
+
+    elif series == "lipschitz":
+        m0, first, dr3 = 0, 2 * d * haag**3 * r**2, dr**3
+
+        def ratio(m):
+            factorials = _WIDE.mpf((2 * m + 3) ** 3 * (2 * m + 4)) / (2 * m + 1) ** 2
+            return x ** (m + 1) * factorials * dr3 * root_bracket(m + 1) * bracket(2 * m + 1) * bracket(2 * m + 2)
+
+    elif series == "gibbs":
+        a = _WIDE.mpf(op_norm_bound)
+        m0, first, step = 0, a * dr**2, dr**3 * a**2
+
+        def ratio(m):
+            return x ** (m + 1) * step * root_bracket(m + 1) * ((2 * m + 2) * (2 * m + 3))
+
+    else:
+        raise ValueError(f"unknown series {series!r}")
+    built = [first]
+
+    def terms(k):
+        while len(built) <= k:
+            built.append(built[-1] * ratio(m0 + len(built) - 1))
+        return built[k]
+
+    return m0, terms
+
+
+def context_tail(series, truncation, q0, d, op_norm_bound=None):
+    """(bound, terms summed) of the tail beyond the truncation: the terms
+    summed in the 113-bit context until, beyond m_safe, the next term is
+    below half the last one (then added twice) or a term is 0, and the sum
+    rounded once into the global context."""
+    x = abs(float(q0))
+    if series == "gibbs" and op_norm_bound is None:
+        op_norm_bound = 2.0 / math.sqrt(1.0 - x)
+    m0, terms = context_terms(series, x, d, op_norm_bound if series == "gibbs" else None)
+    start = truncation + m0 + 1
+    m_safe = start + (0 if x == 0.0 else int(math.ceil(8.0 / (1.0 - x))))
+    m = start
+    prev = total = terms(m - m0)
+    count = 1
+    while prev != 0:
+        nxt = terms(m + 1 - m0)
+        if m >= m_safe and nxt < prev / 2:
+            total += 2 * nxt
+            count += 1
+            break
+        total += nxt
+        prev = nxt
+        m += 1
+        count += 1
+    return mp.mpf(total), count
 
 
 def closed_form_terms(series, x, d, op_norm_bound=None):

@@ -195,6 +195,16 @@ class TestVerify:
     def test_bounds_level_guard(self, capsys, level):
         assert main(["verify", "bounds", "--level", level]) == 2
 
+    @pytest.mark.parametrize("q", ["998/1000", "999/1000"])
+    @pytest.mark.parametrize(
+        "argv",
+        ["export xi --d 1 --level 3 --series-m 1", "export fisher --d 2 --level 3 --series-m 1", "verify bounds", "verify all"],
+    )
+    def test_constants_out_of_double_range_exit_two(self, capsys, argv, q):
+        # C = 1/prod_m (1 - q^m) overflows from q ~ 0.99768
+        assert main([*argv.split(), "--q", q]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: analytic constants at |q| = 0.99")
+
     def test_bounds_build_one_float_space(self, capsys, monkeypatch):
         # the run's own space and one float space shared by the four engines
         built = []
@@ -422,9 +432,11 @@ class TestMatrixConfig:
         assert c_4["value"] == projected_domination(space, 4)
         assert c_4["value"] == pytest.approx(0.8201, abs=1e-4)
         assert c_4["params"]["q0"] == 0.75
+        # the gate reads the largest letter: 1.1071, 1.1387 and 1.1240 for i = 1, 2, 3
         norm = checks["bounds/right-annihilation-norm"]["value"]
-        assert norm == right_annihilation_norm(space, 1, 6)
-        assert norm == pytest.approx(1.1071, abs=1e-4)
+        assert norm == max(right_annihilation_norm(space, i, 6) for i in (1, 2, 3))
+        assert norm == right_annihilation_norm(space, 2, 6)
+        assert norm == pytest.approx(1.1387, abs=1e-4)
 
 
 class TestGolden:
@@ -448,6 +460,10 @@ class TestGolden:
             ("verify dual-agree --d 3 --level 5 --q=-1/2", "871a0ae067908f5b7d789d4c07e352063f1121c6"),
             ("verify wick-agree --d 3 --level 5 --q=-1/2", "a2a5ee754e2c634e5ca0040b14e4e3e2323786b0"),
             ("verify derivative-agree --d 3 --level 5 --q=-1/2", "3ea7f9fd6f84c30cbd52e78a383adace17aec561"),
+            # exact reports carrying series tails, whose floats come from mpmath alone
+            ("export fisher --d 2 --level 9 --series-m 4 --q 9/10", "759dd70ae46326c926e6820aee3260c278fc7830"),
+            ("export xi --d 3 --level 5 --series-m 2 --q 9/10", "db7332edd878f7b042aaea8e1e6353891b2dc0a0"),
+            ("export fisher --d 2 --level 7 --series-m 3 --q 99/100", "bb66ba70673ee724423fde1e09da9f2e5a94ee84"),
         ],
     )
     def test_report_digest(self, capsys, argv, sha1):

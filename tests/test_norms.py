@@ -12,7 +12,7 @@ from gram_oracles import (
     dense_right_annihilation_norm,
     projected_domination_sharp,
 )
-from tail_oracles import closed_form_terms
+from tail_oracles import closed_form_terms, context_tail, context_terms
 from threads import together
 
 import qfock
@@ -291,6 +291,36 @@ class TestRatioBuiltTerms:
         for _ in range(3):
             _majorant.cache_clear()
             assert together(lambda M: series_tail("lipschitz", M, 0.95, 3), truncations) == serial
+
+
+CONTEXT_SERIES = [
+    pytest.param(series, a, id=series if a is None else f"{series}-A{a}")
+    for series, a in [("xi", None), ("fisher", None), ("gibbs", None), ("lipschitz", None), ("gibbs", 3.0)]
+]
+
+
+class TestRawArithmetic:
+    """The terms and sums on raw libmp values against the same ratios and
+    sums in mpf arithmetic of a 113-bit context: bit-identical, term by term
+    and report by report."""
+
+    @pytest.mark.parametrize("q0", [0.0, 0.5, -0.5, 3 / 7, 0.9, -0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("series,op_norm_bound", CONTEXT_SERIES)
+    def test_reports_equal_the_context_sums(self, series, op_norm_bound, q0):
+        for d in (1, 2, 3, 5):
+            for M in (0, 1, 3, 6, 13):
+                rep = series_tail(series, M, q0, d, op_norm_bound)
+                assert (rep.bound, rep.terms_summed) == context_tail(series, M, q0, d, op_norm_bound), (d, M)
+
+    @pytest.mark.parametrize("series,op_norm_bound", CONTEXT_SERIES)
+    def test_first_terms_equal_the_context_terms(self, series, op_norm_bound):
+        if series == "gibbs" and op_norm_bound is None:
+            op_norm_bound = 2.0 / math.sqrt(1.0 - 0.95)
+        for d in (1, 2, 3, 5):
+            majorant = _majorant(series, 0.95, d, op_norm_bound)
+            m0, terms = context_terms(series, 0.95, d, op_norm_bound)
+            got = [majorant.term(m0 + k)._mpf_ for k in range(300)]
+            assert got == [terms(k)._mpf_ for k in range(300)], d
 
 
 class TestBenchmarkTailProperty:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,44 @@ class TestAnalyticConstants:
             analytic_constants(1.0)
         with pytest.raises(ValueError):
             analytic_constants(-1.2)
+
+    @pytest.mark.parametrize(
+        "x, w, c_const",
+        [
+            (0.5, "0x1.9b83a102d9b6cp-2", "0x1.bb3b47fe72704p+1"),
+            (0.9, "0x1.0549eca50b0a5p-14", "0x1.7bab8681ebf57p+19"),
+            (0.99, "0x1.3bf71902e3dd2p-172", "0x1.653462606279ap+231"),
+            # the w product passes below 2^-900 and is rescaled
+            (0.9965, "0x1.db73ae9fbdef1p-502", "0x1.5d4c9dcfff890p+671"),
+        ],
+    )
+    def test_bits_of_the_plain_running_products(self, x, w, c_const):
+        # where the plain products stay normal doubles the rescaled ones give
+        # the same bits; pinned from the plain products
+        assert analytic_constants(x) == (float.fromhex(w), float.fromhex(c_const))
+
+    @pytest.mark.parametrize("x", [0.9966, 0.9967, 0.9968, 0.997, 0.9976, 0.99767])
+    def test_no_underflow_near_one(self, x):
+        # the plain product of the w factors underflows from |q| ~ 0.9967;
+        # w(0.9967) = 7.82e-161 (2.26e-160 from the plain product)
+        with mp.workprec(120):
+            q = mp.mpf(x)
+            c_prod, w_prod, qk = mp.mpf(1), mp.mpf(1), q
+            while qk > mp.mpf(2) ** -125:
+                c_prod *= 1 - qk
+                w_prod *= (1 - qk) / (1 + qk)
+                qk *= q
+            w_exact, c_exact = mp.sqrt(w_prod / (1 - q * q)), 1 / c_prod
+        w, c_const = analytic_constants(x)
+        assert w == pytest.approx(float(w_exact), rel=1e-12)
+        assert c_const == pytest.approx(float(c_exact), rel=1e-12)
+        if x == 0.9967:
+            assert w == pytest.approx(7.82e-161, rel=1e-3)
+
+    @pytest.mark.parametrize("x", [0.9977, 0.998, -0.999, 1 - 2.0**-40])
+    def test_out_of_double_range_rejected(self, x):
+        with pytest.raises(ValueError, match="0.99768"):
+            analytic_constants(x)
 
 
 class TestDeformation:
