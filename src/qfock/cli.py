@@ -39,7 +39,10 @@ from .onevariable import (
     trace_cheb,
     trace_cheb_odd,
 )
-from .norms import gram_domination_residual, haagerup_residual, projected_domination, right_annihilation_norm, series_tail
+from .norms import (
+    SERIES_IDS, check_tail, gram_domination_residual, haagerup_factor, haagerup_residual, projected_domination,
+    right_annihilation_norm, series_tail,
+)
 from .partitions import enumerate_family
 from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude
 
@@ -120,13 +123,40 @@ def _parse_config(args):
     return deformation
 
 
-def _require_constants(deformation):
+def _require_in_range(deformation, tails=(), haagerup=False):
     """Refuse a deformation whose constants w and C at q0 are not normal
-    doubles: the norm gates and every series tail are built from them."""
+    doubles, since the norm gates and every series tail are built from
+    them; one at which a named (series, truncation) tail would not start
+    halving its terms in reach; or, with ``haagerup``, one at which the
+    Haagerup bound C^(3/2) overflows. Each message names its limit."""
+    q0 = _q_float(_float_deformation(deformation))
     try:
-        analytic_constants(_q_float(_float_deformation(deformation)))
+        analytic_constants(q0)
+        for series, m in tails:
+            check_tail(series, m, q0, deformation.d)
+        if haagerup:
+            haagerup_factor(q0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _require_suites(deformation, args, names):
+    """Refuse a configuration that one of the named suites cannot run,
+    before any space is built, with the message of the first suite (in
+    suite order, after the constants) that refuses it."""
+    if "bounds" in names:
+        _require_in_range(deformation)
+    for name in ("duality", "gibbs"):
+        if name in names:
+            if deformation.is_symbolic and deformation.d > 1:
+                raise ConfigError(f"{name} suite needs numeric entries for d > 1")
+            if 2 * args.series_m + 1 > args.level:
+                raise ConfigError(f"{name} suite needs level >= 2*series_m + 1")
+    if "bounds" in names:
+        if args.level < 2:
+            raise ConfigError("bounds suite needs level >= 2")
+        m = args.series_m
+        _require_in_range(deformation, [(series, k) for series in SERIES_IDS for k in (m, m + 2)], haagerup=True)
 
 
 def _tolerance(mode):
@@ -216,11 +246,7 @@ def _suite_derivative_agree(space, args, tol):
 
 
 def _suite_duality(space, args, tol):
-    if space.deformation.is_symbolic and space.d > 1:
-        raise ConfigError("duality suite needs numeric entries for d > 1")
     m = args.series_m
-    if 2 * m + 1 > args.level:
-        raise ConfigError("duality suite needs level >= 2*series_m + 1")
     limit = min(args.level, m + 2)
     xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
     bad = None
@@ -244,11 +270,7 @@ def _suite_duality(space, args, tol):
 
 
 def _suite_gibbs(space, args, tol):
-    if space.deformation.is_symbolic and space.d > 1:
-        raise ConfigError("gibbs suite needs numeric entries for d > 1")
     m = args.series_m
-    if 2 * m + 1 > args.level:
-        raise ConfigError("gibbs suite needs level >= 2*series_m + 1")
     expansions, _, residuals = _gibbs(space, m)
     # the degree residuals are exact for even degrees and for one letter;
     # the truncated ones ride along with the exact cyclic-gradient criterion
@@ -262,11 +284,9 @@ def _suite_gibbs(space, args, tol):
 
 
 def _suite_bounds(space, args, tol):
-    if args.level < 2:
-        raise ConfigError("bounds suite needs level >= 2")
-    # one float space for every norm engine: a matrix is checked on its
-    # own blocks, against w and C at q0
-    floats = FockSpace(_float_deformation(space.deformation), args.level)
+    # one float space for every norm engine, the one handed in when it is
+    # float: a matrix is checked on its own blocks, against w and C at q0
+    floats = space if space.deformation.is_float else FockSpace(_float_deformation(space.deformation), args.level)
     q0 = _q_float(floats.deformation)
     d = space.d
     checks = []
@@ -345,8 +365,7 @@ _SUITE_FN = {
 def run_verify(args) -> int:
     deformation = _parse_config(args)
     names = list(_SUITE_FN) if args.suite == "all" else [args.suite]
-    if "bounds" in names:
-        _require_constants(deformation)
+    _require_suites(deformation, args, names)
     space = FockSpace(deformation, args.level)
     tol = _tolerance(args.mode)
     checks = []
@@ -479,8 +498,10 @@ def run_export(args) -> int:
             raise ConfigError("export needs level >= 2*series_m + 1")
         if args.what in ("fisher",) and deformation.is_symbolic:
             raise ConfigError("fisher export needs numeric entries")
-        if args.what in ("xi", "fisher"):
-            _require_constants(deformation)
+        if args.what == "xi":
+            _require_in_range(deformation, [] if deformation.is_symbolic else [("xi", args.series_m)])
+        if args.what == "fisher":
+            _require_in_range(deformation, [("fisher", m) for m in range(args.series_m + 1)])
     space = FockSpace(deformation, args.level)
     payload = _EXPORT_FN[args.what](space, args)
     if args.format == "csv":

@@ -38,18 +38,19 @@ A rational block is solved exactly by p-adic lifting on Ĝ_n (Dixon, Numer.
 Math. 40, 1982): one factorization modulo a word-size prime, O(N^2) work per
 lifting step, rational reconstruction of every entry (Wang, Guy and
 Davenport, SIGSAM Bull. 16, 1982), and an exact integer check of Ĝ_n x = b
-before the answer is accepted; see :mod:`qfock.lifting`. Float and formal
-blocks are factored as L·D·Lᵀ without pivoting. The float norm checks
-solve their eigenproblems block by block too.
+before the answer is accepted; see :mod:`qfock.lifting`. A float block is
+factored by ``gram_cholesky``, the one float factorization, which the norm
+checks of :mod:`qfock.norms` use for their eigenproblems too. A formal
+block is factored as L·D·Lᵀ without pivoting.
 
-Elimination without pivoting relies on positivity: for |q_ij| < 1 the
-Gram form is strictly positive (M. Bozejko and R. Speicher, Comm. Math.
-Phys. 137, 1991; Math. Ann. 300, 1994), so every block is symmetric
-positive definite and every pivot is positive. A zero pivot (for a
-rational block: a leading minor that is singular over the integers) raises
-``GramSingularError`` naming the level and the content. For |q_ij| >= 1 the
-blocks may be indefinite, and a zero pivot may then come from a singular
-leading minor of a block that is itself invertible. With constant q the
+Every factorization here relies on positivity: for |q_ij| < 1 the Gram
+form is strictly positive (M. Bozejko and R. Speicher, Comm. Math. Phys.
+137, 1991; Math. Ann. 300, 1994), so every block is symmetric positive
+definite. A float block that is not positive definite, a zero pivot of a
+formal block, and a leading minor of a rational block that is singular
+over the integers all raise ``GramSingularError`` naming the level and the
+content. For |q_ij| >= 1 the blocks may be indefinite, and then a block
+that is itself invertible may be refused. With constant q the
 recursion reproduces the permutation sum of q^inversions; the tests check
 both that and the left-peeling recursion for mixed q.
 
@@ -72,6 +73,8 @@ from itertools import product
 from math import lcm
 from typing import NamedTuple
 
+import numpy as np
+
 from .lifting import SingularMinor, solve_integer
 from .scalars import Deformation, magnitude
 
@@ -80,6 +83,7 @@ __all__ = [
     "FockSpace",
     "TruncationError",
     "GramSingularError",
+    "gram_cholesky",
 ]
 
 
@@ -89,6 +93,22 @@ class TruncationError(RuntimeError):
 
 class GramSingularError(RuntimeError):
     """A level Gram matrix could not be factorized."""
+
+
+def gram_cholesky(gram, what):
+    """The lower Cholesky factor of a float Gram matrix, by numpy.
+
+    This is the one factorization of float Gram data: ``FockSpace.solve``
+    and the norm checks both factor through it. A matrix that is not
+    positive definite raises ``GramSingularError`` naming ``what``."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise GramSingularError(f"{what} is not positive definite") from None
+
+
+def _block_name(n, content):
+    return f"level-{n} Gram block of content {content}"
 
 
 def _div(a, b):
@@ -492,8 +512,10 @@ class FockSpace:
         the reconstruction guessed. Then x = scale y / D. A leading minor
         that is singular over the integers raises ``GramSingularError``.
 
-        Float and formal blocks are factored as L·D·Lᵀ here (the factors are
-        not kept), then solved through L, D and Lᵀ.
+        A float block is factored as L·Lᵀ by ``gram_cholesky`` and solved
+        through L and Lᵀ; a formal one is factored as L·D·Lᵀ by ``_ldl``
+        and solved through L, D and Lᵀ. No factor is kept: each block is
+        solved once.
         """
         groups = {}
         for w, c in v.items():
@@ -504,6 +526,8 @@ class FockSpace:
             blk = self.blocks(n)[content]
             if self._rational:
                 x = self._solve_rational(n, content, blk, terms)
+            elif self.deformation.is_float:
+                x = self._solve_float(n, content, blk, terms)
             else:
                 x = self._solve_ldl(n, content, blk, terms)
             for word, c in zip(blk.words, x):
@@ -519,8 +543,17 @@ class FockSpace:
         try:
             y, y_den = solve_integer(blk.rows, b)
         except SingularMinor:
-            raise GramSingularError(f"level-{n} Gram block of content {content} has a zero pivot") from None
+            raise GramSingularError(f"{_block_name(n, content)} has a zero pivot") from None
         return [Fraction(blk.scale * c, den * y_den) for c in y]
+
+    @staticmethod
+    def _solve_float(n, content, blk, terms):
+        chol = gram_cholesky(np.array(blk.rows, dtype=float), _block_name(n, content))
+        b = np.zeros(len(blk.words))
+        for w, c in terms:
+            b[blk.index[w]] = c
+        # numpy has no triangular solver; its LU on the factor stands in
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, b)).tolist()
 
     @classmethod
     def _solve_ldl(cls, n, content, blk, terms):
@@ -544,15 +577,15 @@ class FockSpace:
 
     @staticmethod
     def _ldl(n, content, mat):
-        """Factor a symmetric block as L·D·Lᵀ, L unit lower triangular,
+        """Factor a formal block as L·D·Lᵀ, L unit lower triangular,
         without pivoting. Row r of the result holds L[r][:r] followed by
-        the pivot D[r]; the same code runs on q-polynomial and float blocks.
+        the pivot D[r]. Float blocks never come here: they are factored by
+        ``gram_cholesky``.
 
         The blocks are positive definite for |q_ij| < 1 (Bozejko and
-        Speicher; see the module docstring), so every pivot is positive
-        and elimination without pivoting is backward stable in floats. For |q_ij| >= 1 a zero pivot
-        means a singular block or an indefinite one with a singular leading
-        minor.
+        Speicher; see the module docstring), so every pivot is positive.
+        For |q_ij| >= 1 a zero pivot means a singular block or an
+        indefinite one with a singular leading minor.
         """
         rows = []
         for r, a in enumerate(mat):
@@ -569,7 +602,7 @@ class FockSpace:
                 if s and l:
                     pivot = pivot - s * l
             if not pivot:
-                raise GramSingularError(f"level-{n} Gram block of content {content} has a zero pivot")
+                raise GramSingularError(f"{_block_name(n, content)} has a zero pivot")
             row.append(pivot)
             rows.append(row)
         return rows

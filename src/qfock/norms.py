@@ -3,9 +3,12 @@
 Everything here is floating point on the truncated space. Operator norms
 with respect to the twisted inner product are generalized symmetric
 eigenproblems against the level Gram matrices, solved with numpy through
-the Cholesky factor of the Gram; truncation makes every computed norm a
-lower bound on the true one, which is the conservative direction when
-checking an upper-bound inequality.
+the Cholesky factor of the Gram. That factor comes from
+``fock.gram_cholesky``, the one factorization of float Gram data, which
+``FockSpace.solve`` uses too, so a Gram that is not positive definite
+raises the same ``GramSingularError`` here as in a solve. Truncation makes
+every computed norm a lower bound on the true one, which is the
+conservative direction when checking an upper-bound inequality.
 
 Every operator checked here keeps letter content: G_{m+1} and G_m (x) 1
 map each level-(m+1) content block to itself, and right annihilation by
@@ -30,7 +33,10 @@ the one before by its closed-form ratio with one power of |q| per term, and
 kept in a small memo shared by every truncation (``_majorant``). Terms and
 sums are raw ``mpmath.libmp`` values at 113 bits, with the operations and
 roundings of mpf arithmetic at that precision, so a reported bound is the
-exact truncated sum rounded once to double precision.
+exact truncated sum rounded once to double precision. Near |q| = 1 a tail
+may take more than ``TAIL_TERMS`` terms to start halving, and the Haagerup
+bound C^(3/2) may overflow; both are refused up front with the |q| from
+which they fail (``check_tail``, ``haagerup_factor``).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from mpmath.libmp import (
     mpf_rdiv_int, mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
 )
 
-from .fock import FockVector, GramSingularError
+from .fock import FockVector, _block_name, gram_cholesky
 from .ncpoly import poly_apply, wick_recursive
 from .scalars import analytic_constants
 
@@ -57,7 +63,9 @@ __all__ = [
     "gram_domination_residual",
     "projected_domination",
     "right_annihilation_norm",
+    "haagerup_factor",
     "haagerup_residual",
+    "check_tail",
     "series_tail",
 ]
 
@@ -92,14 +100,9 @@ class TailReport:
         )
 
 
-def _top_eigenvalue(quad, gram, what):
-    """Largest generalized eigenvalue of (quad, gram), as the largest
-    eigenvalue of L^-1 quad L^-T for the Cholesky factor L of the Gram; a
-    Gram that is not positive definite is reported as singular."""
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise GramSingularError(f"{what} not factorizable") from exc
+def _top_eigenvalue(quad, chol):
+    """Largest generalized eigenvalue of (quad, L Lᵀ), as the largest
+    eigenvalue of L^-1 quad L^-T, for the Cholesky factor L of a Gram."""
     half = np.linalg.solve(chol, quad)
     return float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1])
 
@@ -127,8 +130,8 @@ def _right_gain(space, i, n):
     for content, blk in space.blocks(n).items():
         if i in content:
             quad = _lift(space.blocks(n - 1), blk, i)
-            gram = np.array(blk.rows, dtype=float)
-            best = max(best, _top_eigenvalue(quad, gram, f"level-{n} Gram block {content}"))
+            chol = gram_cholesky(np.array(blk.rows, dtype=float), _block_name(n, content))
+            best = max(best, _top_eigenvalue(quad, chol))
     return best
 
 
@@ -186,6 +189,20 @@ def right_annihilation_norm(space, i, level):
 LEVEL_MARGIN = 2  # haagerup_residual's domain holds levels 0..LEVEL_MARGIN
 
 
+def haagerup_factor(q0):
+    """C^(3/2) at q0, the factor of the Haagerup bound (m+1) C^(3/2).
+
+    It leaves the double range from |q| ~ 0.99656 (C ~ 3.2e205 there),
+    before C itself does, and a ValueError says so."""
+    _, haag = analytic_constants(q0)
+    try:
+        return haag**1.5
+    except OverflowError:
+        raise ValueError(
+            f"Haagerup bound at |q| = {abs(float(q0))!r} is not a double: C^(3/2) overflows from |q| ~ 0.99656"
+        ) from None
+
+
 def _block_basis(space, levels):
     """The words of the given levels numbered block by block, as {word:
     position}, and each content block's range of positions with its Gram
@@ -213,12 +230,13 @@ def haagerup_residual(space, m, trials=50, seed=0):
     domain tensor is formed.
     """
     _require_float(space)
-    _, haag = analytic_constants(space.deformation.max_abs_float())
+    bound_factor = (m + 1) * haagerup_factor(space.deformation.max_abs_float())
     dom_index, dom_blocks = _block_basis(space, range(LEVEL_MARGIN + 1))
     cod_index, cod_blocks = _block_basis(space, range(m + LEVEL_MARGIN + 1))
     g_dom = np.zeros((len(dom_index), len(dom_index)))
     for at, gram in dom_blocks:
         g_dom[at, at] = gram
+    chol_dom = gram_cholesky(g_dom, f"domain Gram of levels 0..{LEVEL_MARGIN}")
 
     # the seeded coefficients fill the level-m words in lexicographic order;
     # entry k of the action adds value[k] * coeffs[word_of[k]] to the
@@ -237,14 +255,13 @@ def haagerup_residual(space, m, trials=50, seed=0):
 
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    bound_factor = (m + 1) * haag**1.5
     for _ in range(trials):
         coeffs = rng.standard_normal(len(level_words))
         vec = FockVector(dict(zip(level_words, coeffs)))
         vec_norm = math.sqrt(space.inner(vec, vec))
         op = np.bincount(cell, weights=coeffs[word_of] * value, minlength=shape[0] * shape[1]).reshape(shape)
         quad = sum(op[at].T @ gram @ op[at] for at, gram in cod_blocks)
-        op_norm = math.sqrt(max(_top_eigenvalue(quad, g_dom, f"domain Gram of levels 0..{LEVEL_MARGIN}"), 0.0))
+        op_norm = math.sqrt(max(_top_eigenvalue(quad, chol_dom), 0.0))
         worst = max(worst, op_norm - bound_factor * vec_norm)
     return worst
 
@@ -263,6 +280,8 @@ def haagerup_residual(space, m, trials=50, seed=0):
 _PREC, _RND = 113, round_nearest
 _WIDE = mp.MPContext()
 _WIDE.prec = _PREC
+_HALF = mpf_shift(fone, -1)
+TAIL_TERMS = 100000  # the most terms a tail sums before its terms must halve
 
 
 def _mul(*factors):
@@ -303,6 +322,15 @@ class _Majorant:
         with self._lock:
             return _WIDE.make_mpf(self._grow(m - self.m0)[m - self.m0])
 
+    def stops_in_reach(self, start, m_safe):
+        """Whether ``tail(start, m_safe)`` stops within TAIL_TERMS terms
+        past t(start), read off one ratio without growing the list: from
+        m_safe on the ratio is strictly decreasing, so the tail stops in
+        reach exactly when m_safe is in reach and the ratio of the last
+        step in reach is below one half."""
+        last = start + TAIL_TERMS - 1
+        return m_safe <= last and mpf_lt(self._ratio(last), _HALF)
+
     def tail(self, start, m_safe):
         """(raw sum, count) of the terms from t(start) by the stop rule of
         ``series_tail``: summed left to right until a term is 0, or until,
@@ -321,7 +349,7 @@ class _Majorant:
                 if k > safe and mpf_lt(terms[k], mpf_shift(terms[k - 1], -1)):
                     doubled = True
                     break
-                if k - lo >= 100000:
+                if k - lo >= TAIL_TERMS:
                     raise RuntimeError("series tail failed to enter geometric decay")
         total = terms[lo]
         for t in islice(terms, lo + 1, k):
@@ -399,6 +427,59 @@ def _majorant(series, x, d, op_norm_bound):
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_IDS}")
 
 
+def _tail_start(series, truncation, x, d, op_norm_bound, build=_majorant):
+    """(majorant, start, m_safe, A) for the tail beyond the truncation at
+    |q| = x: the tail's majorant, the index of its first term, the index
+    from which its term ratio is strictly decreasing, and the operator-norm
+    bound A of the gibbs series (2 / sqrt(1 - x) unless given; None for
+    the others)."""
+    if x >= 1.0:
+        raise ValueError("series tails require |q| < 1")
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    if series != "gibbs":
+        op_norm_bound = None
+    elif op_norm_bound is None:
+        op_norm_bound = 2.0 / math.sqrt(1.0 - x)
+    majorant = build(series, x, d, op_norm_bound)
+    start = truncation + majorant.m0 + 1
+    # beyond m_safe the ratio of consecutive terms is strictly decreasing
+    m_safe = start + (0 if x == 0.0 else int(math.ceil(8.0 / (1.0 - x))))
+    return majorant, start, m_safe, op_norm_bound
+
+
+def _reach_limit(series, truncation, d, op_norm_bound):
+    """The |q| from which the tail beyond the truncation does not stop in
+    reach, by bisection to 1e-6 on majorants built outside the memo. It
+    depends on the series, d and M: at d = 2, M = 2 it is about 0.9955
+    for gibbs and lipschitz and 0.9975 for xi and fisher."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2
+        try:
+            majorant, start, m_safe, _ = _tail_start(series, truncation, mid, d, op_norm_bound, _majorant.__wrapped__)
+            reached = majorant.stops_in_reach(start, m_safe)
+        except ValueError:  # the constants leave double range first
+            reached = False
+        lo, hi = (mid, hi) if reached else (lo, mid)
+    return hi
+
+
+def check_tail(series, truncation, q0, d, op_norm_bound=None):
+    """The ``_tail_start`` of a tail that ``series_tail`` can sum, found
+    without summing a term. Otherwise a ValueError: for |q| >= 1, a
+    negative truncation, analytic constants out of double range, or terms
+    that would not start halving within TAIL_TERMS terms, naming the |q|
+    from which that fails at this d and truncation."""
+    got = majorant, start, m_safe, _ = _tail_start(series, truncation, abs(float(q0)), d, op_norm_bound)
+    if not majorant.stops_in_reach(start, m_safe):
+        raise ValueError(
+            f"series tail {series} at |q| = {abs(float(q0))!r} does not halve its terms within {TAIL_TERMS:,} terms: "
+            f"at d = {d}, M = {truncation} that fails from |q| ~ {_reach_limit(series, truncation, d, op_norm_bound):.5f}"
+        )
+    return got
+
+
 def series_tail(series, truncation, q0, d, op_norm_bound=None) -> TailReport:
     """Exact-direction tail of the named majorant beyond the truncation.
 
@@ -423,22 +504,10 @@ def series_tail(series, truncation, q0, d, op_norm_bound=None) -> TailReport:
     context leaves each bound within half an ulp (2^-53 relative) of the
     exact truncated sum.
     """
-    x = abs(float(q0))
-    if x >= 1.0:
-        raise ValueError("series tails require |q| < 1")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    majorant, start, m_safe, op_norm_bound = check_tail(series, truncation, q0, d, op_norm_bound)
     params = {"q0": float(q0), "d": d}
-    if series == "gibbs":
-        if op_norm_bound is None:
-            op_norm_bound = 2.0 / math.sqrt(1.0 - x)
+    if op_norm_bound is not None:
         params["op_norm_bound"] = float(op_norm_bound)
-    else:
-        op_norm_bound = None
-    majorant = _majorant(series, x, d, op_norm_bound)
-    start = truncation + majorant.m0 + 1
-    # beyond m_safe the ratio of consecutive terms is strictly decreasing
-    m_safe = start + (0 if x == 0.0 else int(math.ceil(8.0 / (1.0 - x))))
     total, count = majorant.tail(start, m_safe)
     return TailReport(
         series=series,

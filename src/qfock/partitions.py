@@ -91,28 +91,6 @@ class DrawnPartition:
     # -- block structure ---------------------------------------------------
 
     @property
-    def partner0(self):
-        """The vertex paired with 0 (families B and C)."""
-        if self.family not in ("B", "C"):
-            raise ValueError("family D has no 0 vertex")
-        for a, b in self.pairs:
-            if a == 0:
-                return b
-        raise ValueError("vertex 0 is not paired")
-
-    @property
-    def s_left(self):
-        """Singletons above the partner of 0 (family C's left area)."""
-        k = self.partner0
-        return tuple(s for s in self.singletons if s > k)
-
-    @property
-    def s_right(self):
-        """Singletons below the partner of 0 (family C's right area)."""
-        k = self.partner0
-        return tuple(s for s in self.singletons if s < k)
-
-    @property
     def num_pairs(self):
         return len(self.pairs)
 

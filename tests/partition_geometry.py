@@ -11,7 +11,9 @@ of their polylines, found segment by segment in exact rational
 coordinates.
 
 This is the library's former crossing engine, kept here as the independent
-oracle for the interval rule in ``qfock.partitions``.
+oracle for the interval rule in ``qfock.partitions``, with the block
+geometry that only the tests read: the partner of vertex 0 and the
+singletons on either side of it.
 """
 
 from fractions import Fraction
@@ -22,6 +24,28 @@ class DegenerateLayoutError(RuntimeError):
 
     The drawing rules make this impossible; seeing it means a layout bug.
     """
+
+
+def partner0(part):
+    """The vertex paired with 0 (families B and C)."""
+    if part.family not in ("B", "C"):
+        raise ValueError("family D has no 0 vertex")
+    for a, b in part.pairs:
+        if a == 0:
+            return b
+    raise ValueError("vertex 0 is not paired")
+
+
+def s_left(part):
+    """Singletons above the partner of 0 (family C's left area)."""
+    k = partner0(part)
+    return tuple(s for s in part.singletons if s > k)
+
+
+def s_right(part):
+    """Singletons below the partner of 0 (family C's right area)."""
+    k = partner0(part)
+    return tuple(s for s in part.singletons if s < k)
 
 
 def max_vertex(part):

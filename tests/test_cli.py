@@ -205,8 +205,8 @@ class TestVerify:
         assert main([*argv.split(), "--q", q]) == 2
         assert capsys.readouterr().err.startswith("invalid configuration: analytic constants at |q| = 0.99")
 
-    def test_bounds_build_one_float_space(self, capsys, monkeypatch):
-        # the run's own space and one float space shared by the four engines
+    @staticmethod
+    def _spaces_built(capsys, monkeypatch, *argv):
         built = []
         init = FockSpace.__init__
 
@@ -215,9 +215,73 @@ class TestVerify:
             init(self, *args)
 
         monkeypatch.setattr(FockSpace, "__init__", counted)
-        code, _ = run(capsys, "verify", "bounds", "--d", "3", "--q", "9/10")
+        code, _ = run(capsys, *argv)
         assert code == 0
-        assert len(built) <= 2
+        return len(built)
+
+    def test_bounds_build_one_float_space(self, capsys, monkeypatch):
+        # the run's own space and one float space shared by the four engines
+        assert self._spaces_built(capsys, monkeypatch, "verify", "bounds", "--d", "3", "--q", "9/10") <= 2
+
+    def test_float_bounds_reuse_the_run_space(self, capsys, monkeypatch):
+        argv = ("verify", "bounds", "--d", "3", "--q", "0.9", "--mode", "float")
+        assert self._spaces_built(capsys, monkeypatch, *argv) == 1
+
+    @pytest.mark.parametrize("q", ["9966/10000", "997/1000"])
+    def test_tails_out_of_reach_exit_two(self, capsys, q):
+        # the gibbs and lipschitz majorants stop halving their terms within
+        # 100,000 terms from |q| ~ 0.9955 at d = 2, and C^(3/2) overflows
+        # from |q| ~ 0.99656; the suite used to end in an OverflowError
+        assert main(["verify", "bounds", "--d", "2", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: series tail gibbs at |q| = 0.99")
+        assert "at d = 2, M = 2 that fails from |q| ~ 0.9955" in err
+
+    @pytest.mark.parametrize("what", ["xi", "fisher"])
+    def test_export_tails_out_of_reach_exit_two(self, capsys, what):
+        # xi and fisher sum 68,987 terms at |q| = 0.997, d = 2 and stop
+        # halving theirs within 100,000 from |q| ~ 0.99751
+        assert main(["export", what, "--d", "2", "--level", "5", "--q", "9976/10000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: series tail {what} at |q| = 0.9976")
+        assert "that fails from |q| ~ 0.99751" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("verify all --mode symbolic --d 2 --level 5", "duality suite needs numeric entries for d > 1"),
+            ("verify all --d 2 --level 3 --series-m 2", "duality suite needs level >= 2*series_m + 1"),
+            ("verify gibbs --d 2 --level 3 --series-m 2", "gibbs suite needs level >= 2*series_m + 1"),
+            ("verify all --d 2 --level 5 --q 997/1000", "series tail gibbs at |q| = 0.997"),
+        ],
+    )
+    def test_refuses_before_any_suite_runs(self, capsys, monkeypatch, argv, message):
+        ran = []
+
+        def refused(*args):
+            raise AssertionError("a space was built before the refusal")
+
+        for name in list(qfock.cli._SUITE_FN):
+            monkeypatch.setitem(qfock.cli._SUITE_FN, name, lambda *args, name=name: ran.append(name) or [])
+        monkeypatch.setattr(qfock.cli, "FockSpace", refused)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {message}")
+        assert ran == []
+
+    def test_float_runs_never_enter_ldl(self, capsys, monkeypatch):
+        # every float Gram block is factored by Cholesky, in solves and
+        # norm checks alike; L·D·Lᵀ is for formal blocks only
+        ldl = FockSpace._ldl
+
+        def formal_only(n, content, mat):
+            assert not any(isinstance(g, float) for row in mat for g in row), content
+            return ldl(n, content, mat)
+
+        monkeypatch.setattr(FockSpace, "_ldl", staticmethod(formal_only))
+        config = "--mode float --d 2 --level 5 --series-m 2 --q 0.5".split()
+        for argv in ("export xi", "export fisher", "export gibbs", "verify duality", "verify gibbs", "verify bounds"):
+            assert main([*argv.split(), *config]) == 0, argv
+            capsys.readouterr()
 
 
 class TestExport:

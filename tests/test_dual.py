@@ -254,17 +254,17 @@ class TestOneSolvePerLevel:
     def test_factors_only_the_solved_blocks(self, monkeypatch, q):
         # b_1 reaches the level-(2m+1) contents with an odd count of letter
         # 1 and even counts of the others, and each of them is factored
-        # once: as L·D·Lᵀ in floats, modulo one prime when exact; every
+        # once: by Cholesky in floats, modulo one prime when exact; every
         # other block is built for the recursion only
         factored = []
         if isinstance(q, float):
-            ldl = FockSpace._ldl
+            cholesky = qfock.fock.gram_cholesky
 
-            def counted(n, content, mat):
-                factored.append(content)
-                return ldl(n, content, mat)
+            def counted(gram, what):
+                factored.append(what)
+                return cholesky(gram, what)
 
-            monkeypatch.setattr(FockSpace, "_ldl", staticmethod(counted))
+            monkeypatch.setattr(qfock.fock, "gram_cholesky", counted)
         else:
             factor, solve, rows_solved = qfock.lifting._factor_mod, qfock.fock.solve_integer, []
 
@@ -288,7 +288,7 @@ class TestOneSolvePerLevel:
         ]
         assert len(factored) == len(solved) == 20
         if isinstance(q, float):
-            assert sorted(factored) == sorted(solved)
+            assert sorted(factored) == sorted(qfock.fock._block_name(len(c), c) for c in solved)
         else:
             of_rows = {id(sp.blocks(len(c))[c].rows): c for c in solved}
             assert sorted(of_rows[id(rows)] for rows in rows_solved) == sorted(solved)

@@ -20,6 +20,7 @@ from qfock import (
     conjugate_series,
     q_factorial,
     q_int,
+    right_annihilation_norm,
 )
 
 Q = FORMAL_Q
@@ -249,9 +250,9 @@ def _ldl_product(rows):
 
 
 class TestFactorization:
-    """Formal and float blocks are factored as L·D·Lᵀ without pivoting,
-    rational blocks (stored as integers, scale times G_n) as L·U modulo a
-    prime; inside the disk every pivot of the Gram form is positive."""
+    """Formal blocks are factored as L·D·Lᵀ without pivoting, rational
+    blocks (stored as integers, scale times G_n) as L·U modulo a prime;
+    inside the disk every pivot of the Gram form is positive."""
 
     @pytest.mark.parametrize(
         "defm,top",
@@ -295,9 +296,15 @@ class TestFactorization:
                 assert all(row[-1] > 0 for row in FockSpace._ldl(n, content, gram_rows(blk)))
 
 
+def sp_one():
+    """The float space at q = 1, where every mixed-content block of level 2
+    is singular."""
+    return FockSpace.with_scalar_q(2, 1.0, level=3)
+
+
 class TestSolve:
     """``solve`` finds x with G x = v block by block, factoring only the
-    blocks v touches; a zero pivot names the level and the content."""
+    blocks v touches; a singular block names the level and the content."""
 
     def test_inverts_the_gram_form(self, half2):
         rng = random.Random(7)
@@ -325,11 +332,22 @@ class TestSolve:
 
     def test_float_singular_block_detected(self):
         # at q = 1 the content-(1, 2) block is [[1, 1], [1, 1]]; the
-        # content-(1, 1) block [[2]] is not, and solving on it succeeds
-        sp = FockSpace.with_scalar_q(2, 1.0, level=3)
-        assert sp.solve(e((1, 1))) == FockVector({(1, 1): 0.5})
+        # content-(1, 1) block [[2]] is not, and solving on it succeeds.
+        # Cholesky reaches 1/2 through sqrt(2), so within one rounding
+        x = sp_one().solve(e((1, 1)))
+        assert x.support() == [(1, 1)]
+        assert abs(2 * x.coeff((1, 1)) - 1) <= 2.0**-52
         with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
-            sp.solve(e((1, 2)))
+            sp_one().solve(e((1, 2)))
+
+    def test_float_singular_block_same_error_in_solve_and_norms(self):
+        # a float block is factored in one place, so the norm engines
+        # refuse it with the solve's error
+        with pytest.raises(GramSingularError) as solved:
+            sp_one().solve(e((1, 2)))
+        with pytest.raises(GramSingularError) as normed:
+            right_annihilation_norm(sp_one(), 1, 3)
+        assert str(normed.value) == str(solved.value) == "level-2 Gram block of content (1, 2) is not positive definite"
 
 
 class TestFloatGram:
@@ -349,16 +367,21 @@ class TestFloatGram:
                 assert abs(oracle[a][b] - f[a][b]) < 1e-12
 
 
-def _max_float_gap(exact_space, float_space, i, m):
+def _max_float_gap(exact_space, float_space, i, m, relative=False):
+    """max |float - exact| over the coefficients of xi_i, each divided by
+    max(1, |exact|) when relative."""
     exact = conjugate_series(exact_space, i, m)
     approx = conjugate_series(float_space, i, m)
     words = set(w for w, _ in exact.items()) | set(w for w, _ in approx.items())
-    return max(abs(float(exact.coeff(w)) - float(approx.coeff(w))) for w in words)
+    scale = (lambda c: max(1.0, abs(c))) if relative else (lambda c: 1.0)
+    return max(abs(float(exact.coeff(w)) - float(approx.coeff(w))) / scale(float(exact.coeff(w))) for w in words)
 
 
 class TestFloatConjugateSeries:
-    """Float mode runs the same Gram blocks and solves as exact mode; its
-    conjugate variables must stay within 1e-9 of the exact ones."""
+    """Float mode runs the same Gram blocks as exact mode, solved through
+    their Cholesky factors; its conjugate variables must stay within 1e-9
+    of the exact ones, and at |q| = 9/10, where the coefficients reach
+    several hundred, within 1e-8 relative to max(1, |exact|)."""
 
     @pytest.mark.parametrize("q", [Fraction(4, 5), Fraction(-4, 5)], ids=["+4/5", "-4/5"])
     def test_constant_close_to_exact(self, q):
@@ -366,6 +389,13 @@ class TestFloatConjugateSeries:
         approx = FockSpace.with_scalar_q(2, float(q), level=7)
         for i in (1, 2):
             assert _max_float_gap(exact, approx, i, 3) < 1e-9
+
+    @pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(-9, 10)], ids=["+9/10", "-9/10"])
+    def test_strong_constant_close_to_exact(self, q):
+        exact = FockSpace.with_scalar_q(2, q, level=7)
+        approx = FockSpace.with_scalar_q(2, float(q), level=7)
+        for i in (1, 2):
+            assert _max_float_gap(exact, approx, i, 3, relative=True) < 1e-8
 
     def test_mixed_close_to_exact(self):
         floats = Deformation([[float(v) for v in row] for row in MIXED_2.entries])

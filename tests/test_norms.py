@@ -28,7 +28,7 @@ from qfock import (
     right_annihilation_norm,
     series_tail,
 )
-from qfock.norms import SERIES_IDS, _majorant
+from qfock.norms import SERIES_IDS, _majorant, check_tail, haagerup_factor
 
 
 def scalar_space(q0, d, level):
@@ -215,6 +215,51 @@ class TestSeriesTails:
         assert rep.is_finite()
         assert rep.bound > mp.mpf(10) ** 300  # far beyond double range
         assert rep.bound_float == math.inf
+
+
+class TestReach:
+    """A tail whose terms would not start halving within TAIL_TERMS terms
+    is refused up front, naming the |q| from which that fails; the rule
+    reads one ratio and is the summing loop's own stop."""
+
+    @pytest.mark.parametrize("series", SERIES_IDS)
+    def test_rule_is_the_loops_stop(self, monkeypatch, series):
+        # with a cap of 2,000 terms the limit lies near |q| = 0.97, where
+        # the loop is quick to run on both sides of it
+        monkeypatch.setattr(qfock.norms, "TAIL_TERMS", 2000)
+        limit = qfock.norms._reach_limit(series, 2, 2, None)
+        assert 0.9 < limit < 0.99
+        assert series_tail(series, 2, limit - 2e-6, 2).terms_summed <= 2001
+        with pytest.raises(ValueError, match=rf"series tail {series} .* fails from \|q\| ~ {limit:.5f}"):
+            series_tail(series, 2, limit, 2)
+        majorant, start, m_safe, _ = qfock.norms._tail_start(series, 2, limit, 2, None)
+        with pytest.raises(RuntimeError, match="geometric decay"):
+            majorant.tail(start, m_safe)
+
+    def test_limits_at_full_reach(self):
+        # measured: at d = 2 and M = 2 the gibbs tail sums 79,570 terms at
+        # |q| = 0.995, and the xi tail 68,987 at 0.997
+        check_tail("gibbs", 2, 0.995, 2)
+        check_tail("xi", 2, -0.997, 2)
+        with pytest.raises(ValueError, match=r"at d = 2, M = 2 that fails from \|q\| ~ 0.99555"):
+            check_tail("gibbs", 2, 0.9966, 2)
+        with pytest.raises(ValueError, match=r"at d = 2, M = 2 that fails from \|q\| ~ 0.99751"):
+            check_tail("xi", 2, 0.9976, 2)
+
+    def test_limit_depends_on_d(self):
+        assert qfock.norms._reach_limit("gibbs", 2, 1, None) > qfock.norms._reach_limit("gibbs", 2, 10, None)
+
+
+class TestHaagerupFactor:
+    def test_is_c_to_three_halves(self):
+        assert haagerup_factor(0.9965) == analytic_constants(0.9965)[1] ** 1.5
+
+    def test_overflow_named(self):
+        # C ~ 3.2e205 at |q| = 0.996557, where C^(3/2) leaves double range
+        with pytest.raises(ValueError, match=r"C\^\(3/2\) overflows from \|q\| ~ 0.99656"):
+            haagerup_factor(-0.9966)
+        with pytest.raises(ValueError, match="Haagerup bound"):
+            haagerup_residual(scalar_space(0.997, 2, 2), 0, trials=1)
 
 
 def _oracle_tail(series, truncation, q0, d, op_norm_bound):

@@ -35,7 +35,7 @@ def induced_permutation(part: DrawnPartition):
     if part.n_vertices % 2 != 0:
         raise ValueError("full pairings need an even vertex count")
     m = part.n_vertices // 2
-    if part.partner0 != m:
+    if geometry.partner0(part) != m:
         raise ValueError("vertex 0 must be paired with the middle vertex")
     partner = {}
     for a, b in part.pairs:
@@ -166,8 +166,8 @@ class TestCrossings:
     def test_printed_five_family_c(self):
         p = DrawnPartition("C", 7, [(0, 3), (1, 6)], [2, 4, 5])
         assert p.crossings() == 5
-        assert p.s_left == (4, 5)
-        assert p.s_right == (2,)
+        assert geometry.s_left(p) == (4, 5)
+        assert geometry.s_right(p) == (2,)
 
     @pytest.mark.parametrize(
         "family,n",
@@ -229,7 +229,7 @@ class TestInducedPermutation:
         parts = [
             p
             for p in enumerate_family("B", 2 * m)
-            if not p.singletons and p.partner0 == m
+            if not p.singletons and geometry.partner0(p) == m
         ]
         assert parts, "full pairings must exist"
         for p in parts:
@@ -241,7 +241,7 @@ class TestInducedPermutation:
         parts = [
             p
             for p in enumerate_family("B", 6)
-            if not p.singletons and p.partner0 == 3
+            if not p.singletons and geometry.partner0(p) == 3
         ]
         assert sorted(p.crossings() for p in parts) == [3, 4]
 
@@ -265,7 +265,7 @@ class TestStructure:
 
     def test_enumeration_order_deterministic(self):
         parts = enumerate_family("B", 6)
-        partners = [p.partner0 for p in parts]
+        partners = [geometry.partner0(p) for p in parts]
         assert partners == sorted(partners)
         again = enumerate_family("B", 6)
         assert [(p.pairs, p.singletons) for p in parts] == [
