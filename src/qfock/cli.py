@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_reports
-from .fock import FockSpace, FockVector
+from .fock import FockSpace
 from .ncpoly import (
     conjugate_expansions,
     cyclic_commutator,
@@ -278,7 +278,10 @@ def _suite_gibbs(space, args, tol):
     checks = [_check(f"gibbs/degree={k}", r, r <= tol, series_m=m) for k, r in sorted(exact.items())]
     truncated = {str(k): _scalar_json(magnitude(r)) for k, r in sorted(residuals.items()) if k not in exact}
     commutator = cyclic_commutator(space, m, expansions)
-    worst = FockVector({w: c for w, c in commutator.items() if len(w) <= 2 * m + 1}).max_coeff_magnitude()
+    worst = max(
+        (magnitude(c) for w, c in commutator.items() if len(w) <= 2 * m + 1),
+        default=space.deformation.zero_magnitude(),
+    )
     params = {"series_m": m, "max_level": 2 * m + 1, "truncated_degree_residuals": truncated}
     return checks + [_check("gibbs/cyclic-gradient", worst, worst <= tol, **params)]
 

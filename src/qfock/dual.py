@@ -141,7 +141,7 @@ def commutator_residual(space: FockSpace, i, j, level_limit):
             got = duals[u] = dual_partition(space, i, u)
         return got
 
-    worst = 0
+    worst = space.deformation.zero_magnitude()
     for n in range(level_limit + 1):
         for w in space.words(n):
             lifted = space.gaussian(j, FockVector.basis(w))

@@ -5,7 +5,10 @@ sum of coefficient times the product of field operators along the word; an
 ``NCTensorPoly`` is the two-sided analogue supported on pairs of words.
 Both are word maps over the one algebra of :class:`qfock.fock.WordMap`
 that Fock vectors use too: sums, scalar multiples and linear combinations
-are shared, and only the products and flips live here.
+are shared, and only the products and flips live here. A polynomial acts
+on a vector by Horner's scheme over the prefix trie of its monomials (see
+:func:`poly_apply`): one field-operator application per distinct nonempty
+prefix, so O(deg * d^deg) word operations on the vacuum.
 
 The module provides, each in two independent ways where a closed form
 exists:
@@ -28,7 +31,7 @@ exists:
 from __future__ import annotations
 
 from .dual import _diagram_terms, conjugate_series
-from .fock import FockSpace, FockVector, WordMap, _add_to
+from .fock import FockSpace, FockVector, TruncationError, WordMap, _add_to
 
 __all__ = [
     "NCPoly",
@@ -155,8 +158,41 @@ def vector_to_poly(space: FockSpace, v: FockVector) -> NCPoly:
 
 
 def poly_apply(space: FockSpace, p: NCPoly, v: FockVector) -> FockVector:
-    """Evaluate the polynomial in the field operators on a vector."""
-    return FockVector.combination((space.gaussian_word(w, v), c) for w, c in p.items())
+    """Evaluate the polynomial in the field operators on a vector, by
+    Horner's scheme over the prefix trie of its monomials.
+
+    Writing p = c_0 + sum_a X_a p^(a), where p^(a) collects the monomials
+    that start with the letter a with that letter removed, gives
+    p(v) = c_0 v + sum_a X_a p^(a)(v). So each distinct nonempty prefix of
+    a monomial costs one field-operator application, where applying every
+    monomial separately costs one per letter; on the vacuum a polynomial of
+    degree k in d letters takes O(k d^k) word operations. A result that
+    would leave the truncation (degree plus the top level of v above the
+    space's level) is refused before any work.
+    """
+    top = max((len(w) for w, _ in v.items()), default=0)
+    if p.degree() + top > space.level:
+        raise TruncationError(
+            f"degree-{p.degree()} polynomial on a level-{top} vector exceeds level {space.level}"
+        )
+    return _horner(space, list(p.items()), 0, v)
+
+
+def _horner(space: FockSpace, terms, depth, v):
+    """Sum of c X_{w[depth:]} v over the (w, c) terms, which all share the
+    prefix w[:depth]: the constant, plus one field operator per next letter
+    applied to the sum over the terms continuing with that letter."""
+    constant = 0
+    below = {}
+    for w, c in terms:
+        if len(w) == depth:
+            constant = c
+        else:
+            below.setdefault(w[depth], []).append((w, c))
+    parts = [space.gaussian(a, _horner(space, sub, depth + 1, v)) for a, sub in below.items()]
+    if constant:
+        parts.append(v.scaled(constant))
+    return sum(parts[1:], parts[0]) if parts else FockVector.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +307,7 @@ def gibbs_gradient_residuals(space: FockSpace, source_length: int, potential, ex
     """
     from .scalars import magnitude
 
-    entry = space.deformation.entries[0][0]
-    # a zero of the data's own type, so float reports stay all floats
-    zero = magnitude(entry - entry)
+    zero = space.deformation.zero_magnitude()
     out = {}
     for i, xi_poly in expansions.items():
         diff = cyclic_derivative(i, potential) - xi_poly
@@ -298,10 +332,14 @@ def cyclic_commutator(space: FockSpace, source_length: int, expansions) -> FockV
     product formula a level-k Wick polynomial sends e_i to levels k +- 1,
     so every level up to 2M+1 of the result is exactly zero. Only field
     operators act, so the level-(2M+2) space builds no Gram block.
+
+    The commutators are summed as polynomials first, and the sum, of
+    degree 2M+2, is applied once to the vacuum: one field operator per
+    distinct prefix, O(deg * d^deg) word operations (see :func:`poly_apply`).
     """
     top = FockSpace(space.deformation, 2 * source_length + 2)
     terms = []
     for i, poly in expansions.items():
-        terms.append((top.gaussian(i, poly_apply(top, poly, top.vacuum())), 1))
-        terms.append((poly_apply(top, poly, FockVector.basis((i,))), -1))
-    return FockVector.combination(terms)
+        x = NCPoly.letter(i)
+        terms += [(x * poly, 1), (poly * x, -1)]
+    return poly_apply(top, NCPoly.combination(terms), top.vacuum())

@@ -793,6 +793,12 @@ class Deformation:
         formal entries evaluated at the point q0."""
         return Deformation(_float_rows(self.entries, q0))
 
+    def zero_magnitude(self):
+        """The magnitude of a zero entry: a maximum of coefficient
+        magnitudes starts from it, so that float reports stay all floats."""
+        entry = self.entries[0][0]
+        return magnitude(entry - entry)
+
     def max_abs_float(self, q0=None):
         """Largest |entry| after float evaluation (at q0 for symbolic ones)."""
         return max(abs(v) for row in self.as_float(q0).entries for v in row)

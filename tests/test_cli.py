@@ -158,6 +158,23 @@ class TestVerify:
         failed = [c["check"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert failed == ["gibbs/cyclic-gradient"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify gibbs --mode float --d 2 --level 5 --series-m 2 --q 0",
+            "verify commutator --mode float --d 2 --level 4 --q 0.5",
+        ],
+    )
+    def test_float_zero_maxima_are_floats(self, capsys, argv):
+        # a maximum over exact zeros is written 0.0 like every float value
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        values = [c["value"] for c in checks]
+        values += [v for c in checks for v in c["params"].get("truncated_degree_residuals", {}).values()]
+        assert 0.0 in values
+        assert all(type(v) is float for v in values)
+
     def test_bounds_d4_passes(self, capsys):
         code, out = run(capsys, "verify", "bounds", "--d", "4", "--q", "1/2")
         assert code == 0
@@ -528,6 +545,9 @@ class TestGolden:
             ("export fisher --d 2 --level 9 --series-m 4 --q 9/10", "759dd70ae46326c926e6820aee3260c278fc7830"),
             ("export xi --d 3 --level 5 --series-m 2 --q 9/10", "db7332edd878f7b042aaea8e1e6353891b2dc0a0"),
             ("export fisher --d 2 --level 7 --series-m 3 --q 99/100", "bb66ba70673ee724423fde1e09da9f2e5a94ee84"),
+            # the cyclic-gradient criterion applies one polynomial to the vacuum
+            ("verify gibbs --d 2 --level 7 --series-m 3", "4a01c89140f003ee775fdbc3b8c6bae775178144"),
+            ("verify gibbs --d 3 --level 5 --series-m 2 --q=-1/3", "f45784ebe4fdc869952447dd837696e9df1f8a4c"),
         ],
     )
     def test_report_digest(self, capsys, argv, sha1):

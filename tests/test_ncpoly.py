@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from apply_oracles import apply_by_monomials, commutator_by_letters
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,112 @@ class TestVectorToPoly:
             assert vector_to_poly(sym1, e((1,) * n)) == want
 
 
+MIXED = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+COMMUTATOR_CASES = [
+    (Deformation.constant(2, Fraction(1, 2)), 2),
+    (MIXED, 3),
+    (Deformation.constant(3, Fraction(-1, 3)), 2),
+]
+
+
+def random_poly(rng, d, degree, size, coeff):
+    words = [w for n in range(degree + 1) for w in product(range(1, d + 1), repeat=n)]
+    return NCPoly({w: coeff(rng) for w in rng.sample(words, min(size, len(words)))})
+
+
+def random_vector(rng, d, top, size, coeff):
+    words = [w for n in range(top + 1) for w in product(range(1, d + 1), repeat=n)]
+    return FockVector({w: coeff(rng) for w in rng.sample(words, min(size, len(words)))})
+
+
+def rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def formal(rng):
+    return rational(rng) * rng.choice([1, Q, 1 - Q * Q])
+
+
+def counting_gaussian(monkeypatch):
+    """Patch FockSpace.gaussian to count its calls; returns the counter."""
+    calls = []
+    original = FockSpace.gaussian
+
+    def gaussian(self, i, v):
+        calls.append(i)
+        return original(self, i, v)
+
+    monkeypatch.setattr(FockSpace, "gaussian", gaussian)
+    return calls
+
+
+class TestPolyApply:
+    """Horner's scheme against one chain of field operators per monomial."""
+
+    @pytest.mark.parametrize(
+        "defm, coeff",
+        [
+            (Deformation.constant(2, Fraction(1, 2)), rational),
+            (Deformation.constant(3, Fraction(-1, 3)), rational),
+            (MIXED, rational),
+            (Deformation.constant(2, Q), formal),
+        ],
+        ids=["half-d2", "third-d3", "mixed-d2", "symbolic-d2"],
+    )
+    def test_matches_monomial_oracle(self, defm, coeff):
+        sp = FockSpace(defm, level=6)
+        rng = random.Random(17)
+        for degree, top in ((0, 3), (2, 0), (3, 2), (4, 2), (5, 1)):
+            for _ in range(3):
+                p = random_poly(rng, defm.d, degree, 12, coeff)
+                v = random_vector(rng, defm.d, top, 5, coeff)
+                assert poly_apply(sp, p, v) == apply_by_monomials(sp, p, v)
+                assert poly_apply(sp, p, sp.vacuum()) == apply_by_monomials(sp, p, sp.vacuum())
+
+    @pytest.mark.parametrize("defm", [Deformation.constant(2, 0.5), MIXED.as_float()], ids=["half-d2", "mixed-d2"])
+    def test_float_close_to_monomial_oracle(self, defm):
+        sp = FockSpace(defm, level=7)
+        rng = random.Random(5)
+        for degree, top in ((3, 2), (5, 2), (7, 0)):
+            for _ in range(3):
+                p = random_poly(rng, defm.d, degree, 20, lambda r: r.uniform(-1, 1))
+                v = random_vector(rng, defm.d, top, 5, lambda r: r.uniform(-1, 1))
+                want = apply_by_monomials(sp, p, v)
+                gap = (poly_apply(sp, p, v) - want).max_coeff_magnitude()
+                assert gap <= 1e-12 * want.max_coeff_magnitude()
+
+    def test_one_field_operator_per_distinct_prefix(self, monkeypatch):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=6)
+        rng = random.Random(3)
+        calls = counting_gaussian(monkeypatch)
+        for degree in range(6):
+            p = random_poly(rng, 2, degree, 15, rational)
+            prefixes = {w[:k] for w, _ in p.items() for k in range(1, len(w) + 1)}
+            calls.clear()
+            poly_apply(sp, p, e((1,)))
+            assert len(calls) == len(prefixes)
+        # the gibbs polynomial at d=2, M=3: 318 prefixes, where one chain
+        # per monomial made 2,166 applications
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=7)
+        expansions = conjugate_expansions(sp, 3)
+        calls.clear()
+        cyclic_commutator(sp, 3, expansions)
+        assert len(calls) == 318
+
+    def test_refuses_up_front_beyond_truncation(self, monkeypatch):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
+        p = NCPoly({(1, 2, 1): 1, (2,): Fraction(1, 3), (): 2})
+        calls = counting_gaussian(monkeypatch)
+        with pytest.raises(TruncationError, match="degree-3 polynomial on a level-3 vector exceeds level 5"):
+            poly_apply(sp, p, FockVector({(2, 2, 1): 1, (): 1}))
+        assert not calls
+        # degree plus top level equal to the truncation is the largest allowed
+        v = FockVector({(2, 1): 1, (1,): Fraction(-1, 2)})
+        got = poly_apply(sp, p, v)
+        assert max(len(w) for w, _ in got.items()) == 5
+        assert got == apply_by_monomials(sp, p, v)
+
+
 class TestDiffQuotient:
     def test_letter(self):
         assert diff_quotient(1, NCPoly.letter(1)) == NCTensorPoly({((), ()): 1})
@@ -212,19 +319,25 @@ class TestGibbs:
         residuals = gibbs_residuals(half2, 2)
         assert all(v == 0 for v in residuals.values())
 
-    @pytest.mark.parametrize(
-        "defm,m",
-        [
-            (Deformation.constant(2, Fraction(1, 2)), 2),
-            (Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]]), 3),
-            (Deformation.constant(3, Fraction(-1, 3)), 2),
-        ],
-        ids=["half-d2", "mixed-d2", "third-d3"],
-    )
+    @pytest.mark.parametrize("defm,m", COMMUTATOR_CASES, ids=["half-d2", "mixed-d2", "third-d3"])
     def test_cyclic_commutator_exact_below_truncation(self, defm, m):
         sp = FockSpace(defm, level=2 * m + 1)
         commutator = cyclic_commutator(sp, m, conjugate_expansions(sp, m))
         assert {len(w) for w, _ in commutator.items()} == {2 * m + 2}
+
+    @pytest.mark.parametrize("defm,m", COMMUTATOR_CASES, ids=["half-d2", "mixed-d2", "third-d3"])
+    def test_cyclic_commutator_matches_oracle(self, defm, m):
+        sp = FockSpace(defm, level=2 * m + 1)
+        expansions = conjugate_expansions(sp, m)
+        assert cyclic_commutator(sp, m, expansions) == commutator_by_letters(sp, m, expansions)
+
+    def test_cyclic_commutator_matches_oracle_off_the_gradient(self, half2):
+        # xi_1 bent by e_222 / 10 is no cyclic gradient, so low levels survive
+        expansions = conjugate_expansions(half2, 3)
+        expansions[1] = expansions[1] + vector_to_poly(half2, FockVector({(2, 2, 2): Fraction(1, 10)}))
+        got = cyclic_commutator(half2, 3, expansions)
+        assert got == commutator_by_letters(half2, 3, expansions)
+        assert any(len(w) <= 7 for w, _ in got.items())
 
     def test_degree_grading(self, half2):
         xi_degrees = set()
