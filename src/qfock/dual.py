@@ -15,9 +15,21 @@ The two strategies agree word for word and the test suite pins that down.
 The diagram sums here and in ``ncpoly`` (families C and D) read the
 combinatorics from ``partitions.diagram_table``: one table per family and
 letter pattern, the word's vertex letters relabelled by first occurrence,
-so (3,1,3) and (2,1,2) share the table of (0,1,0). A word maps the pattern
-classes back to its letters and evaluates each entry as its signed count
-times the deformation entry of each class pair to its crossing exponent.
+so (3,1,3) and (2,1,2) share the table of (0,1,0). Each entry weighs as
+its signed count times the deformation entry of each class pair to its
+crossing exponent.
+
+A space evaluates each table into weights at most once per sharing key
+(family, pattern, entry labels), in its ``diagrams`` memo. The entry
+labels give, for every class pair a <= b, the space's int label of the
+entry q(letter a, letter b), equal labels meaning entries equal in value
+and type (see ``FockSpace._labels``); two words with one key read the same
+entries, so they get the same weights. The weights are summed per (left,
+right) class word in table order, and a word only relabels those class
+words back to its letters. At constant q every word of a pattern shares
+one evaluation, the letter index i of B and C included; a matrix with
+distinct entries shares nothing and evaluates each table per letter
+assignment, as a per-word evaluation would.
 
 Applying the adjoint of D_i to the vacuum yields the conjugate variable:
 a graded series whose level-(2m+1) part sums, over all source words w of
@@ -88,7 +100,8 @@ def _dual_build(space: FockSpace, i, word) -> FockVector:
 def _diagram_terms(space: FockSpace, family, word, i=None):
     """The terms of one family's diagram sum on a word, as (signed weight,
     left word, right word), for the diagram sums of D_i (B), of the
-    difference quotient (C) and of the Wick transform (D).
+    difference quotient (C) and of the Wick transform (D), one term per
+    distinct (left word, right word).
 
     Vertex k >= 1 carries the k-th letter of the word from the right and
     vertex 0, in B and C, the index i. The word's letter pattern keys the
@@ -102,17 +115,36 @@ def _diagram_terms(space: FockSpace, family, word, i=None):
     through 0 with the singletons below its partner take no factor. The
     left word is read off the singletons above the partner of 0 (all of
     them in B and D), the right word off those below it, right to left.
+    The weights come from the space's ``diagrams`` memo (see the module
+    docstring).
     """
+    space._check_level(len(word))
     classes = {}
     vertex_letters = ((i,) if family != "D" else ()) + word[::-1]
     pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
     letter = tuple(classes)
+    rows = [space._labels[x - 1] for x in letter]
+    labels = tuple(row[y - 1] for k, row in enumerate(rows) for y in letter[k:])
+    weights = space._memo(
+        "diagrams", (family, pattern, labels), lambda: _pattern_weights(space, family, pattern, letter)
+    )
+    relabel = letter.__getitem__
+    for left, right, weight in weights:
+        yield weight, tuple(map(relabel, left)), tuple(map(relabel, right))
+
+
+def _pattern_weights(space: FockSpace, family, pattern, letter):
+    """The diagram table of (family, pattern) evaluated at the deformation
+    entries of the class letters, as (left, right, weight) with the weights
+    summed per (left, right) class word in table order."""
     q = space.deformation.q
+    acc = {}
     for count, left, right, exponents in diagram_table(family, pattern):
         weight = count
         for (a, b), e in exponents:
             weight = weight * q(letter[a], letter[b]) ** e
-        yield weight, tuple(letter[c] for c in left), tuple(letter[c] for c in right)
+        _add_to(acc, (left, right), weight)
+    return tuple((left, right, weight) for (left, right), weight in acc.items())
 
 
 def dual_partition(space: FockSpace, i, word) -> FockVector:
@@ -120,17 +152,16 @@ def dual_partition(space: FockSpace, i, word) -> FockVector:
     word = tuple(word)
     if not word:
         return FockVector.zero()
-    acc = {}
-    for weight, out_word, _ in _diagram_terms(space, "B", word, i):
-        _add_to(acc, out_word, weight)
-    return FockVector(acc)
+    # B has no right singletons, so the terms' left words are distinct
+    return FockVector._wrap({out_word: weight for weight, out_word, _ in _diagram_terms(space, "B", word, i)})
 
 
-def commutator_residual(space: FockSpace, i, j, level_limit):
-    """Largest coefficient magnitude of (D_i A_j - A_j D_i - delta P) e_w
-    over all basis words of length up to level_limit, with D_i the B-family
-    diagram sum, so that an exact zero checks the paper's closed form. Each
-    D_i e_u is summed once per call."""
+def commutator_residual(space: FockSpace, i, level_limit):
+    """{j: largest coefficient magnitude of (D_i A_j - A_j D_i - delta_ij P)
+    e_w over all basis words w of length up to level_limit}, for every
+    letter j, with D_i the B-family diagram sum, so that an exact zero
+    checks the paper's closed form. Each D_i e_u is summed once per call,
+    for all j."""
     if level_limit > space.level - 1:
         raise ValueError("level_limit must stay one below the truncation")
     duals = {}
@@ -141,17 +172,20 @@ def commutator_residual(space: FockSpace, i, j, level_limit):
             got = duals[u] = dual_partition(space, i, u)
         return got
 
-    worst = space.deformation.zero_magnitude()
+    letters = range(1, space.d + 1)
+    worst = dict.fromkeys(letters, space.deformation.zero_magnitude())
     for n in range(level_limit + 1):
         for w in space.words(n):
-            lifted = space.gaussian(j, FockVector.basis(w))
-            lhs = FockVector.combination((dual(u), c) for u, c in lifted.items())
-            lhs = lhs - space.gaussian(j, dual(w))
-            if i == j and n == 0:
-                lhs = lhs - space.vacuum()
-            m = lhs.max_coeff_magnitude()
-            if m > worst:
-                worst = m
+            basis = FockVector.basis(w)
+            for j in letters:
+                lifted = space.gaussian(j, basis)
+                lhs = FockVector.combination((dual(u), c) for u, c in lifted.items())
+                lhs = lhs - space.gaussian(j, dual(w))
+                if i == j and n == 0:
+                    lhs = lhs - space.vacuum()
+                m = lhs.max_coeff_magnitude()
+                if m > worst[j]:
+                    worst[j] = m
     return worst
 
 

@@ -54,6 +54,14 @@ that is itself invertible may be refused. With constant q the
 recursion reproduces the permutation sum of q^inversions; the tests check
 both that and the left-peeling recursion for mixed q.
 
+The field operators read the same integer numerators. Annihilation's
+running weight prod_{s<t} q(i, w[s]) is A-products over s^t, so it is kept
+as an integer numerator, letter by letter, and each output term forms one
+``Fraction`` from it and the input coefficient. Float and formal entries
+(s = 1) take the entries themselves through the same loop, multiplied in
+the same order as the single-parameter rule reads them. ``gaussian`` sums
+annihilation and creation into one map.
+
 Everything is exact when the deformation entries are exact; plain floats
 flow through the same recursion and readers for numerical work. The
 truncation level is explicit and overflowing it is a hard error, never a
@@ -67,7 +75,6 @@ polynomials of :mod:`qfock.ncpoly` are its subclasses.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -289,6 +296,22 @@ def _cleared(deformation):
     return s, tuple(tuple(int(v * s) for v in row) for row in entries)
 
 
+def _entry_labels(entries):
+    """labels[i][j], one int per distinct entry: entries equal in value and
+    type share a label, so two letter assignments with equal labels read
+    identical entries."""
+    seen = []
+
+    def label(v):
+        for k, u in enumerate(seen):
+            if type(u) is type(v) and u == v:
+                return k
+        seen.append(v)
+        return len(seen) - 1
+
+    return tuple(tuple(label(v) for v in row) for row in entries)
+
+
 def _over_one_denominator(terms):
     """Integer numerators of rational coefficients over their common
     denominator, with that denominator."""
@@ -300,11 +323,11 @@ class FockSpace:
     """Fock space over d letters, truncated at an explicit word length.
 
     All operator applications are pure. The per-level words and Gram
-    blocks, and the memos of the dual operators, Wick polynomials and
-    conjugate-variable levels are write-once tables behind
-    one lock (see ``_memo``), so a space can be shared freely between
-    threads. Every key stays within the truncation level, so the tables
-    are bounded by it.
+    blocks, and the memos of the dual operators, Wick polynomials,
+    conjugate-variable levels and diagram weights are write-once tables
+    (see ``_memo``), so a space can be shared freely between threads.
+    Every key stays within the truncation level, so the tables are bounded
+    by it.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -315,8 +338,8 @@ class FockSpace:
         self.level = level
         self._rational = not (deformation.is_float or deformation.is_symbolic)
         self._cleared = _cleared(deformation) if self._rational else (1, deformation.entries)
-        self._lock = threading.Lock()
-        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi")}
+        self._labels = _entry_labels(deformation.entries)
+        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi", "diagrams")}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
@@ -324,15 +347,15 @@ class FockSpace:
 
     def _memo(self, table, key, build):
         """The value ``build()`` stored once under ``key`` in the named
-        table. It is built outside the lock, since builds recurse into the
-        tables, and the first value stored is the one every caller gets."""
+        table. Threads racing on a missing key may each build it, since
+        builds recurse into the tables, but ``setdefault`` stores only the
+        first value and hands it to every caller. A read and a store are
+        each one atomic dict operation on keys of ints, strings and tuples,
+        so no lock is taken."""
         memo = self._memos[table]
-        with self._lock:
-            got = memo.get(key)
+        got = memo.get(key)
         if got is None:
-            got = build()
-            with self._lock:
-                got = memo.setdefault(key, got)
+            got = memo.setdefault(key, build())
         return got
 
     # -- basis -------------------------------------------------------------
@@ -349,37 +372,61 @@ class FockSpace:
     def create(self, i, v: FockVector) -> FockVector:
         """Left creation: prepend letter i. Overflow is a hard error."""
         self._check_letter(i)
-        acc = {}
-        for w, c in v.items():
-            if len(w) + 1 > self.level:
-                raise TruncationError(
-                    f"create on a level-{len(w)} component exceeds level {self.level}"
-                )
-            _add_to(acc, (i,) + w, c)
-        return FockVector(acc)
+        return FockVector._wrap(self._created(i, v))
+
+    def _created(self, i, v):
+        """The map of create(i, v): prepending i keeps the words distinct."""
+        top = max(map(len, v._c), default=-1)
+        if top >= self.level:
+            raise TruncationError(f"create on a level-{top} component exceeds level {self.level}")
+        return {(i,) + w: c for w, c in v.items()}
 
     def annihilate(self, i, v: FockVector) -> FockVector:
         """Left annihilation with cumulative deformation weights; the
         running weight stops at the last occurrence of the letter."""
         self._check_letter(i)
-        q = self.deformation.q
+        return FockVector._wrap(self._annihilated(i, v))
+
+    def gaussian(self, i, v: FockVector) -> FockVector:
+        """The field operator, creation plus annihilation, summed into the
+        creation's map with no intermediate vector to build or re-validate.
+        The created words come first and the annihilation terms are summed
+        apart and then added, so every float coefficient is the
+        c + (a_1 + a_2 + ...) of ``create(i, v) + annihilate(i, v)``, in
+        the same order."""
+        self._check_letter(i)
+        acc = self._created(i, v)
+        for w, c in self._annihilated(i, v).items():
+            _add_to(acc, w, c)
+        return FockVector._wrap(acc)
+
+    def _annihilated(self, i, v):
+        """The map of annihilate(i, v).
+
+        The running weight prod_{s<t} q(i, w[s]) is kept as its numerator
+        prod_{s<t} A(i, w[s]) over the cleared entries (s, A), and each term
+        forms one ``Fraction`` over s^t; with s = 1 (integer, float and
+        formal entries) the term is the coefficient times the product of
+        the entries, multiplied left to right."""
+        s, a = self._cleared
+        row = a[i - 1]
         acc = {}
         for w, cv in v.items():
             if i not in w:
                 continue
             last = len(w) - 1 - w[::-1].index(i)
-            c = 1
+            n = 1
             for t, letter in enumerate(w):
                 if letter == i:
-                    _add_to(acc, w[:t] + w[t + 1 :], cv * c)
+                    if s == 1:
+                        c = cv * n
+                    else:
+                        c = Fraction(cv.numerator * n, cv.denominator * s**t)
+                    _add_to(acc, w[:t] + w[t + 1 :], c)
                     if t == last:
                         break
-                c = c * q(i, letter)
-        return FockVector(acc)
-
-    def gaussian(self, i, v: FockVector) -> FockVector:
-        """The field operator: creation plus annihilation."""
-        return self.create(i, v) + self.annihilate(i, v)
+                n = n * row[letter - 1]
+        return acc
 
     def gaussian_word(self, word, v: FockVector) -> FockVector:
         """Apply the product of field operators indexed by the word.

@@ -146,10 +146,8 @@ def _wick_build(space: FockSpace, word) -> NCPoly:
 
 def wick_partition(space: FockSpace, word) -> NCPoly:
     """The same polynomial by the singleton/pair diagram sum (family D)."""
-    acc = {}
-    for weight, monomial, _ in _diagram_terms(space, "D", tuple(word)):
-        _add_to(acc, monomial, weight)
-    return NCPoly(acc)
+    # D has no right singletons, so the terms' left words are distinct
+    return NCPoly._wrap({monomial: weight for weight, monomial, _ in _diagram_terms(space, "D", tuple(word))})
 
 
 def vector_to_poly(space: FockSpace, v: FockVector) -> NCPoly:
@@ -226,9 +224,10 @@ def diff_partition(space: FockSpace, i, word) -> NCTensorPoly:
         left_poly = wick_recursive(space, left_word)
         right_poly = wick_recursive(space, right_word)
         for u, cu in left_poly.items():
+            left = weight * cu
             for v, cv in right_poly.items():
-                _add_to(acc, (u, v), weight * cu * cv)
-    return NCTensorPoly(acc)
+                _add_to(acc, (u, v), left * cv)
+    return NCTensorPoly._wrap(acc)
 
 
 def cyclic_derivative(i, p: NCPoly) -> NCPoly:

@@ -163,16 +163,17 @@ def gram_domination_residual(space, m):
     return worst
 
 
-def projected_domination(space, m):
-    """Sharp constant c_m of the projected comparison c (G_m (x) P_1) <= G_{m+1}.
+def projected_domination(space, m, i=1):
+    """Sharp constant c_m of the projected comparison c (G_m (x) P_i) <= G_{m+1}.
 
-    P_1 projects the last letter onto letter 1, so G_m (x) P_1 = r_1* G_m r_1
-    and the largest such c is the inverse of the squared norm of r_1 on
-    level m+1. Hence ||r_1||^2 = 1 / min_m c_m on the truncated space, and
+    P_i projects the last letter onto letter i, so G_m (x) P_i = r_i* G_m r_i
+    and the largest such c is the inverse of the squared norm of r_i on
+    level m+1. Hence ||r_i||^2 = 1 / min_m c_m on the truncated space, and
     the estimate ||r_i|| <= w(q)^(-1/2) is the statement c_m >= w(q).
     """
+    space._check_letter(i)
     _require_float(space)
-    return 1.0 / _right_gain(space, 1, m + 1)
+    return 1.0 / _right_gain(space, i, m + 1)
 
 
 def right_annihilation_norm(space, i, level):

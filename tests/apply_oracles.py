@@ -7,7 +7,10 @@ oracles take the direct routes instead:
 * ``apply_by_monomials`` runs one chain of field operators per monomial,
   the rightmost letter first, and sums the chains;
 * ``commutator_by_letters`` applies each conjugate expansion twice per
-  letter, X_i (P_i vacuum) and P_i e_i, and sums the differences.
+  letter, X_i (P_i vacuum) and P_i e_i, and sums the differences;
+* ``annihilate_by_letters`` builds each running weight q(i, .) as a chain
+  of entry products, letter by letter, and ``gaussian_by_letters`` adds it
+  to the creation as two separate vectors.
 """
 
 from qfock import FockSpace, FockVector
@@ -27,3 +30,27 @@ def commutator_by_letters(space, source_length, expansions):
         terms.append((top.gaussian(i, apply_by_monomials(top, poly, top.vacuum())), 1))
         terms.append((apply_by_monomials(top, poly, FockVector.basis((i,))), -1))
     return FockVector.combination(terms)
+
+
+def annihilate_by_letters(space, i, v):
+    """Left annihilation with the running weight a product of entries: the
+    sum over positions t with w[t] = i of (prod_{s<t} q(i, w[s])) e_{w
+    without t}, the weights multiplied left to right from the int 1."""
+    q = space.deformation.q
+    acc = {}
+    for w, cv in v.items():
+        c = 1
+        for t, letter in enumerate(w):
+            if letter == i:
+                key = w[:t] + w[t + 1 :]
+                acc[key] = acc.get(key, 0) + cv * c
+                if not acc[key]:
+                    del acc[key]
+            c = c * q(i, letter)
+    return FockVector(acc)
+
+
+def gaussian_by_letters(space, i, v):
+    """The field operator as the sum of two vectors, the creation and
+    ``annihilate_by_letters``."""
+    return space.create(i, v) + annihilate_by_letters(space, i, v)

@@ -4,11 +4,16 @@ tables of ``qfock.partitions.diagram_table``.
 ``per_diagram_terms`` enumerates every diagram of the family for the word,
 drops those pairing unequal letters and weighs each survivor on its own,
 with one deformation factor per crossing of two strings.
+
+``per_word_table_terms`` reads the same pattern table as the library but
+evaluates it afresh for every word, entry by entry at the word's own
+letters, with no sharing between words.
 """
 
 from bisect import bisect
 
 from qfock import enumerate_family
+from qfock.partitions import diagram_table
 
 
 def crossing_weight(space, part, letter_of, exclude=None):
@@ -47,3 +52,18 @@ def per_diagram_terms(space, family, word, i=None):
         if (part.num_pairs - (zero_block is not None)) % 2:
             weight = -weight
         yield weight, read(left), read(right)
+
+
+def per_word_table_terms(space, family, word, i=None):
+    """(signed weight, left word, right word) per entry of the word's
+    pattern table, each weight count * q(a, b)^e over its class pairs."""
+    classes = {}
+    vertex_letters = ((i,) if family != "D" else ()) + tuple(word)[::-1]
+    pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
+    letter = tuple(classes)
+    q = space.deformation.q
+    for count, left, right, exponents in diagram_table(family, pattern):
+        weight = count
+        for (a, b), e in exponents:
+            weight = weight * q(letter[a], letter[b]) ** e
+        yield weight, tuple(letter[c] for c in left), tuple(letter[c] for c in right)

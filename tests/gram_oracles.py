@@ -131,15 +131,15 @@ def dense_right_annihilation_norm(space, i, level):
     return best**0.5
 
 
-def projected_domination_sharp(space, m):
+def projected_domination_sharp(space, m, i=1):
     """Sharp constant for the rank-one-projected comparison: the largest c
-    with c * (G_m (x) P_1) <= G_{m+1}, via a Schur complement on the
-    block of words ending in letter 1."""
+    with c * (G_m (x) P_i) <= G_{m+1}, via a Schur complement on the
+    block of words ending in letter i."""
     d = space.d
     grams = _float_grams(space, m + 1)
     big, small = grams[m + 1], grams[m]
-    keep = [k for k in range(d ** (m + 1)) if k % d == 0]
-    drop = [k for k in range(d ** (m + 1)) if k % d != 0]
+    keep = [k for k in range(d ** (m + 1)) if k % d == i - 1]
+    drop = [k for k in range(d ** (m + 1)) if k % d != i - 1]
     if drop:
         schur = big[np.ix_(keep, keep)] - big[np.ix_(keep, drop)] @ np.linalg.solve(
             big[np.ix_(drop, drop)], big[np.ix_(drop, keep)]

@@ -8,9 +8,13 @@ to that precision.
 ``context_tail`` builds the terms by the closed-form ratios and sums them in
 mpf arithmetic of a private 113-bit context, as the library did before it
 worked on raw libmp values: the library must reproduce it bit for bit.
+
+``fisher_remainder_above`` bounds the true one-letter Fisher remainder from
+above in exact rationals, for checking that a reported tail covers it.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -160,3 +164,37 @@ def closed_form_terms(series, x, d, op_norm_bound=None):
     else:
         raise ValueError(f"unknown series {series!r}")
     return term
+
+
+def fisher_remainder_above(q, truncation):
+    """An exact rational upper bound of the d = 1 Fisher remainder beyond
+    the truncation M, sum over m >= M + 2 of t_m = |q|^(m(m-1)) ([m-1]_q!)^2
+    / [2m-1]_q!, at a rational q in (-1, 1).
+
+    The ratio t_(m+1)/t_m = |q|^(2m) [m]_q^2 / ([2m]_q [2m+1]_q) is at
+    most |q|^(2m) c with c = ((1+|q|)/(1-|q|)^2)^2, since (1-|q|)/(1+|q|)
+    <= [n]_q <= 1/(1-|q|) for n >= 1. The terms are summed exactly up to the
+    first m with |q|^(2m) c <= 1/2; every later ratio is then at most 1/2,
+    so the rest is at most t_m, which is added once more."""
+    q = Fraction(q)
+    a = abs(q)
+
+    def bracket(n):
+        return sum((q**k for k in range(n)), Fraction(0))
+
+    def factorial(n):
+        out = Fraction(1)
+        for k in range(1, n + 1):
+            out *= bracket(k)
+        return out
+
+    c = ((1 + a) / (1 - a) ** 2) ** 2
+    m = truncation + 2
+    term = a ** (m * (m - 1)) * factorial(m - 1) ** 2 / factorial(2 * m - 1)
+    total = Fraction(0)
+    while True:
+        total += term
+        if a ** (2 * m) * c <= Fraction(1, 2):
+            return total + term
+        term = term * a ** (2 * m) * bracket(m) ** 2 / (bracket(2 * m) * bracket(2 * m + 1))
+        m += 1

@@ -1,6 +1,8 @@
 """The diagram sums read one term table per (family, letter pattern):
 the grouped terms equal the per-diagram oracle word for word, words of
-one pattern share a table, and the table cache stays bounded."""
+one pattern share a table, and the table cache stays bounded. A space
+evaluates each table into weights once per sharing key, and words of one
+key share the weights."""
 
 import io
 from collections import Counter
@@ -9,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from diagram_oracles import per_diagram_terms
+from diagram_oracles import per_diagram_terms, per_word_table_terms
 
 import qfock.dual
 import qfock.partitions
@@ -52,6 +54,85 @@ class TestAgainstPerDiagramOracle:
                 for family, i in cases:
                     got = summed(_diagram_terms(space, family, w, i))
                     assert got == summed(per_diagram_terms(space, family, w, i)), (family, i, w)
+
+
+# some entries equal, some distinct: letters 1 and 2 share their diagonal
+# and their entry with 3, so they swap freely in words without a 3
+SHARED_SPACES = {
+    "constant": lambda: FockSpace.with_scalar_q(3, Fraction(2, 5), level=5),
+    "q-matrix": lambda: FockSpace(
+        Deformation.from_json({"d": 3, "entries": [["1/2", "-1/3", "2/7"], ["-1/3", "1/2", "2/7"], ["2/7", "2/7", "3/4"]]}),
+        level=5,
+    ),
+    "float": lambda: FockSpace.with_scalar_q(3, -0.3, level=5),
+    "symbolic": lambda: FockSpace.with_scalar_q(2, FORMAL_Q, level=5),
+}
+
+
+def all_cases(space):
+    letters = range(1, space.d + 1)
+    for n in range(6):
+        for w in product(letters, repeat=n):
+            yield "D", w, None
+            for family in "BC":
+                for i in letters:
+                    yield family, w, i
+
+
+class TestPatternSharedWeights:
+    @pytest.mark.parametrize("name", sorted(SHARED_SPACES))
+    def test_equal_the_per_diagram_sums(self, name):
+        space = SHARED_SPACES[name]()
+        for family, w, i in all_cases(space):
+            got = summed(_diagram_terms(space, family, w, i))
+            want = summed(per_diagram_terms(space, family, w, i))
+            if space.deformation.is_float:
+                # a product of powers rounds apart from a product of factors
+                assert got.keys() == want.keys(), (family, i, w)
+                assert all(abs(got[k] - want[k]) <= 1e-14 * (1 + abs(want[k])) for k in got), (family, i, w)
+                # and the shared weights are bit for bit the per-word ones
+                assert got == summed(per_word_table_terms(space, family, w, i)), (family, i, w)
+            else:
+                assert got == want, (family, i, w)
+
+    @pytest.mark.parametrize("name", sorted(SHARED_SPACES))
+    def test_one_term_per_left_and_right_word(self, name):
+        space = SHARED_SPACES[name]()
+        for family, w, i in all_cases(space):
+            keys = [(left, right) for _, left, right in _diagram_terms(space, family, w, i)]
+            assert len(keys) == len(set(keys))
+
+    def test_sharing_keys(self):
+        constant, matrix = SHARED_SPACES["constant"](), SHARED_SPACES["q-matrix"]()
+        for space in (constant, matrix):
+            for w in ((1, 2, 1), (2, 1, 2), (3, 1, 3), (1, 3, 1)):
+                wick_partition(space, w)
+        # constant q: one key for the pattern (0, 1, 0). On the matrix
+        # (1, 2, 1) and (2, 1, 2) read the same entries and share a key,
+        # while (3, 1, 3) and (1, 3, 1) swap q(1, 1) and q(3, 3)
+        assert len(constant._memos["diagrams"]) == 1
+        assert len(matrix._memos["diagrams"]) == 3
+        assert matrix._labels == ((0, 1, 2), (1, 0, 2), (2, 2, 3))
+
+    def test_labels_tell_types_apart(self):
+        space = FockSpace(Deformation([[Fraction(1, 2), 0.5], [0.5, Fraction(1, 2)]]), level=2)
+        assert space._labels == ((0, 1), (1, 0))
+
+    def test_each_pattern_evaluated_once_per_space_at_d3_level6(self, monkeypatch):
+        build = qfock.dual._pattern_weights
+        counts = {}
+
+        def counted(space, family, pattern, letter):
+            counts[family, pattern] = counts.get((family, pattern), 0) + 1
+            return build(space, family, pattern, letter)
+
+        monkeypatch.setattr(qfock.dual, "_pattern_weights", counted)
+        pinned = {"commutator": 549, "dual-agree": 549, "wick-agree": 186, "derivative-agree": 184}
+        for suite, patterns in pinned.items():
+            counts.clear()
+            with redirect_stdout(io.StringIO()):
+                assert main(["verify", suite, "--d", "3", "--level", "6", "--q=1/2"]) == 0
+            assert len(counts) == patterns and set(counts.values()) == {1}, suite
 
 
 class TestPatternTable:
@@ -113,6 +194,7 @@ class TestPatternTable:
 
 
 def test_commutator_sums_each_dual_once_per_call(monkeypatch):
+    # one call per i serves every j: each D_1 e_u is summed once in all
     space = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
     calls = []
 
@@ -121,5 +203,6 @@ def test_commutator_sums_each_dual_once_per_call(monkeypatch):
         return dual_partition(sp, i, u)
 
     monkeypatch.setattr(qfock.dual, "dual_partition", recorded)
-    assert commutator_residual(space, 1, 2, 4) == 0
-    assert calls and len(calls) == len(set(calls))
+    assert commutator_residual(space, 1, 4) == {1: 0, 2: 0}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(1, u) for n in range(6) for u in space.words(n)}

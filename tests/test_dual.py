@@ -111,23 +111,37 @@ class TestStrategyAgreement:
         assert not sp._memos["dual"]
 
 
-def recursive_commutator_residual(space, i, j, level_limit):
+def recursive_commutator_residual(space, i, level_limit):
     """commutator_residual with D_i applied by the commutation-rule
     recursion instead of the B-family diagram sum."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qfock.dual, "dual_partition", dual_recursive)
-        return commutator_residual(space, i, j, level_limit)
+        return commutator_residual(space, i, level_limit)
+
+
+def one_commutator_residual(space, dual, i, j, level_limit):
+    """max |(D_i A_j - A_j D_i - delta_ij P) e_w| for one pair (i, j), with
+    D_i e_u = dual(u), one word at a time."""
+    worst = 0
+    for n in range(level_limit + 1):
+        for w in space.words(n):
+            lifted = space.gaussian(j, e(w))
+            lhs = FockVector.combination((dual(u), c) for u, c in lifted.items())
+            lhs = lhs - space.gaussian(j, dual(w))
+            if i == j and n == 0:
+                lhs = lhs - space.vacuum()
+            worst = max(worst, lhs.max_coeff_magnitude())
+    return worst
 
 
 class TestCommutator:
     def test_exact_rational(self):
         sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=6)
         for i in (1, 2):
-            for j in (1, 2):
-                assert commutator_residual(sp, i, j, 5) == 0
+            assert commutator_residual(sp, i, 5) == {1: 0, 2: 0}
 
     def test_symbolic_one_variable(self, sym1):
-        assert commutator_residual(sym1, 1, 1, 6) == 0
+        assert commutator_residual(sym1, 1, 6) == {1: 0}
 
     def test_mixed_matrix(self):
         defm = Deformation(
@@ -135,13 +149,24 @@ class TestCommutator:
         )
         sp = FockSpace(defm, level=6)
         for i in (1, 2):
-            for j in (1, 2):
-                assert commutator_residual(sp, i, j, 4) == 0
-                assert recursive_commutator_residual(sp, i, j, 4) == 0
+            assert commutator_residual(sp, i, 4) == {1: 0, 2: 0}
+            assert recursive_commutator_residual(sp, i, 4) == {1: 0, 2: 0}
+
+    def test_residuals_sorted_by_j(self):
+        # D_i of another deformation breaks the rule by different amounts
+        # for each j; the shared duals must land on the right letter
+        sp = FockSpace(Deformation([[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]]), level=5)
+        wrong = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qfock.dual, "dual_partition", lambda _, i, u: dual_partition(wrong, i, u))
+            for i in (1, 2):
+                got = commutator_residual(sp, i, 4)
+                want = {j: one_commutator_residual(sp, lambda u: dual_partition(wrong, i, u), i, j, 4) for j in (1, 2)}
+                assert got == want and got[1] != got[2] and all(got.values())
 
     def test_level_guard(self, sym1):
         with pytest.raises(ValueError):
-            commutator_residual(sym1, 1, 1, sym1.level)
+            commutator_residual(sym1, 1, sym1.level)
 
 
 class TestConjugateSeries:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from apply_oracles import annihilate_by_letters, gaussian_by_letters
 from gram_oracles import ChainedAdjoints, dense_gram, gram_rows, left_peeling_gram, permutation_gram, right_annihilate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +19,14 @@ from qfock import (
     QPoly,
     TruncationError,
     conjugate_series,
+    diff_partition,
+    dual_partition,
+    dual_recursive,
     q_factorial,
     q_int,
     right_annihilation_norm,
+    wick_partition,
+    wick_recursive,
 )
 
 Q = FORMAL_Q
@@ -102,6 +108,74 @@ class TestOperators:
         for _ in range(6):
             v = sym1.gaussian(1, v)
         assert sym1.trace(v) == pair_partition_moment(3, Q)
+
+
+# integer numerators over s = 21 on the rational spaces; equal and distinct
+# entries, a zero and an integral one on the mixed ones
+FIELD_SPACES = {
+    "constant": lambda: FockSpace.with_scalar_q(3, Fraction(-3, 7), level=6),
+    "mixed": lambda: FockSpace(
+        Deformation(
+            [
+                [Fraction(1, 3), Fraction(-2, 7), Fraction(0)],
+                [Fraction(-2, 7), Fraction(1, 3), Fraction(1)],
+                [Fraction(0), Fraction(1), Fraction(5, 21)],
+            ]
+        ),
+        level=6,
+    ),
+    "symbolic": lambda: FockSpace.with_scalar_q(2, FORMAL_Q, level=6),
+    "float-constant": lambda: FockSpace.with_scalar_q(3, 0.3, level=6),
+    "float-mixed": lambda: FockSpace(Deformation([[0.3, -0.7, 0.1], [-0.7, 0.45, 0.0], [0.1, 0.0, -0.9]]), level=6),
+}
+
+
+def field_vectors(space, seed):
+    """Random vectors over levels 0..4: words two levels apart make created
+    and annihilated words coincide."""
+    rng = random.Random(seed)
+    words = [w for n in range(5) for w in space.words(n)]
+    out = [FockVector.basis(w) for w in rng.sample(words, 12)]
+    for _ in range(6):
+        picked = rng.sample(words, 20)
+        if space.deformation.is_float:
+            out.append(FockVector({w: rng.uniform(-2, 2) for w in picked}))
+        else:
+            out.append(FockVector({w: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for w in picked}))
+    return out
+
+
+def exact_items(v):
+    """The items in order, floats by their bits."""
+    return [(w, c.hex() if isinstance(c, float) else c) for w, c in v.items()]
+
+
+class TestFieldOperatorsAgainstOracle:
+    """The running weights on the cleared numerators and the one-pass field
+    operator give the per-letter entry products: equal values on exact
+    spaces, the same bits in the same order on float ones."""
+
+    @pytest.mark.parametrize("name", sorted(FIELD_SPACES))
+    def test_annihilate_and_gaussian(self, name):
+        space = FIELD_SPACES[name]()
+        for v in field_vectors(space, seed=len(name)):
+            for i in range(1, space.d + 1):
+                got, want = space.annihilate(i, v), annihilate_by_letters(space, i, v)
+                assert exact_items(got) == exact_items(want), (i, v)
+                got, want = space.gaussian(i, v), gaussian_by_letters(space, i, v)
+                assert exact_items(got) == exact_items(want), (i, v)
+
+    def test_rational_terms_over_the_cleared_denominator(self):
+        sp = FIELD_SPACES["mixed"]()
+        assert sp._cleared == (21, ((7, -6, 0), (-6, 7, 21), (0, 21, 5)))
+        # e_{1 2 1}: the second 1 passes q(1, 1) q(1, 2) = 7 * -6 / 21^2
+        got = sp.annihilate(1, FockVector({(1, 2, 1): Fraction(3, 4)}))
+        assert got == FockVector({(2, 1): Fraction(3, 4), (1, 2): Fraction(3, 4) * Fraction(-42, 441)})
+
+    def test_gaussian_refuses_the_top_level(self):
+        sp = FockSpace.with_scalar_q(2, Fraction(1, 2), level=2)
+        with pytest.raises(TruncationError):
+            sp.gaussian(1, FockVector({(1,): 1, (2, 1): 1}))
 
 
 class TestInnerProduct:
@@ -422,3 +496,29 @@ class TestThreadSafety:
         sp = FockSpace.with_scalar_q(2, q, level=5)
         letters = [1, 2, 1, 2]
         assert together(lambda i: conjugate_series(sp, i, 2), letters) == [serial[i] for i in letters]
+
+    def test_diagram_sums_and_recursions_match_serial(self):
+        # the memos take no lock: four threads race on the same missing
+        # keys, each from its own end of the word list
+        def run(space, order):
+            words = [w for n in range(5) for w in space.words(n)]
+            if order % 2:
+                words.reverse()
+            out = {}
+            for w in words[order // 2 :] + words[: order // 2]:
+                out["D", w] = (wick_partition(space, w), wick_recursive(space, w))
+                for i in range(1, space.d + 1):
+                    out["B", i, w] = (dual_partition(space, i, w), dual_recursive(space, i, w))
+                    out["C", i, w] = diff_partition(space, i, w)
+            return out
+
+        half, third, seventh = Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)
+        defm = Deformation([[half, third, half], [third, half, seventh], [half, seventh, Fraction(3, 4)]])
+        serial = run(FockSpace(defm, level=5), 0)
+        sp = FockSpace(defm, level=5)
+        got = together(lambda order: run(sp, order), [0, 1, 2, 3])
+        assert all(g == serial for g in got)
+        # first stored wins: every thread got the memo's own objects
+        for g in got:
+            assert all(g["D", w][1] is sp._memos["wick"][w] for w in sp._memos["wick"])
+            assert all(g["B", i, w][1] is v for (i, w), v in sp._memos["dual"].items())

@@ -12,7 +12,7 @@ from gram_oracles import (
     dense_right_annihilation_norm,
     projected_domination_sharp,
 )
-from tail_oracles import closed_form_terms, context_tail, context_terms
+from tail_oracles import closed_form_terms, context_tail, context_terms, fisher_remainder_above
 from threads import together
 
 import qfock
@@ -25,6 +25,7 @@ from qfock import (
     gram_domination_residual,
     haagerup_residual,
     projected_domination,
+    q_factorial,
     right_annihilation_norm,
     series_tail,
 )
@@ -96,6 +97,15 @@ class TestBlockwiseAgainstDense:
         for m in range(5):
             got = projected_domination(space, m)
             assert got == pytest.approx(projected_domination_sharp(space, m), rel=1e-10), m
+
+    def test_projected_domination_per_letter(self, deformation):
+        space = FockSpace(deformation, 5)
+        for i in range(2, deformation.d + 1):
+            for m in range(5):
+                got = projected_domination(space, m, i)
+                assert got == pytest.approx(projected_domination_sharp(space, m, i), rel=1e-10), (i, m)
+            smallest = min(projected_domination(space, m, i) for m in range(5))
+            assert right_annihilation_norm(space, i, 5) ** 2 == pytest.approx(1 / smallest, rel=1e-10), i
 
     def test_norm_squared_is_inverse_of_smallest_projected_constant(self, deformation):
         level = 5
@@ -215,6 +225,31 @@ class TestSeriesTails:
         assert rep.is_finite()
         assert rep.bound > mp.mpf(10) ** 300  # far beyond double range
         assert rep.bound_float == math.inf
+
+
+class TestFisherTailCovers:
+    """At d = 1 the Fisher remainder beyond M is known in closed form (see
+    ``fisher_remainder_above``): the reported tail must be at least that,
+    compared exactly on the raw mpf bound, not on its rounded double."""
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-1, 2), Fraction(9, 10), Fraction(-9, 10)])
+    @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
+    def test_bound_covers_closed_form_remainder(self, q, truncation):
+        bound = series_tail("fisher", truncation, abs(float(q)), 1).bound
+        man, exp = bound.man_exp
+        assert fisher_remainder_above(q, truncation) <= Fraction(man) * Fraction(2) ** exp
+
+    @pytest.mark.parametrize("q, terms", [(Fraction(1, 2), 20), (Fraction(-9, 10), 60)])
+    def test_remainder_above_brackets_a_long_sum(self, q, terms):
+        # more exact terms of the remainder than the oracle sums (it stops
+        # at m = 4 and m = 54 here), against its bound, which adds at most
+        # one term to a partial sum
+        truncation = 2
+        long_sum = sum(
+            abs(q) ** (m * (m - 1)) * q_factorial(m - 1, q) ** 2 / q_factorial(2 * m - 1, q)
+            for m in range(truncation + 2, truncation + 2 + terms)
+        )
+        assert long_sum <= fisher_remainder_above(q, truncation) <= 2 * long_sum
 
 
 class TestReach:
