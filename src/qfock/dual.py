@@ -19,17 +19,19 @@ so (3,1,3) and (2,1,2) share the table of (0,1,0). Each entry weighs as
 its signed count times the deformation entry of each class pair to its
 crossing exponent.
 
-A space evaluates each table into weights at most once per sharing key
-(family, pattern, entry labels), in its ``diagrams`` memo. The entry
-labels give, for every class pair a <= b, the space's int label of the
-entry q(letter a, letter b), equal labels meaning entries equal in value
-and type (see ``FockSpace._labels``); two words with one key read the same
-entries, so they get the same weights. The weights are summed per (left,
-right) class word in table order, and a word only relabels those class
-words back to its letters. At constant q every word of a pattern shares
-one evaluation, the letter index i of B and C included; a matrix with
-distinct entries shares nothing and evaluates each table per letter
-assignment, as a per-word evaluation would.
+A space keeps one entry per (family, pattern) in its ``diagrams`` memo:
+the table, read once, and the weights evaluated from it, keyed by the
+entry labels. The labels give, for every class pair a <= b, the space's
+int label of the entry q(letter a, letter b), equal labels meaning entries
+equal in value and type (see ``FockSpace._labels``); two words with equal
+labels read the same entries, so they get the same weights. The weights
+are summed per (left, right) class word in table order, and a word only
+relabels those class words back to its letters. At constant q every word
+of a pattern shares one evaluation, the letter index i of B and C
+included. The labels hold the diagonal entry q(x, x) of each class letter
+x, so where the diagonal entries are pairwise distinct the labels name
+the word itself and no two words can share; such a space evaluates the
+weights per word and stores only the tables, as many as the patterns.
 
 Applying the adjoint of D_i to the vacuum yields the conjugate variable:
 a graded series whose level-(2m+1) part sums, over all source words w of
@@ -115,31 +117,34 @@ def _diagram_terms(space: FockSpace, family, word, i=None):
     through 0 with the singletons below its partner take no factor. The
     left word is read off the singletons above the partner of 0 (all of
     them in B and D), the right word off those below it, right to left.
-    The weights come from the space's ``diagrams`` memo (see the module
-    docstring).
+    The table and the weights come from the space's ``diagrams`` memo
+    (see the module docstring).
     """
     space._check_level(len(word))
     classes = {}
     vertex_letters = ((i,) if family != "D" else ()) + word[::-1]
     pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
     letter = tuple(classes)
+    table, evaluated = space._memo("diagrams", (family, pattern), lambda: (diagram_table(family, pattern), {}))
     rows = [space._labels[x - 1] for x in letter]
     labels = tuple(row[y - 1] for k, row in enumerate(rows) for y in letter[k:])
-    weights = space._memo(
-        "diagrams", (family, pattern, labels), lambda: _pattern_weights(space, family, pattern, letter)
-    )
+    weights = evaluated.get(labels)
+    if weights is None:
+        weights = _pattern_weights(space, table, letter)
+        if space._shares_labels:
+            weights = evaluated.setdefault(labels, weights)
     relabel = letter.__getitem__
     for left, right, weight in weights:
         yield weight, tuple(map(relabel, left)), tuple(map(relabel, right))
 
 
-def _pattern_weights(space: FockSpace, family, pattern, letter):
-    """The diagram table of (family, pattern) evaluated at the deformation
-    entries of the class letters, as (left, right, weight) with the weights
-    summed per (left, right) class word in table order."""
+def _pattern_weights(space: FockSpace, table, letter):
+    """A diagram table evaluated at the deformation entries of the class
+    letters, as (left, right, weight) with the weights summed per (left,
+    right) class word in table order."""
     q = space.deformation.q
     acc = {}
-    for count, left, right, exponents in diagram_table(family, pattern):
+    for count, left, right, exponents in table:
         weight = count
         for (a, b), e in exponents:
             weight = weight * q(letter[a], letter[b]) ** e

@@ -324,10 +324,11 @@ class FockSpace:
 
     All operator applications are pure. The per-level words and Gram
     blocks, and the memos of the dual operators, Wick polynomials,
-    conjugate-variable levels and diagram weights are write-once tables
-    (see ``_memo``), so a space can be shared freely between threads.
-    Every key stays within the truncation level, so the tables are bounded
-    by it.
+    conjugate-variable levels and diagram tables with their weights are
+    write-once tables (see ``_memo``), so a space can be shared freely
+    between threads. Every key stays within the truncation level, so the
+    tables are bounded by it; a diagram table holds at most one set of
+    weights per letter assignment of its pattern.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -339,6 +340,10 @@ class FockSpace:
         self._rational = not (deformation.is_float or deformation.is_symbolic)
         self._cleared = _cleared(deformation) if self._rational else (1, deformation.entries)
         self._labels = _entry_labels(deformation.entries)
+        # diagram weights are stored for sharing only if two letters have
+        # equal diagonal entries; otherwise no two words share a key (dual)
+        diagonal = [row[k] for k, row in enumerate(self._labels)]
+        self._shares_labels = len(set(diagonal)) < self.d
         self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi", "diagrams")}
 
     @classmethod
@@ -383,7 +388,9 @@ class FockSpace:
 
     def annihilate(self, i, v: FockVector) -> FockVector:
         """Left annihilation with cumulative deformation weights; the
-        running weight stops at the last occurrence of the letter."""
+        running weight stops at the last occurrence of the letter. The
+        coefficients of v may be of any type that multiplies the entries;
+        each term is the coefficient times its exact weight."""
         self._check_letter(i)
         return FockVector._wrap(self._annihilated(i, v))
 
@@ -405,9 +412,11 @@ class FockSpace:
 
         The running weight prod_{s<t} q(i, w[s]) is kept as its numerator
         prod_{s<t} A(i, w[s]) over the cleared entries (s, A), and each term
-        forms one ``Fraction`` over s^t; with s = 1 (integer, float and
-        formal entries) the term is the coefficient times the product of
-        the entries, multiplied left to right."""
+        forms one ``Fraction`` over s^t from a rational coefficient, and
+        multiplies any other coefficient (a float, say) by the exact weight
+        n / s^t; with s = 1 (integer, float and formal entries) the term is
+        the coefficient times the product of the entries, multiplied left
+        to right."""
         s, a = self._cleared
         row = a[i - 1]
         acc = {}
@@ -420,8 +429,10 @@ class FockSpace:
                 if letter == i:
                     if s == 1:
                         c = cv * n
-                    else:
+                    elif isinstance(cv, (int, Fraction)):
                         c = Fraction(cv.numerator * n, cv.denominator * s**t)
+                    else:
+                        c = cv * Fraction(n, s**t)
                     _add_to(acc, w[:t] + w[t + 1 :], c)
                     if t == last:
                         break

@@ -163,7 +163,7 @@ def gram_domination_residual(space, m):
     return worst
 
 
-def projected_domination(space, m, i=1):
+def projected_domination(space, m, i):
     """Sharp constant c_m of the projected comparison c (G_m (x) P_i) <= G_{m+1}.
 
     P_i projects the last letter onto letter i, so G_m (x) P_i = r_i* G_m r_i

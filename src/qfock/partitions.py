@@ -36,14 +36,13 @@ occurrence. ``diagram_table`` groups the diagrams of a family that pair
 equal classes of a pattern into signed integer counts, so the sums for
 all words of one pattern share one enumeration.
 
-Two process-wide ``lru_cache`` tables hold the combinatorics, neither of
-them the deformation:
-
-* ``enumerate_family``, at most 32 entries, one tuple of diagrams (with
-  their crossing maps) per (family, vertex count);
-* ``diagram_table``, at most 1024 entries, one table per (family,
-  pattern). A d=3 level-6 verification of every diagram sum meets 919
-  patterns: 549 in B, 184 in C and 186 in D.
+One process-wide ``lru_cache`` holds the enumeration, not the
+deformation: ``enumerate_family``, at most 32 entries, one tuple of
+diagrams (with their crossing maps) per (family, vertex count).
+``diagram_table`` itself is not cached here: a ``FockSpace`` keeps each
+table it reads in its ``diagrams`` memo, beside the weights evaluated from
+it (see :mod:`qfock.dual`). A d=3 level-6 verification of every diagram
+sum meets 919 patterns: 549 in B, 184 in C and 186 in D.
 """
 
 from __future__ import annotations
@@ -158,7 +157,6 @@ def enumerate_family(family, n_vertices):
     raise ValueError(f"unknown family {family!r}")
 
 
-@lru_cache(maxsize=1024)
 def diagram_table(family, pattern):
     """The diagrams of the family on len(pattern) vertices that pair equal
     classes of the letter pattern, grouped by what their terms depend on.

@@ -131,7 +131,7 @@ def dense_right_annihilation_norm(space, i, level):
     return best**0.5
 
 
-def projected_domination_sharp(space, m, i=1):
+def projected_domination_sharp(space, m, i):
     """Sharp constant for the rank-one-projected comparison: the largest c
     with c * (G_m (x) P_i) <= G_{m+1}, via a Schur complement on the
     block of words ending in letter i."""

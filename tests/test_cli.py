@@ -584,7 +584,7 @@ _KEY_LEVEL = {
     "dual": lambda key: len(key[1]),
     "wick": len,
     "xi": lambda key: 2 * key[1] + 1,
-    # (family, pattern, labels): B and C patterns carry vertex 0 as well
+    # (family, pattern): B and C patterns carry vertex 0 as well
     "diagrams": lambda key: len(key[1]) - (key[0] != "D"),
 }
 

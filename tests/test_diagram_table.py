@@ -1,8 +1,8 @@
 """The diagram sums read one term table per (family, letter pattern):
-the grouped terms equal the per-diagram oracle word for word, words of
-one pattern share a table, and the table cache stays bounded. A space
-evaluates each table into weights once per sharing key, and words of one
-key share the weights."""
+the grouped terms equal the per-diagram oracle word for word, and words of
+one pattern share a table, which a space reads once. A space evaluates
+each table into weights once per sharing key, and words of one key share
+the weights."""
 
 import io
 from collections import Counter
@@ -13,7 +13,9 @@ from itertools import product
 import pytest
 from diagram_oracles import per_diagram_terms, per_word_table_terms
 
+import qfock.cli
 import qfock.dual
+import qfock.ncpoly
 import qfock.partitions
 from qfock import FORMAL_Q, Deformation, FockSpace, commutator_residual, dual_partition, wick_partition
 from qfock.cli import main
@@ -107,12 +109,26 @@ class TestPatternSharedWeights:
         for space in (constant, matrix):
             for w in ((1, 2, 1), (2, 1, 2), (3, 1, 3), (1, 3, 1)):
                 wick_partition(space, w)
-        # constant q: one key for the pattern (0, 1, 0). On the matrix
-        # (1, 2, 1) and (2, 1, 2) read the same entries and share a key,
-        # while (3, 1, 3) and (1, 3, 1) swap q(1, 1) and q(3, 3)
-        assert len(constant._memos["diagrams"]) == 1
-        assert len(matrix._memos["diagrams"]) == 3
+        # one table for the pattern (0, 1, 0); constant q: one key for it.
+        # On the matrix (1, 2, 1) and (2, 1, 2) read the same entries and
+        # share a key, while (3, 1, 3) and (1, 3, 1) swap q(1, 1) and q(3, 3)
+        for space, keys in ((constant, 1), (matrix, 3)):
+            assert space._shares_labels
+            ((key, (_, evaluated)),) = space._memos["diagrams"].items()
+            assert key == ("D", (0, 1, 0)) and len(evaluated) == keys
         assert matrix._labels == ((0, 1, 2), (1, 0, 2), (2, 2, 3))
+
+    def test_distinct_diagonal_entries_store_no_weights(self):
+        # the diagonal labels name each class letter, so no key is shared
+        space = FockSpace(Deformation(MIXED3), level=5)
+        assert not space._shares_labels
+        for w in ((1, 2, 1), (2, 1, 2), (3, 1, 3), (1, 3, 1)):
+            wick_partition(space, w)
+        dual_partition(space, 2, (2, 3, 2))
+        memo = space._memos["diagrams"]
+        assert sorted(memo) == [("B", (0, 0, 1, 0)), ("D", (0, 1, 0))]
+        assert all(not evaluated for _, evaluated in memo.values())
+        assert not FockSpace.with_scalar_q(1, Fraction(1, 2), level=3)._shares_labels
 
     def test_labels_tell_types_apart(self):
         space = FockSpace(Deformation([[Fraction(1, 2), 0.5], [0.5, Fraction(1, 2)]]), level=2)
@@ -120,32 +136,50 @@ class TestPatternSharedWeights:
 
     def test_each_pattern_evaluated_once_per_space_at_d3_level6(self, monkeypatch):
         build = qfock.dual._pattern_weights
-        counts = {}
+        calls = []
+        spaces = []
 
-        def counted(space, family, pattern, letter):
-            counts[family, pattern] = counts.get((family, pattern), 0) + 1
-            return build(space, family, pattern, letter)
+        class Recorded(FockSpace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spaces.append(self)
 
+        def counted(space, table, letter):
+            calls.append(letter)
+            return build(space, table, letter)
+
+        monkeypatch.setattr(qfock.cli, "FockSpace", Recorded)
         monkeypatch.setattr(qfock.dual, "_pattern_weights", counted)
         pinned = {"commutator": 549, "dual-agree": 549, "wick-agree": 186, "derivative-agree": 184}
         for suite, patterns in pinned.items():
-            counts.clear()
+            calls.clear()
+            spaces.clear()
             with redirect_stdout(io.StringIO()):
                 assert main(["verify", suite, "--d", "3", "--level", "6", "--q=1/2"]) == 0
-            assert len(counts) == patterns and set(counts.values()) == {1}, suite
+            ((space,),) = (spaces,)
+            memo = space._memos["diagrams"]
+            # one evaluation per table, stored under the one key of q = 1/2
+            assert len(memo) == len(calls) == patterns, suite
+            assert all(len(evaluated) == 1 for _, evaluated in memo.values()), suite
 
 
 class TestPatternTable:
-    def test_words_of_one_pattern_share_an_entry(self):
+    def test_words_of_one_pattern_share_an_entry(self, monkeypatch):
+        built = []
+
+        def recorded(family, pattern):
+            built.append((family, pattern))
+            return diagram_table(family, pattern)
+
+        monkeypatch.setattr(qfock.dual, "diagram_table", recorded)
         space = FockSpace(Deformation(MIXED3), level=5)
-        diagram_table.cache_clear()
         wick_partition(space, (3, 1, 3))
         wick_partition(space, (2, 1, 2))
         # vertex 0 carries i: both read (0, 0, 1, 0)
         dual_partition(space, 3, (3, 2, 3))
         dual_partition(space, 2, (2, 3, 2))
-        info = diagram_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert built == [("D", (0, 1, 0)), ("B", (0, 0, 1, 0))]
+        assert sorted(space._memos["diagrams"]) == sorted(built)
 
     def test_hand_counted_d_table(self):
         # vertices 1..4 carry the classes 0, 1, 0, 1; only (1, 3) and (2, 4)
@@ -160,7 +194,7 @@ class TestPatternTable:
             ]
         )
 
-    def test_bounded_cache_holds_every_pattern_of_a_d3_level6_run(self, monkeypatch):
+    def test_one_space_reads_every_pattern_of_a_d3_level6_run_once(self, monkeypatch):
         families = Counter()
         enumerate_family = qfock.partitions.enumerate_family
 
@@ -169,13 +203,16 @@ class TestPatternTable:
             return enumerate_family(family, n_vertices)
 
         monkeypatch.setattr(qfock.partitions, "enumerate_family", recorded)
-        diagram_table.cache_clear()
-        for suite in ("commutator", "dual-agree", "wick-agree", "derivative-agree"):
-            with redirect_stdout(io.StringIO()):
-                assert main(["verify", suite, "--d", "3", "--level", "6", "--q=1/2"]) == 0
-        info = diagram_table.cache_info()
+        space = FockSpace.with_scalar_q(3, Fraction(1, 2), level=6)
+        # the words the four suites read: to level 6, below it for C
+        for w in (w for n in range(7) for w in space.words(n)):
+            wick_partition(space, w)
+            for i in (1, 2, 3):
+                dual_partition(space, i, w)
+                if len(w) < 6:
+                    qfock.ncpoly.diff_partition(space, i, w)
         assert families == {"B": 549, "C": 184, "D": 186}
-        assert info.maxsize is not None and info.currsize == info.misses == 919 <= info.maxsize
+        assert len(space._memos["diagrams"]) == 919
 
     def test_wick_agree_enumerates_each_pattern_once(self, monkeypatch):
         diagrams = []
@@ -187,7 +224,6 @@ class TestPatternTable:
             return out
 
         monkeypatch.setattr(qfock.partitions, "enumerate_family", counted)
-        diagram_table.cache_clear()
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "wick-agree", "--d", "3", "--level", "6", "--q=1/2"]) == 0
         assert sum(diagrams) <= 10_504

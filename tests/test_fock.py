@@ -165,6 +165,21 @@ class TestFieldOperatorsAgainstOracle:
                 got, want = space.gaussian(i, v), gaussian_by_letters(space, i, v)
                 assert exact_items(got) == exact_items(want), (i, v)
 
+    @pytest.mark.parametrize("name", ["constant", "mixed"])
+    def test_float_coefficients_on_rational_spaces(self, name):
+        # a coefficient with no numerator takes its exact weight as a factor
+        space = FIELD_SPACES[name]()
+        rng = random.Random(5)
+        words = [w for n in range(5) for w in space.words(n)]
+        for _ in range(4):
+            v = FockVector({w: rng.uniform(-2, 2) for w in rng.sample(words, 20)})
+            for i in range(1, space.d + 1):
+                got, want = space.annihilate(i, v), annihilate_by_letters(space, i, v)
+                assert exact_items(got) == exact_items(want), (i, v)
+                assert all(isinstance(c, float) for _, c in got.items())
+                got, want = space.gaussian(i, v), gaussian_by_letters(space, i, v)
+                assert exact_items(got) == exact_items(want), (i, v)
+
     def test_rational_terms_over_the_cleared_denominator(self):
         sp = FIELD_SPACES["mixed"]()
         assert sp._cleared == (21, ((7, -6, 0), (-6, 7, 21), (0, 21, 5)))

@@ -61,7 +61,7 @@ class TestGramDomination:
     def test_projected_comparison_holds(self, q0):
         w, _ = analytic_constants(q0)
         for m in range(6):
-            assert projected_domination_sharp(scalar_space(q0, 2, m + 1), m) >= w - 1e-9
+            assert projected_domination_sharp(scalar_space(q0, 2, m + 1), m, 1) >= w - 1e-9
 
 
 # a zero entry, negative entries and distinct off-diagonal values, so a
@@ -95,8 +95,8 @@ class TestBlockwiseAgainstDense:
     def test_projected_domination_is_the_schur_complement_constant(self, deformation):
         space = FockSpace(deformation, 5)
         for m in range(5):
-            got = projected_domination(space, m)
-            assert got == pytest.approx(projected_domination_sharp(space, m), rel=1e-10), m
+            got = projected_domination(space, m, 1)
+            assert got == pytest.approx(projected_domination_sharp(space, m, 1), rel=1e-10), m
 
     def test_projected_domination_per_letter(self, deformation):
         space = FockSpace(deformation, 5)
@@ -110,7 +110,7 @@ class TestBlockwiseAgainstDense:
     def test_norm_squared_is_inverse_of_smallest_projected_constant(self, deformation):
         level = 5
         space = FockSpace(deformation, level)
-        smallest = min(projected_domination(space, m) for m in range(level))
+        smallest = min(projected_domination(space, m, 1) for m in range(level))
         assert right_annihilation_norm(space, 1, level) ** 2 == pytest.approx(1 / smallest, rel=1e-10)
 
 
@@ -141,7 +141,7 @@ class TestRightAnnihilationNorm:
     "engine",
     [
         lambda space: gram_domination_residual(space, 2),
-        lambda space: projected_domination(space, 2),
+        lambda space: projected_domination(space, 2, 1),
         lambda space: right_annihilation_norm(space, 1, 3),
         lambda space: haagerup_residual(space, 1, trials=2),
     ],
