@@ -2,8 +2,10 @@
 
 Exit codes are the contract: 0 when every check passes, 1 when a check
 fails (the report names the first counterexample), 2 on invalid
-configuration. Reports are deterministic: the same configuration and seed
-produce byte-identical output.
+configuration. Every exit 2 happens before any space is built: the
+arguments are parsed, and ``_require`` makes every refusal, first. Reports
+are deterministic: the same configuration and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .onevariable import (
     cheb,
     hermite,
     q_identity_residual,
+    q_identity_truncation,
     rescale_identity_residual,
     trace_cheb,
     trace_cheb_odd,
@@ -45,20 +48,6 @@ from .norms import (
 )
 from .partitions import enumerate_family
 from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude
-
-SUITES = (
-    "commutator",
-    "dual-agree",
-    "wick-agree",
-    "derivative-agree",
-    "duality",
-    "gibbs",
-    "bounds",
-    "univar",
-    "all",
-)
-EXPORTS = ("xi", "gibbs", "partitions", "hermite", "fisher")
-
 
 class ConfigError(Exception):
     pass
@@ -97,14 +86,17 @@ def _parse_config(args):
     if args.q_matrix is not None:
         if mode == "symbolic":
             raise ConfigError("symbolic mode requires the scalar parameter left formal")
-        deformation = Deformation.from_json(args.q_matrix)
+        try:
+            deformation = Deformation.from_json(args.q_matrix)
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot read a deformation matrix from {args.q_matrix!r}: {exc!r}") from exc
         if mode == "exact" and deformation.is_float:
             raise ConfigError("exact mode requires rational matrix entries")
         if mode == "float":
             deformation = deformation.as_float()
         if deformation.d != args.d:
             raise ConfigError("matrix dimension disagrees with --d")
-        if deformation.max_abs_float() >= 1.0:
+        if not deformation.max_abs_float() < 1.0:
             raise ConfigError("matrix entries must have absolute value below 1")
     elif mode == "symbolic":
         if args.q is not None:
@@ -123,40 +115,54 @@ def _parse_config(args):
     return deformation
 
 
-def _require_in_range(deformation, tails=(), haagerup=False):
-    """Refuse a deformation whose constants w and C at q0 are not normal
-    doubles, since the norm gates and every series tail are built from
-    them; one at which a named (series, truncation) tail would not start
-    halving its terms in reach; or, with ``haagerup``, one at which the
-    Haagerup bound C^(3/2) overflows. Each message names its limit."""
+def _require(deformation, args, names):
+    """Refuse a configuration that one of the named suites or exports cannot
+    run, before any space is built, with the message of its first unmet
+    need. The analytic constants w and C at q0 must be normal doubles,
+    since the norm gates and every series tail are built from them. The
+    needs come in one order: those constants for the bounds suite; then
+    each name's own needs, in the order of the names; then for the xi and
+    fisher exports those constants, and each (series, truncation) tail a
+    name sums, which must start halving its terms in reach; and for the
+    bounds suite the Haagerup bound C^(3/2), which must not overflow."""
+    m, level = args.series_m, args.level
     q0 = _q_float(_float_deformation(deformation))
+    tails = {
+        "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
+        "xi": [] if deformation.is_symbolic else [("xi", m)],
+        "fisher": [("fisher", k) for k in range(m + 1)],
+    }
     try:
-        analytic_constants(q0)
-        for series, m in tails:
-            check_tail(series, m, q0, deformation.d)
-        if haagerup:
+        if "bounds" in names:
+            analytic_constants(q0)
+        kind = "suite" if args.command == "verify" else "export"
+        for name in names:
+            label = f"{name} {kind}"
+            if name == "commutator" and level < 1:
+                raise ConfigError(f"{label} needs level >= 1")
+            if name in ("duality", "gibbs", "xi", "fisher") and 2 * m + 1 > level:
+                raise ConfigError(f"{label} needs level >= 2*series_m + 1")
+            if name == "bounds" and level < 2:
+                raise ConfigError(f"{label} needs level >= 2")
+            if name == "univar":
+                q_identity_truncation(q0)
+            if name == "fisher" and deformation.is_symbolic:
+                raise ConfigError(f"{label} needs numeric entries")
+            if name == "hermite" and not deformation.is_constant:
+                raise ConfigError(f"{label} needs a constant deformation")
+            if name == "partitions" and args.n < (lowest := 0 if args.family == "D" else 1):
+                raise ConfigError(f"family {args.family} needs --n >= {lowest}")
+            if args.command == "export" and args.format == "csv" and name not in _CSVABLE:
+                raise ConfigError(f"{label} has no tabular form; use json")
+        for name in names:
+            if name in ("xi", "fisher"):
+                analytic_constants(q0)
+            for series, k in tails.get(name, ()):
+                check_tail(series, k, q0, deformation.d)
+        if "bounds" in names:
             haagerup_factor(q0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _require_suites(deformation, args, names):
-    """Refuse a configuration that one of the named suites cannot run,
-    before any space is built, with the message of the first suite (in
-    suite order, after the constants) that refuses it."""
-    if "bounds" in names:
-        _require_in_range(deformation)
-    for name in ("duality", "gibbs"):
-        if name in names:
-            if deformation.is_symbolic and deformation.d > 1:
-                raise ConfigError(f"{name} suite needs numeric entries for d > 1")
-            if 2 * args.series_m + 1 > args.level:
-                raise ConfigError(f"{name} suite needs level >= 2*series_m + 1")
-    if "bounds" in names:
-        if args.level < 2:
-            raise ConfigError("bounds suite needs level >= 2")
-        m = args.series_m
-        _require_in_range(deformation, [(series, k) for series in SERIES_IDS for k in (m, m + 2)], haagerup=True)
 
 
 def _tolerance(mode):
@@ -203,20 +209,20 @@ def _suite_commutator(space, args, tol):
     return checks
 
 
-def _agreement(space, check, limit, unit, tol, residuals):
-    """One check that two strategies agree on every word up to the length
-    limit: ``residuals(w)`` yields (case, difference) for each case of the
-    word w. The value counts the cases, or names the first counterexample."""
+def _agreement(space, check, limit, unit, tol, residuals, size=lambda diff: diff.max_coeff_magnitude(), **params):
+    """One check that two sides agree on every word up to the length limit:
+    ``residuals(w)`` yields (case, difference) for each case of the word w.
+    The value counts the cases, or names the first counterexample."""
     bad = None
     count = 0
     for n in range(limit + 1):
         for w in space.words(n):
             for case, diff in residuals(w):
                 count += 1
-                if diff.max_coeff_magnitude() > tol and bad is None:
+                if size(diff) > tol and bad is None:
                     bad = case
     value = f"{count} {unit}" if bad is None else f"counterexample {bad}"
-    return [_check(check, value, bad is None, max_length=limit)]
+    return [_check(check, value, bad is None, max_length=limit, **params)]
 
 
 def _suite_dual_agree(space, args, tol):
@@ -247,26 +253,12 @@ def _suite_derivative_agree(space, args, tol):
 
 def _suite_duality(space, args, tol):
     m = args.series_m
-    limit = min(args.level, m + 2)
     xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
-    bad = None
-    count = 0
-    for n in range(limit + 1):
-        for u in space.words(n):
-            for i in range(1, space.d + 1):
-                count += 1
-                res = duality_residual(space, u, i, xis[i])
-                if magnitude(res) > tol and bad is None:
-                    bad = (i, u)
-    return [
-        _check(
-            "duality/pairing",
-            f"{count} monomials" if bad is None else f"counterexample i={bad[0]} u={bad[1]}",
-            bad is None,
-            max_length=limit,
-            series_m=m,
-        )
-    ]
+    return _agreement(
+        space, "duality/pairing", min(args.level, m + 2), "monomials", tol,
+        lambda u: ((f"i={i} u={u}", duality_residual(space, u, i, xi)) for i, xi in xis.items()),
+        size=magnitude, series_m=m,
+    )
 
 
 def _suite_gibbs(space, args, tol):
@@ -339,14 +331,16 @@ def _suite_univar(space, args, tol):
     for n in range(1, 7):
         res = rescale_identity_residual(n, q0)
         checks.append(_check(f"univar/rescale n={n}", res, res < 1e-10, q0=q0))
+    top = q_identity_truncation(q0)
     for m in range(4):
-        chk = q_identity_residual(m, q0, 200)
+        chk = q_identity_residual(m, q0, top)
         checks.append(
             _check(
                 f"univar/q-identity m={m}",
                 chk.residual,
-                chk.residual < 1e-12 + chk.tail_bound,
+                chk.residual <= chk.tail_bound + chk.noise_bound,
                 tail=chk.tail_bound,
+                noise=chk.noise_bound,
             )
         )
     ok = all(hermite(n, 0) == cheb("U", n) for n in range(9))
@@ -364,12 +358,13 @@ _SUITE_FN = {
     "bounds": _suite_bounds,
     "univar": _suite_univar,
 }
+SUITES = (*_SUITE_FN, "all")
 
 
 def run_verify(args) -> int:
     deformation = _parse_config(args)
     names = list(_SUITE_FN) if args.suite == "all" else [args.suite]
-    _require_suites(deformation, args, names)
+    _require(deformation, args, names)
     space = FockSpace(deformation, args.level)
     tol = _tolerance(args.mode)
     checks = []
@@ -446,9 +441,6 @@ def _export_gibbs(space, args):
 
 
 def _export_partitions(space, args):
-    lowest = 0 if args.family == "D" else 1
-    if args.n < lowest:
-        raise ConfigError(f"family {args.family} needs --n >= {lowest}")
     rows = []
     for part in enumerate_family(args.family, args.n):
         rows.append(
@@ -463,7 +455,7 @@ def _export_partitions(space, args):
 
 
 def _export_hermite(space, args):
-    q = space.deformation.constant_value if space.deformation.is_constant else FORMAL_Q
+    q = space.deformation.constant_value
     rows = []
     for n in range(args.n + 1):
         rows.append({"n": n, "coeffs": [_scalar_json(c) for c in hermite(n, q).coeffs]})
@@ -491,26 +483,17 @@ _EXPORT_FN = {
     "hermite": _export_hermite,
     "fisher": _export_fisher,
 }
+EXPORTS = tuple(_EXPORT_FN)
 
 _CSVABLE = {"partitions", "hermite", "fisher"}
 
 
 def run_export(args) -> int:
     deformation = _parse_config(args)
-    if args.what in ("xi", "gibbs", "fisher"):
-        if 2 * args.series_m + 1 > args.level:
-            raise ConfigError("export needs level >= 2*series_m + 1")
-        if args.what in ("fisher",) and deformation.is_symbolic:
-            raise ConfigError("fisher export needs numeric entries")
-        if args.what == "xi":
-            _require_in_range(deformation, [] if deformation.is_symbolic else [("xi", args.series_m)])
-        if args.what == "fisher":
-            _require_in_range(deformation, [("fisher", m) for m in range(args.series_m + 1)])
+    _require(deformation, args, [args.what])
     space = FockSpace(deformation, args.level)
     payload = _EXPORT_FN[args.what](space, args)
     if args.format == "csv":
-        if args.what not in _CSVABLE:
-            raise ConfigError(f"{args.what} export has no tabular form; use json")
         key = next(iter(payload))
         rows = payload[key]
         buf = io.StringIO()
@@ -554,7 +537,6 @@ def build_parser():
         p.add_argument("--series-m", dest="series_m", type=int, default=2, help="series truncation")
         p.add_argument("--mode", choices=("exact", "symbolic", "float"), default="exact")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None)
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -564,6 +546,7 @@ def build_parser():
     pe = sub.add_parser("export", help="export computed objects")
     pe.add_argument("what", choices=EXPORTS)
     common(pe)
+    pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.add_argument("--family", choices=("B", "C", "D"), default="B")
     pe.add_argument("--n", type=int, default=4, help="vertex count / table size")
 

@@ -18,7 +18,7 @@ from qfock import (
     trace_cheb,
     trace_cheb_odd,
 )
-from qfock.onevariable import _q_identity_terms, _summation_tail
+from qfock.onevariable import _q_identity_terms, _summation_tail, q_identity_truncation
 from qfock.scalars import q_binom
 
 Q = FORMAL_Q
@@ -124,6 +124,25 @@ class TestSummationIdentity:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             q_identity_residual(3, 0.5, 2)
+
+    @pytest.mark.parametrize("q0", [0.0, 0.5, -0.97, 0.99, -0.999, 0.9999])
+    def test_truncation_is_the_least_with_halving_terms(self, q0):
+        # beyond N each term bound is at most half the one before, so the
+        # tail bound is negligible; N - 1 would not do unless N = 200
+        N, x = q_identity_truncation(q0), abs(q0)
+        assert N >= 200
+        assert x ** (N + 2) <= (1 - x) / 2
+        assert N == 200 or x ** (N + 1) > (1 - x) / 2
+        for m in range(4):
+            chk = q_identity_residual(m, q0, N)
+            assert chk.tail_bound < 1e-50
+            assert chk.residual <= chk.tail_bound + chk.noise_bound
+
+    @pytest.mark.parametrize("q0", [0.99999, -0.99999, math.nextafter(1.0, 0.0)])
+    def test_truncation_refused_above_its_cap(self, q0):
+        # refused at once, with its size and the |q| from which it fails
+        with pytest.raises(ValueError, match=r"terms, above 1,000,000: that fails from \|q\| ~ 0\.99998"):
+            q_identity_truncation(q0)
 
     @pytest.mark.parametrize("q0", [0.9, -0.9, 0.7, -0.7])
     def test_terms_match_exact_gaussian_binomials(self, q0):
