@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -115,6 +116,24 @@ def _parse_config(args):
     return deformation
 
 
+# the most Gram entries one level may hold: d=2 level 13 has 10,400,600, and
+# its blocks to that level take about 0.8 GB of Python ints
+GRAM_ENTRIES_LIMIT = 12_000_000
+
+
+def _gram_size(d, n):
+    """(entries, largest block) of the level-n Gram matrix over d letters:
+    the pairs of words with equal letter content, sum over contents of the
+    squared multinomial, and the largest multinomial, at letter counts as
+    equal as possible. Pairs over one more letter pick the positions of
+    its k copies in both words: e(n) = sum_k C(n, k)^2 e'(n - k)."""
+    pairs = [1] * (n + 1)
+    for _ in range(d - 1):
+        pairs = [sum(comb(m, k) ** 2 * pairs[m - k] for k in range(m + 1)) for m in range(n + 1)]
+    even, extra = divmod(n, d)
+    return pairs[n], factorial(n) // (factorial(even + 1) ** extra * factorial(even) ** (d - extra))
+
+
 def _require(deformation, args, names):
     """Refuse a configuration that one of the named suites or exports cannot
     run, before any space is built, with the message of its first unmet
@@ -124,8 +143,12 @@ def _require(deformation, args, names):
     each name's own needs, in the order of the names; then for the xi and
     fisher exports those constants, and each (series, truncation) tail a
     name sums, which must start halving its terms in reach; and for the
-    bounds suite the Haagerup bound C^(3/2), which must not overflow."""
+    bounds suite the Haagerup bound C^(3/2), which must not overflow.
+    A name's own needs end with the size of the deepest Gram level it
+    builds (2M+1 for the conjugate variables, up to 6 for the norm
+    checks), which must hold at most ``GRAM_ENTRIES_LIMIT`` entries."""
     m, level = args.series_m, args.level
+    deepest = dict.fromkeys(("duality", "gibbs", "xi", "fisher"), 2 * m + 1) | {"bounds": min(level, 6)}
     q0 = _q_float(_float_deformation(deformation))
     tails = {
         "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
@@ -154,6 +177,14 @@ def _require(deformation, args, names):
                 raise ConfigError(f"family {args.family} needs --n >= {lowest}")
             if args.command == "export" and args.format == "csv" and name not in _CSVABLE:
                 raise ConfigError(f"{label} has no tabular form; use json")
+            if name in deepest:
+                n = deepest[name]
+                entries, largest = _gram_size(deformation.d, n)
+                if entries > GRAM_ENTRIES_LIMIT:
+                    raise ConfigError(
+                        f"{label} builds the level-{n} Gram matrix, {entries:,} entries in blocks of up to "
+                        f"{largest:,} words, above the limit of {GRAM_ENTRIES_LIMIT:,} entries"
+                    )
         for name in names:
             if name in ("xi", "fisher"):
                 analytic_constants(q0)

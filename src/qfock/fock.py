@@ -35,13 +35,18 @@ entries themselves.
 
 ``solve`` is the one Gram solve: it finds x with G x = v block by block.
 A rational block is solved exactly by p-adic lifting on Ĝ_n (Dixon, Numer.
-Math. 40, 1982): one factorization modulo a word-size prime, O(N^2) work per
-lifting step, rational reconstruction of every entry (Wang, Guy and
-Davenport, SIGSAM Bull. 16, 1982), and an exact integer check of Ĝ_n x = b
-before the answer is accepted; see :mod:`qfock.lifting`. A float block is
-factored by ``gram_cholesky``, the one float factorization, which the norm
-checks of :mod:`qfock.norms` use for their eigenproblems too. A formal
-block is factored as L·D·Lᵀ without pivoting.
+Math. 40, 1982) with v cleared to integers b over one denominator D, so
+that x = scale Ĝ_n^-1 b / D. The lifting reconstructs x itself, with the
+known factor scale / D and the gcd of Ĝ_n's entries folded into the
+p-adic digits, so its steps follow the size of x rather than that of
+Ĝ_n^-1 b: one factorization modulo a word-size prime, a few numpy calls
+per lifting step, rational reconstruction of every entry (Wang, Guy and
+Davenport, SIGSAM Bull. 16, 1982) at geometrically spaced steps, and an
+exact integer check against Ĝ_n before the answer is accepted; see
+:mod:`qfock.lifting`. A float block is factored by ``gram_cholesky``, the
+one float factorization, which the norm checks of :mod:`qfock.norms` use
+for their eigenproblems too. A formal block is factored as L·D·Lᵀ without
+pivoting.
 
 Every factorization here relies on positivity: for |q_ij| < 1 the Gram
 form is strictly positive (M. Bozejko and R. Speicher, Comm. Math. Phys.
@@ -559,16 +564,18 @@ class FockSpace:
         """The x with G x = v, block by block over the contents v touches.
 
         With a rational deformation a block's rows are the integer matrix
-        scale * G_n. The block's part of v is cleared to integers b over one
-        denominator D, and ``lifting.solve_integer`` finds y = (scale G_n)^-1 b
-        by p-adic lifting (Dixon): one L·U factorization modulo a word-size
-        prime, O(N^2) work per lifting step, and a rational reconstruction of
-        every entry (Wang, Guy and Davenport). It accepts y only after
-        checking (scale G_n) y = b exactly in integers. The factorization
+        Ĝ = scale * G_n. The block's part of v is cleared to integers b over
+        one denominator D, so x = scale Ĝ^-1 b / D, and
+        ``lifting.solve_integer`` finds that x directly, with scale / D as
+        its known factor, by p-adic lifting (Dixon): one L·U factorization
+        of Ĝ over the gcd of its entries modulo a word-size prime, a few
+        numpy calls per lifting step, and a rational reconstruction of every
+        entry of x (Wang, Guy and Davenport). It accepts x only after
+        checking Ĝ x = scale b / D exactly, in integers. The factorization
         shows the determinant nonzero modulo the prime, so the block is
-        nonsingular and a y passing that check is the solution, whatever
-        the reconstruction guessed. Then x = scale y / D. A leading minor
-        that is singular over the integers raises ``GramSingularError``.
+        nonsingular and an x passing that check is the solution, whatever
+        the reconstruction guessed. A leading minor that is singular over
+        the integers raises ``GramSingularError``.
 
         A float block is factored as L·Lᵀ by ``gram_cholesky`` and solved
         through L and Lᵀ; a formal one is factored as L·D·Lᵀ by ``_ldl``
@@ -599,10 +606,10 @@ class FockSpace:
         for (w, _), c in zip(terms, nums):
             b[blk.index[w]] = c
         try:
-            y, y_den = solve_integer(blk.rows, b)
+            x, x_den = solve_integer(blk.rows, b, Fraction(blk.scale, den))
         except SingularMinor:
             raise GramSingularError(f"{_block_name(n, content)} has a zero pivot") from None
-        return [Fraction(blk.scale * c, den * y_den) for c in y]
+        return [Fraction(c, x_den) for c in x]
 
     @staticmethod
     def _solve_float(n, content, blk, terms):

@@ -20,7 +20,8 @@ the library stores rational blocks as integers, scale times G_n.
 
 ``ldl_solve`` is the Fraction solve the library ran on rational blocks
 before its p-adic lifting: each touched block factored as L·D·Lᵀ without
-pivoting, then substituted through L, D and Lᵀ.
+pivoting, then substituted through L, D and Lᵀ; ``ldl_solve_rows`` is the
+same solve on one symmetric matrix.
 
 ``ChainedAdjoints`` builds the conjugate variables the way the paper writes
 them, as chains of right-creation adjoints with one Gram solve per adjoint,
@@ -200,6 +201,12 @@ def _substitute(factors, rhs):
             if factors[c][r] and x[c]:
                 x[r] = x[r] - factors[c][r] * x[c]
     return x
+
+
+def ldl_solve_rows(rows, rhs):
+    """The x with A x = rhs for a symmetric matrix A given as rows, by the
+    Fraction L·D·Lᵀ of ``FockSpace._ldl`` and substitution."""
+    return _substitute(FockSpace._ldl(len(rows), (), rows), rhs)
 
 
 def ldl_solve(space, v):

@@ -295,10 +295,39 @@ class TestVerify:
             ("export partitions --family B --n 0", "family B needs --n >= 1"),
             ("export fisher --mode symbolic", "fisher export needs numeric entries"),
             ("export xi --level 3 --series-m 2", "xi export needs level >= 2*series_m + 1"),
+            # Gram levels too large to build, with their estimated size
+            ("export xi --d 3 --level 11 --series-m 5", "xi export builds the level-11 Gram matrix, 1,153,462,995 entries in blocks of up to 11,550 words"),
+            ("export xi --d 2 --level 15 --series-m 7", "xi export builds the level-15 Gram matrix, 155,117,520 entries in blocks of up to 6,435 words"),
+            ("export fisher --d 2 --level 15 --series-m 7", "fisher export builds the level-15 Gram matrix"),
+            ("verify all --d 3 --level 9 --series-m 4", "duality suite builds the level-9 Gram matrix, 17,319,837 entries"),
+            ("verify bounds --d 7 --level 9", "bounds suite builds the level-6 Gram matrix, 27,210,169 entries"),
         ],
     )
     def test_refuses_before_any_suite_runs(self, capsys, monkeypatch, argv, message):
         assert self.refusal(capsys, monkeypatch, argv.split()).startswith(f"invalid configuration: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["export xi --d 2 --level 13 --series-m 6", "export gibbs --d 2 --level 14 --series-m 6", "verify bounds --d 6 --level 9"],
+    )
+    def test_gram_size_under_the_limit_runs(self, monkeypatch, argv):
+        # d=2 level 13 holds 10,400,600 entries and d=6 level 6 8,848,236:
+        # the run passes every requirement and gets as far as its space
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(qfock.cli, "FockSpace", built)
+        with pytest.raises(Built):
+            main(argv.split())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_gram_size_counts_the_blocks(self, d):
+        for n in range(7):
+            sizes = [len(blk.words) for blk in FockSpace.with_scalar_q(d, Fraction(1, 2), n).blocks(n).values()]
+            assert qfock.cli._gram_size(d, n) == (sum(k * k for k in sizes), max(sizes))
 
     def test_verify_takes_no_format(self, capsys, monkeypatch):
         # only exports have a tabular form
@@ -629,6 +658,11 @@ class TestMatrixConfig:
         assert norm == pytest.approx(1.1387, abs=1e-4)
 
 
+# fixed mixed matrices with signed entries of distinct denominators
+MIXED_2 = [["1/3", "2/5"], ["2/5", "-3/7"]]
+MIXED_3 = [["1/3", "-2/5", "1/7"], ["-2/5", "-3/7", "1/5"], ["1/7", "1/5", "2/3"]]
+
+
 class TestGolden:
     """Exact and symbolic reports are byte-identical across refactors: the
     sha1 of stdout is pinned. Float reports are left out, since libm may
@@ -675,6 +709,25 @@ class TestGolden:
         assert code == 0
         xi = json.dumps(json.loads(out)["xi"], sort_keys=True, indent=2)
         assert hashlib.sha1(xi.encode()).hexdigest() == "9a8832871925713b46fbaf7c1a1c7ee8b32c9a84"
+
+    @pytest.mark.parametrize(
+        "argv, entries, sha1",
+        [
+            ("export xi --d 2 --level 7 --series-m 3", MIXED_2, "9bdee49000d5babb6a14cb2a8678c076e056700e"),
+            ("export fisher --d 2 --level 7 --series-m 3", MIXED_2, "a6516b43b768d4ce7ac269572cfc1522301556fa"),
+            ("export gibbs --d 2 --level 7 --series-m 3", MIXED_2, "8a39cff3eef2b1b9a5806b7f05d2e74c77d3ee27"),
+            ("export xi --d 3 --level 5 --series-m 2", MIXED_3, "3e071546e4faa270abf5d4a70312153f111ca6c2"),
+        ],
+    )
+    def test_mixed_payload_digest(self, capsys, tmp_path, argv, entries, sha1):
+        # the payload without the config, which holds the matrix file's path;
+        # the level-7 blocks carry scales with large common factors
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": len(entries), "entries": entries}))
+        code, out = run(capsys, *argv.split(), "--q-matrix", str(path))
+        assert code == 0
+        payload = {k: v for k, v in json.loads(out).items() if k not in ("command", "what", "config")}
+        assert hashlib.sha1(json.dumps(payload, sort_keys=True, indent=2).encode()).hexdigest() == sha1
 
     def test_mixed_wick_agree_digest(self, capsys, tmp_path):
         # a zero entry, negative entries and distinct off-diagonal values

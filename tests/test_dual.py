@@ -297,9 +297,9 @@ class TestOneSolvePerLevel:
                 factored.append(p)
                 return factor(mat, p)
 
-            def recorded(rows, rhs):
+            def recorded(rows, *rest):
                 rows_solved.append(rows)
-                return solve(rows, rhs)
+                return solve(rows, *rest)
 
             monkeypatch.setattr(qfock.lifting, "_factor_mod", counted)
             monkeypatch.setattr(qfock.fock, "solve_integer", recorded)
