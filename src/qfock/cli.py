@@ -16,12 +16,12 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, log2
 
 import mpmath as mp
 
 from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_reports
-from .fock import FockSpace
+from .fock import FockSpace, _cleared
 from .ncpoly import (
     conjugate_expansions,
     cyclic_commutator,
@@ -79,6 +79,8 @@ def _scalar_json(value):
 
 def _parse_config(args):
     mode = args.mode
+    if args.d < 1:
+        raise ConfigError("d must be at least 1")
     if args.level < 0:
         raise ConfigError("level must be nonnegative")
     if args.series_m < 0:
@@ -120,6 +122,10 @@ def _parse_config(args):
 # its blocks to that level take about 0.8 GB of Python ints
 GRAM_ENTRIES_LIMIT = 12_000_000
 
+# the largest ``_engine_size``: d=3 level 11 at q = 1/2 is 3.1e11 (12 s),
+# d=2 level 15 3.7e11 (10 s), formal d=2 level 9 1.4e11 (12 s)
+ENGINE_SIZE_LIMIT = 5 * 10**11
+
 
 def _gram_size(d, n):
     """(entries, largest block) of the level-n Gram matrix over d letters:
@@ -134,6 +140,16 @@ def _gram_size(d, n):
     return pairs[n], factorial(n) // (factorial(even + 1) ** extra * factorial(even) ** (d - extra))
 
 
+def _engine_size(deformation, n):
+    """The cost of the conjugate variables at level n: d^n words, about n^3
+    moves, and numerators of about n^3 times log2 s bits for rational
+    entries over the common denominator s (at least 1), one unit for
+    floats and 512 for a formal q, the cost of its polynomial arithmetic."""
+    exact = not (deformation.is_symbolic or deformation.is_float)
+    weight = max(1.0, log2(_cleared(deformation)[0])) if exact else 512 if deformation.is_symbolic else 1
+    return deformation.d**n * n**6 * weight
+
+
 def _require(deformation, args, names):
     """Refuse a configuration that one of the named suites or exports cannot
     run, before any space is built, with the message of its first unmet
@@ -144,11 +160,12 @@ def _require(deformation, args, names):
     fisher exports those constants, and each (series, truncation) tail a
     name sums, which must start halving its terms in reach; and for the
     bounds suite the Haagerup bound C^(3/2), which must not overflow.
-    A name's own needs end with the size of the deepest Gram level it
-    builds (2M+1 for the conjugate variables, up to 6 for the norm
-    checks), which must hold at most ``GRAM_ENTRIES_LIMIT`` entries."""
+    A name's own needs end with its sizes: the conjugate variables of
+    level 2M+1 within ``ENGINE_SIZE_LIMIT``, and the deepest Gram level it
+    builds (M for fisher, M+2 for duality, up to 6 for the norm checks)
+    within ``GRAM_ENTRIES_LIMIT`` entries."""
     m, level = args.series_m, args.level
-    deepest = dict.fromkeys(("duality", "gibbs", "xi", "fisher"), 2 * m + 1) | {"bounds": min(level, 6)}
+    deepest = {"fisher": m, "duality": min(level, m + 2), "bounds": min(level, 6)}
     q0 = _q_float(_float_deformation(deformation))
     tails = {
         "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
@@ -177,6 +194,13 @@ def _require(deformation, args, names):
                 raise ConfigError(f"family {args.family} needs --n >= {lowest}")
             if args.command == "export" and args.format == "csv" and name not in _CSVABLE:
                 raise ConfigError(f"{label} has no tabular form; use json")
+            if name in ("duality", "gibbs", "xi", "fisher"):
+                size = _engine_size(deformation, 2 * m + 1)
+                if size > ENGINE_SIZE_LIMIT:
+                    raise ConfigError(
+                        f"{label} computes the conjugate variables at level {2 * m + 1} over {deformation.d ** (2 * m + 1):,} "
+                        f"words, an engine size of {size:.2g}, above the limit of {ENGINE_SIZE_LIMIT:.2g}"
+                    )
             if name in deepest:
                 n = deepest[name]
                 entries, largest = _gram_size(deformation.d, n)

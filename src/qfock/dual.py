@@ -43,20 +43,22 @@ next adjoint multiplies that solution back by G_{n+1}, so a chain
 telescopes and the whole level is one solve:
 
     xi_i^(2m+1) = G_{2m+1}^{-1} b_i,
-    b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw}.
+    b_i = sum over |w| = m of sigma(i, w) (G_m e_w) (x) e_{iw} = (G_m (x) 1) c_i,
+    c_i = sum over |w| = m of sigma(i, w) e_{w i w}.
 
-b_i reaches only contents with an odd count of i and even counts of the
-other letters, one right-hand side per block. For a rational deformation
-with common denominator s, the level-m blocks hold s^(m(m-1)/2) G_m in
-integers and the integer numerators of the deformation give
-s^(m(m+1)/2) sigma, so b_i is formed in integers over the one denominator
-s^(m^2); ``FockSpace.solve`` then solves each block exactly by p-adic
-lifting. A space builds each level once; partial sums are truncated by
-source-word length and every report carries an analytic tail bound.
+Since G_{2m+1} = (G_m (x) 1) (R_{m+1} (x) 1) ... R_{2m+1} by the
+right-peeling factors of :mod:`qfock.fock`, the level is the explicit
+
+    xi_i^(2m+1) = R_{2m+1}^-1 (R_{2m}^-1 (x) 1) ... (R_{m+1}^-1 (x) 1) c_i,
+
+computed by ``FockSpace.inverse_peel`` with no Gram block at all. A
+space builds each level once; partial sums are truncated by source-word
+length and every report carries an analytic tail bound.
 
 Levels of different length are orthogonal, so the Fisher information of
 the truncation M is the sum over levels m <= M of the squared norms of the
-level-(2m+1) parts. ``fisher_reports`` pairs each level once and keeps a
+level-(2m+1) parts, each the plain sum xi_i . b_i, which reads no block
+above level m. ``fisher_reports`` pairs each level once and keeps a
 running sum over M.
 """
 
@@ -65,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import FockSpace, FockVector, TruncationError, _add_to
+from .fock import FockSpace, FockVector, TruncationError, _add_to, _div
 from .partitions import diagram_table
 from .scalars import float_eval
 
@@ -211,9 +213,16 @@ def _series_sign_weight(a, i, word):
 
 
 def _series_level(space: FockSpace, i, m) -> FockVector:
-    """The level-(2m+1) part of xi_i, from the source words of length m:
-    one Gram solve, memoized per space under the key (i, m)."""
-    return space._memo("xi", (i, m), lambda: space.solve(_series_rhs(space, i, m)))
+    """The level-(2m+1) part of xi_i, G_{2m+1}^-1 (G_m (x) 1) c_i by the
+    explicit inverse, memoized per space under the key (i, m)."""
+    return space._memo("xi", (i, m), lambda: space.inverse_peel(_series_source(space, i, m), m))
+
+
+def _series_source(space: FockSpace, i, m) -> FockVector:
+    """c_i = sum over |w| = m of sigma(i, w) e_{w i w}, so b_i = (G_m (x) 1) c_i."""
+    s, a = space._cleared
+    weights = {w + (i,) + w: _series_sign_weight(a, i, w) for w in space.words(m)}
+    return FockVector._wrap({w: _div(c, s ** (m * (m + 1) // 2)) for w, c in weights.items() if c})
 
 
 def _series_rhs(space: FockSpace, i, m) -> FockVector:
@@ -289,8 +298,8 @@ def fisher_reports(space: FockSpace, source_length: int):
     total = 0
     for m in range(source_length + 1):
         for i in range(1, space.d + 1):
-            part = _series_level(space, i, m)
-            total = total + space.inner(part, part)
+            rhs = _series_rhs(space, i, m)  # <xi, xi> = xi . b_i, since G_{2m+1} xi = b_i
+            total = total + sum(c * rhs.coeff(w) for w, c in _series_level(space, i, m).items())
         yield FisherReport(
             source_length=m,
             value=total,

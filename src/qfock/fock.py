@@ -33,31 +33,16 @@ sides of the conjugate variables) divide by it once. Float and formal
 entries take s = 1 through the same code, so their blocks are the Gram
 entries themselves.
 
-``solve`` is the one Gram solve: it finds x with G x = v block by block.
-A rational block is solved exactly by p-adic lifting on Ĝ_n (Dixon, Numer.
-Math. 40, 1982) with v cleared to integers b over one denominator D, so
-that x = scale Ĝ_n^-1 b / D. The lifting reconstructs x itself, with the
-known factor scale / D and the gcd of Ĝ_n's entries folded into the
-p-adic digits, so its steps follow the size of x rather than that of
-Ĝ_n^-1 b: one factorization modulo a word-size prime, a few numpy calls
-per lifting step, rational reconstruction of every entry (Wang, Guy and
-Davenport, SIGSAM Bull. 16, 1982) at geometrically spaced steps, and an
-exact integer check against Ĝ_n before the answer is accepted; see
-:mod:`qfock.lifting`. A float block is factored by ``gram_cholesky``, the
-one float factorization, which the norm checks of :mod:`qfock.norms` use
-for their eigenproblems too. A formal block is factored as L·D·Lᵀ without
-pivoting.
-
-Every factorization here relies on positivity: for |q_ij| < 1 the Gram
-form is strictly positive (M. Bozejko and R. Speicher, Comm. Math. Phys.
-137, 1991; Math. Ann. 300, 1994), so every block is symmetric positive
-definite. A float block that is not positive definite, a zero pivot of a
-formal block, and a leading minor of a rational block that is singular
-over the integers all raise ``GramSingularError`` naming the level and the
-content. For |q_ij| >= 1 the blocks may be indefinite, and then a block
-that is itself invertible may be refused. With constant q the
-recursion reproduces the permutation sum of q^inversions; the tests check
-both that and the left-peeling recursion for mixed q.
+No Gram block is solved: ``inverse_peel`` applies G_n^-1 (G_m (x) 1) by
+the explicit inverses of the peeling factors (see ``_Peeling``). Blocks
+are read by ``inner``, the Fisher pairing and the float eigenproblems of
+:mod:`qfock.norms`, factored by ``gram_cholesky``. For |q_ij| < 1 the
+Gram form is positive (M. Bozejko and R. Speicher, Comm. Math. Phys. 137,
+1991; Math. Ann. 300, 1994); a float block that is not positive definite,
+and a window with 1 - c(w) = 0, raise ``GramSingularError`` naming the
+level and the content. With constant q the recursion reproduces the permutation sum of
+q^inversions; the tests check both that and the left-peeling recursion
+for mixed q.
 
 The field operators read the same integer numerators. Annihilation's
 running weight prod_{s<t} q(i, w[s]) is A-products over s^t, so it is kept
@@ -81,14 +66,13 @@ polynomials of :mod:`qfock.ncpoly` are its subclasses.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .lifting import SingularMinor, solve_integer
-from .scalars import Deformation, magnitude
+from .scalars import Deformation, QPoly, QRat, magnitude
 
 __all__ = [
     "FockVector",
@@ -104,15 +88,15 @@ class TruncationError(RuntimeError):
 
 
 class GramSingularError(RuntimeError):
-    """A level Gram matrix could not be factorized."""
+    """A level Gram matrix or peeling factor is singular or not factorable."""
 
 
 def gram_cholesky(gram, what):
     """The lower Cholesky factor of a float Gram matrix, by numpy.
 
-    This is the one factorization of float Gram data: ``FockSpace.solve``
-    and the norm checks both factor through it. A matrix that is not
-    positive definite raises ``GramSingularError`` naming ``what``."""
+    This is the one factorization of float Gram data, for the norm checks
+    of :mod:`qfock.norms`. A matrix that is not positive definite raises
+    ``GramSingularError`` naming ``what``."""
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -560,114 +544,183 @@ class FockSpace:
                 blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows, scale)
         return blocks
 
-    def solve(self, v: FockVector) -> FockVector:
-        """The x with G x = v, block by block over the contents v touches.
+    def inverse_peel(self, v: FockVector, below: int) -> FockVector:
+        """R_n^-1 (R_{n-1}^-1 (x) 1) ... (R_{below+1}^-1 (x) 1) v for v on one
+        level n: the x with G_n x = (G_below (x) 1) v, by ``_Peeling``."""
+        if not v:
+            return FockVector.zero()
+        (n,) = {len(w) for w in v._c}
+        self._check_level(n)
+        return _Peeling(self, v, n).solve(below)
 
-        With a rational deformation a block's rows are the integer matrix
-        Ĝ = scale * G_n. The block's part of v is cleared to integers b over
-        one denominator D, so x = scale Ĝ^-1 b / D, and
-        ``lifting.solve_integer`` finds that x directly, with scale / D as
-        its known factor, by p-adic lifting (Dixon): one L·U factorization
-        of Ĝ over the gcd of its entries modulo a word-size prime, a few
-        numpy calls per lifting step, and a rational reconstruction of every
-        entry of x (Wang, Guy and Davenport). It accepts x only after
-        checking Ĝ x = scale b / D exactly, in integers. The factorization
-        shows the determinant nonzero modulo the prime, so the block is
-        nonsingular and an x passing that check is the solution, whatever
-        the reconstruction guessed. A leading minor that is singular over
-        the integers raises ``GramSingularError``.
 
-        A float block is factored as L·Lᵀ by ``gram_cholesky`` and solved
-        through L and Lᵀ; a formal one is factored as L·D·Lᵀ by ``_ldl``
-        and solved through L, D and Lᵀ. No factor is kept: each block is
-        solved once.
-        """
-        groups = {}
-        for w, c in v.items():
-            groups.setdefault(_content(w), []).append((w, c))
-        acc = {}
-        for content, terms in groups.items():
-            n = len(content)
-            blk = self.blocks(n)[content]
-            if self._rational:
-                x = self._solve_rational(n, content, blk, terms)
-            elif self.deformation.is_float:
-                x = self._solve_float(n, content, blk, terms)
-            else:
-                x = self._solve_ldl(n, content, blk, terms)
-            for word, c in zip(blk.words, x):
-                _add_to(acc, word, c)
-        return FockVector._wrap(acc)
+class _Peeling:
+    """The explicit inverse of the right-peeling factors of one level.
 
-    @staticmethod
-    def _solve_rational(n, content, blk, terms):
-        nums, den = _over_one_denominator(terms)
-        b = [0] * len(blk.words)
-        for (w, _), c in zip(terms, nums):
-            b[blk.index[w]] = c
-        try:
-            x, x_den = solve_integer(blk.rows, b, Fraction(blk.scale, den))
-        except SingularMinor:
-            raise GramSingularError(f"{_block_name(n, content)} has a zero pivot") from None
-        return [Fraction(c, x_den) for c in x]
+    R_n e_w is the sum over the places t of w of T_t e_w: w_t moved to the
+    end, with weight prod_{s>t} q(w_t, w_s). On a window of length n,
+    U = T_0 moves the first letter to the end, with weight
+    D_U(w) = prod_{s>0} q(w_0, w_s), and V moves it to the next-to-last
+    place, with weight D_V(w) = D_U(w) q(w_0, w_{n-1}). Then
+    R_n = D_U U + (1 (x) R_{n-1}), the terms t >= 1 being R_{n-1} on the
+    last n - 1 places, and
 
-    @staticmethod
-    def _solve_float(n, content, blk, terms):
-        chol = gram_cholesky(np.array(blk.rows, dtype=float), _block_name(n, content))
-        b = np.zeros(len(blk.words))
-        for w, c in terms:
-            b[blk.index[w]] = c
-        # numpy has no triangular solver; its LU on the factor stands in
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, b)).tolist()
+        R_n (1 - D_U U) = (1 - D_V V) (1 (x) R_{n-1}).
 
-    @classmethod
-    def _solve_ldl(cls, n, content, blk, terms):
-        rows = cls._ldl(n, content, blk.rows)
-        x = [0] * len(rows)
-        for w, c in terms:
-            x[blk.index[w]] = c
-        for r, row in enumerate(rows):
-            for l, y in zip(row, x[:r]):
-                if l and y:
-                    x[r] = x[r] - l * y
-        for r, row in enumerate(rows):
-            x[r] = _div(x[r], row[r])
-        for c in range(len(rows) - 1, 0, -1):
-            xc = x[c]
-            if xc:
-                for r, l in enumerate(rows[c][:c]):
-                    if l:
-                        x[r] = x[r] - l * xc
+    Proof. With B = 1 (x) R_{n-1} = sum_{t>=1} T_t and R_n = T_0 + B, the
+    identity says B T_0 + T_0^2 - T_0 = D_V V B. In B T_0 the term
+    t = n-1 of B is the identity and cancels -T_0. Every other term, and
+    T_0^2, moves w_0 to the end and then one letter w_u, 1 <= u <= n-1,
+    behind it: the word w_1 .. (w_u left out) .. w_{n-1} w_0 w_u, with
+    weight D_U(w) q(w_u, w_0) prod_{s>u} q(w_u, w_s). On the right, T_u
+    moves w_u to the end with weight prod_{s>u} q(w_u, w_s), and D_V V
+    puts w_0 just before it: the same word, with weight D_U(w) q(w_0, w_u),
+    since the letters after w_0 are still w_1 .. w_{n-1}. The weights agree
+    because q is symmetric. QED.
+
+    V rotates the first n - 1 places, so (D_V V)^(n-1) = c, the diagonal
+    of the products of D_V over the V-orbits: c(w) = prod_{a<b}
+    q(w_a, w_b)^2, a function of the window's letter content, and also
+    (D_U U)^n. Where c != 1, (1 - D_V V)^-1 = sum_{j<n-1} (D_V V)^j
+    (1 - c)^-1 and
+
+        R_n^-1 = (1 - D_U U) (1 (x) R_{n-1}^-1) sum_{j<n-1} (D_V V)^j (1 - c)^-1,
+
+    about n^2/2 weighted moves. For |q_ij| < 1 every 1 - c(w) > 0; at
+    constant q they are Zagier's 1 - q^(n(n-1)) (D. Zagier, Comm. Math.
+    Phys. 147, 1992). No positivity is needed.
+
+    The vector lives on the words of the contents it touches, which moves
+    keep; the window [j, k) of word number i is (i // d^(n-k)) % d^(k-j).
+    Exact entries are numerators over one denominator: with the cleared
+    entries (s, A), D_U and D_V are A-products over s^(L-1) and s^L and
+    1 - c = e(w) / s^(L(L-1)), the e(w) present go in as their lcm, and the
+    (polynomial, for a formal q) gcd is divided out per R_k. Floats divide.
+    """
+
+    def __init__(self, space, v, n):
+        self.space, self.n, self.d = space, n, space.d
+        self.kind = "rational" if space._rational else "float" if space.deformation.is_float else "formal"
+        if self.kind == "formal" and not space.deformation.is_constant:
+            raise ValueError("formal conjugate variables need one constant q")
+        self.s, a = space._cleared
+        dtype = float if self.kind == "float" else object
+        self.a = a[0][0] if space.deformation.is_constant else np.array(a, dtype=dtype)
+        self.tables = {}
+        letters = np.array(np.unravel_index(np.arange(self.d**n), (self.d,) * n))
+        given = [sum((x - 1) * self.d ** (n - 1 - p) for p, x in enumerate(w)) for w in v._c]
+        key = _content_key(letters, self.d)
+        self.idx = np.flatnonzero(np.isin(key, key[given]))
+        self.pos = np.full(self.d**n, -1)
+        self.pos[self.idx] = np.arange(len(self.idx))
+        self.words = [tuple(w) for w in (letters[:, self.idx].T + 1).tolist()]
+        self.x = np.zeros(len(self.idx), dtype=dtype)
+        if self.kind == "rational":
+            self.x[self.pos[given]], self.den = _over_one_denominator(list(v.items()))
+        else:
+            self.x[self.pos[given]], self.den = list(v._c.values()), 1
+
+    def _table(self, L):
+        """Per window of length L: where U and V send it, the numerators of
+        D_U and D_V (scalars at constant q), its content class, e(w) per
+        class and a window of each class."""
+        if L not in self.tables:
+            d, a = self.d, self.a
+            lw = np.array(np.unravel_index(np.arange(d**L), (d,) * L))
+            place = d ** np.arange(L - 1, -1, -1)
+            u_to = np.dot(np.roll(lw, -1, axis=0).T, place)
+            v_to = np.dot(np.concatenate([lw[1 : L - 1], lw[:1], lw[L - 1 :]]).T, place)
+            du = a ** (L - 1) if np.ndim(a) == 0 else np.prod([a[lw[0], lw[t]] for t in range(1, L)], axis=0)
+            dv = a**L if np.ndim(a) == 0 else du * a[lw[0], lw[L - 1]]
+            _, first, cls = np.unique(_content_key(lw, d), return_index=True, return_inverse=True)
+            entries = self.space._cleared[1]
+            es = [self.s ** (L * (L - 1)) - prod(entries[x][y] ** 2 for x, y in combinations(lw[:, w], 2)) for w in first]
+            self.tables[L] = (u_to, v_to, du, dv, cls, es, lw[:, first])
+        return self.tables[L]
+
+    def _window(self, j, k):
+        unit = self.d ** (self.n - k)
+        return (self.idx // unit) % self.d ** (k - j), unit
+
+    def _move(self, x, j, k, which):
+        """D_U U (which = 0) or D_V V (1) on the window [j, k), with weight
+        numerators over s^(L-1) and s^L."""
+        table = self._table(k - j)
+        to, weight = table[which], table[2 + which]
+        wnd, unit = self._window(j, k)
+        out = np.empty_like(x)
+        out[self.pos[self.idx + (to[wnd] - wnd) * unit]] = x * (weight if np.ndim(weight) == 0 else weight[wnd])
+        return out
+
+    def _divide(self, x, j, k):
+        """x / (1 - c(w)) on the window [j, k), times s^L for the sum that
+        follows; exact entries move the multiple of the e(w) present into
+        the denominator."""
+        L = k - j
+        *_, cls, es, reps = self._table(L)
+        present = cls[self._window(j, k)[0]]
+        used = np.flatnonzero(np.bincount(present, minlength=len(es)))
+        singular = [tuple(sorted(int(y) + 1 for y in reps[:, c])) for c in used if not es[c]]
+        if singular:
+            raise GramSingularError(f"level-{L} Gram factor R_{L} on the window content {min(singular)} has 1 - c(w) = 0")
+        if self.kind == "float":
+            return x / np.array(es)[present]
+        values = {es[c] for c in used}
+        if len(values) == 1:  # e(w) itself, which may be negative for |q| > 1
+            multiple, factor = values.pop(), 1
+        else:
+            multiple = lcm(*values)
+            factor = np.array([multiple // e if e else 0 for e in es], dtype=object)[present]
+        self.den = self.den * multiple
+        return _scaled(x, factor * self.s**L)
+
+    def _inverse(self, x, k):
+        """R_k^-1 on the first k places, with the common factor of the
+        numerators and the denominator divided out."""
+        s = self.s
+        for j in range(k - 1):
+            y = x = self._divide(x, j, k)
+            for t in range(1, k - j - 1):
+                x = self._move(x, j, k, 1) + _scaled(y, s ** ((k - j) * t))
+        for j in range(k - 2, -1, -1):
+            x = _scaled(x, s ** (k - j - 1)) - self._move(x, j, k, 0)
+            self.den = self.den * s ** (k - j - 1)
+        if self.kind == "rational":
+            g = gcd(self.den, *x)
+            self.den //= g
+            return x // g
+        g = isinstance(self.den, QPoly) and self.den.common_factor(*(c for c in x if c))
+        if g:
+            self.den = self.den.exact_quotient(g)
+            x = np.array([c.exact_quotient(g) if c else c for c in x], dtype=object)
         return x
 
-    @staticmethod
-    def _ldl(n, content, mat):
-        """Factor a formal block as L·D·Lᵀ, L unit lower triangular,
-        without pivoting. Row r of the result holds L[r][:r] followed by
-        the pivot D[r]. Float blocks never come here: they are factored by
-        ``gram_cholesky``.
+    def solve(self, below):
+        """The inverse; exact entries only once the forward product, s^(k-1) R_k
+        the sum over t of s^t D_U U on [t, k), gives the source back."""
+        source, den0 = self.x, self.den
+        x = source
+        for k in range(below + 1, self.n + 1):
+            x = self._inverse(x, k)
+        if self.kind == "float":
+            return FockVector._wrap({w: c for w, c in zip(self.words, x.tolist()) if c})
+        check, scale = x, 1
+        for k in range(self.n, below, -1):
+            moved = [_scaled(self._move(check, t, k, 0), self.s**t) for t in range(k - 1)]
+            check = sum(moved, _scaled(check, self.s ** (k - 1)))
+            scale *= self.s ** (k - 1)
+        if any(a * den0 != b * self.den * scale for a, b in zip(check, source)):
+            raise ArithmeticError(f"the level-{self.n} solve failed its exact check")
+        # a formal level above 1 stays a ratio even where its denominator cancels
+        div = QRat if isinstance(self.den, QPoly) else _div
+        return FockVector._wrap({w: div(c, self.den) for w, c in zip(self.words, x) if c})
 
-        The blocks are positive definite for |q_ij| < 1 (Bozejko and
-        Speicher; see the module docstring), so every pivot is positive.
-        For |q_ij| >= 1 a zero pivot means a singular block or an
-        indefinite one with a singular leading minor.
-        """
-        rows = []
-        for r, a in enumerate(mat):
-            scaled, row = [], []  # scaled[c] = L[r][c] * D[c]
-            for c, lc in enumerate(rows):
-                acc = a[c]
-                for s, l in zip(scaled, lc):
-                    if s and l:
-                        acc = acc - s * l
-                scaled.append(acc)
-                row.append(_div(acc, lc[c]))
-            pivot = a[r]
-            for s, l in zip(scaled, row):
-                if s and l:
-                    pivot = pivot - s * l
-            if not pivot:
-                raise GramSingularError(f"{_block_name(n, content)} has a zero pivot")
-            row.append(pivot)
-            rows.append(row)
-        return rows
+
+def _scaled(x, c):
+    return x if np.ndim(c) == 0 and c == 1 else x * c
+
+
+def _content_key(letters, d):
+    """One integer per word naming its letter content: the index of its
+    sorted letters, so contents sort as their sorted words."""
+    return np.dot(np.sort(letters, axis=0).T, d ** np.arange(len(letters) - 1, -1, -1))

@@ -4,9 +4,10 @@ Everything here is floating point on the truncated space. Operator norms
 with respect to the twisted inner product are generalized symmetric
 eigenproblems against the level Gram matrices, solved with numpy through
 the Cholesky factor of the Gram. That factor comes from
-``fock.gram_cholesky``, the one factorization of float Gram data, which
-``FockSpace.solve`` uses too, so a Gram that is not positive definite
-raises the same ``GramSingularError`` here as in a solve. Truncation makes
+``fock.gram_cholesky``, the one factorization of float Gram data, and a
+Gram that is not positive definite raises ``GramSingularError``, the
+error the explicit inverse of ``FockSpace.inverse_peel`` raises on a
+singular window. Truncation makes
 every computed norm a lower bound on the true one, which is the
 conservative direction when checking an upper-bound inequality.
 

@@ -303,7 +303,13 @@ class QPoly:
             return QPoly()
         # Gauss's lemma: the product of primitive polynomials is primitive
         content = self._content * other._content
-        return QPoly._make(content, tuple(_kronecker_mul(self._ints, other._ints)))
+        a, b = self._ints, other._ints
+        if len(b) > len(a):
+            a, b = b, a
+        if b[-1] == 1 and not any(b[:-1]):
+            # a monomial factor only shifts the coefficients
+            return QPoly._make(content, (0,) * (len(b) - 1) + a)
+        return QPoly._make(content, tuple(_kronecker_mul(a, b)))
 
     __rmul__ = __mul__
 
@@ -318,6 +324,18 @@ class QPoly:
             base = base * base
             n >>= 1
         return result
+
+    def common_factor(self, *others):
+        """The primitive integer gcd of this polynomial and the nonzero
+        others, coefficients lowest first, or None when it is constant."""
+        g = self._ints
+        for p in others:
+            g = _heu_gcd(g, p._ints)[0] if len(g) > 1 and isinstance(p, QPoly) else (1,)
+        return g if len(g) > 1 else None
+
+    def exact_quotient(self, factor):
+        """This polynomial over a primitive integer factor of it."""
+        return QPoly._make(self._content, _exact_quotient(self._ints, factor)) if self._ints else self
 
     def __truediv__(self, other):
         if isinstance(other, _EXACT_NUMBER):

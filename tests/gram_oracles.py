@@ -18,14 +18,16 @@ library's per-block eigenproblems.
 ``gram_rows`` reads a content block back as the Gram entries themselves:
 the library stores rational blocks as integers, scale times G_n.
 
-``ldl_solve`` is the Fraction solve the library ran on rational blocks
-before its p-adic lifting: each touched block factored as L·D·Lᵀ without
-pivoting, then substituted through L, D and Lᵀ; ``ldl_solve_rows`` is the
-same solve on one symmetric matrix.
+``ldl`` factors one block as L·D·Lᵀ without pivoting, and ``ldl_solve``
+is the Gram solve built on it: each touched block factored, then
+substituted through L, D and Lᵀ; ``ldl_solve_rows`` is the same solve on
+one symmetric matrix. The library solves no Gram block: its conjugate
+variables come from the explicit inverse of the peeling factors, and these
+solves are its oracle.
 
 ``ChainedAdjoints`` builds the conjugate variables the way the paper writes
 them, as chains of right-creation adjoints with one Gram solve per adjoint,
-against the library's single solve per level.
+against the library's explicit inverse per level.
 """
 
 import math
@@ -35,7 +37,7 @@ from itertools import permutations, product
 import numpy as np
 import scipy.linalg
 
-from qfock import FockSpace, FockVector, analytic_constants, poly_apply, wick_recursive
+from qfock import FockVector, GramSingularError, analytic_constants, poly_apply, wick_recursive
 
 
 def _words(d, n):
@@ -188,8 +190,43 @@ def right_annihilate(i, v):
     return FockVector({w[:-1]: c for w, c in v.items() if w and w[-1] == i})
 
 
+def _div(a, b):
+    """Division that keeps int/int exact instead of decaying to float."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
+def ldl(n, content, mat):
+    """Factor a symmetric block as L·D·Lᵀ, L unit lower triangular, without
+    pivoting. Row r of the result holds L[r][:r] followed by the pivot
+    D[r]. Inside the disk every pivot is positive (the Gram form is
+    positive definite for |q_ij| < 1: M. Bozejko and R. Speicher, Math.
+    Ann. 300, 1994); a zero pivot raises ``GramSingularError`` naming the
+    level and the content."""
+    rows = []
+    for r, a in enumerate(mat):
+        scaled, row = [], []  # scaled[c] = L[r][c] * D[c]
+        for c, lc in enumerate(rows):
+            acc = a[c]
+            for s, l in zip(scaled, lc):
+                if s and l:
+                    acc = acc - s * l
+            scaled.append(acc)
+            row.append(_div(acc, lc[c]))
+        pivot = a[r]
+        for s, l in zip(scaled, row):
+            if s and l:
+                pivot = pivot - s * l
+        if not pivot:
+            raise GramSingularError(f"level-{n} Gram block of content {content} has a zero pivot")
+        row.append(pivot)
+        rows.append(row)
+    return rows
+
+
 def _substitute(factors, rhs):
-    """x with L·D·Lᵀ x = rhs, from the rows of ``FockSpace._ldl``."""
+    """x with L·D·Lᵀ x = rhs, from the rows of ``ldl``."""
     x = list(rhs)
     for r, row in enumerate(factors):
         for c in range(r):
@@ -205,8 +242,8 @@ def _substitute(factors, rhs):
 
 def ldl_solve_rows(rows, rhs):
     """The x with A x = rhs for a symmetric matrix A given as rows, by the
-    Fraction L·D·Lᵀ of ``FockSpace._ldl`` and substitution."""
-    return _substitute(FockSpace._ldl(len(rows), (), rows), rhs)
+    Fraction L·D·Lᵀ of ``ldl`` and substitution."""
+    return _substitute(ldl(len(rows), (), rows), rhs)
 
 
 def ldl_solve(space, v):
@@ -223,7 +260,7 @@ def ldl_solve(space, v):
         rhs = [0] * len(blk.words)
         for w, c in terms:
             rhs[blk.index[w]] = c
-        x = _substitute(FockSpace._ldl(n, content, gram_rows(blk)), rhs)
+        x = _substitute(ldl(n, content, gram_rows(blk)), rhs)
         acc = acc + FockVector(dict(zip(blk.words, x)))
     return acc
 
@@ -263,7 +300,7 @@ class ChainedAdjoints:
     def _solve(self, n, content, rhs):
         key = (n, content)
         if key not in self._factors:
-            self._factors[key] = FockSpace._ldl(n, content, gram_rows(self.space.blocks(n)[content]))
+            self._factors[key] = ldl(n, content, gram_rows(self.space.blocks(n)[content]))
         return _substitute(self._factors[key], rhs)
 
     def sign_weight(self, i, w):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import qfock.cli
+import qfock.fock
 import qfock.ncpoly
+import qfock.norms
 import qfock.onevariable
 from qfock import (
     Deformation,
@@ -295,11 +297,15 @@ class TestVerify:
             ("export partitions --family B --n 0", "family B needs --n >= 1"),
             ("export fisher --mode symbolic", "fisher export needs numeric entries"),
             ("export xi --level 3 --series-m 2", "xi export needs level >= 2*series_m + 1"),
+            # no letters: the deformation matrix would be empty
+            ("export xi --d 0 --level 5", "d must be at least 1"),
+            ("verify bounds --d 0", "d must be at least 1"),
+            # conjugate variables too large to compute, with their estimated size
+            ("export xi --d 2 --level 17 --series-m 8", "xi export computes the conjugate variables at level 17 over 131,072 words, an engine size of 3.2e+12"),
+            ("export fisher --d 2 --level 17 --series-m 8", "fisher export computes the conjugate variables at level 17"),
+            ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export computes the conjugate variables at level 11 over 2,048 words, an engine size of 1.9e+12"),
+            ("verify all --d 3 --level 13 --series-m 6", "duality suite computes the conjugate variables at level 13"),
             # Gram levels too large to build, with their estimated size
-            ("export xi --d 3 --level 11 --series-m 5", "xi export builds the level-11 Gram matrix, 1,153,462,995 entries in blocks of up to 11,550 words"),
-            ("export xi --d 2 --level 15 --series-m 7", "xi export builds the level-15 Gram matrix, 155,117,520 entries in blocks of up to 6,435 words"),
-            ("export fisher --d 2 --level 15 --series-m 7", "fisher export builds the level-15 Gram matrix"),
-            ("verify all --d 3 --level 9 --series-m 4", "duality suite builds the level-9 Gram matrix, 17,319,837 entries"),
             ("verify bounds --d 7 --level 9", "bounds suite builds the level-6 Gram matrix, 27,210,169 entries"),
         ],
     )
@@ -308,11 +314,21 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv",
-        ["export xi --d 2 --level 13 --series-m 6", "export gibbs --d 2 --level 14 --series-m 6", "verify bounds --d 6 --level 9"],
+        [
+            "export xi --d 2 --level 13 --series-m 6",
+            "export gibbs --d 2 --level 14 --series-m 6",
+            "verify bounds --d 6 --level 9",
+            "export xi --d 3 --level 9 --series-m 4",
+            "export xi --d 3 --level 11 --series-m 5",
+            "export fisher --d 2 --level 15 --series-m 7",
+            "verify all --d 3 --level 9 --series-m 4",
+        ],
     )
     def test_gram_size_under_the_limit_runs(self, monkeypatch, argv):
-        # d=2 level 13 holds 10,400,600 entries and d=6 level 6 8,848,236:
-        # the run passes every requirement and gets as far as its space
+        # engine sizes 3.9e10 (d=2 level 13), 1.0e10, 3.1e11 (d=3 levels 9
+        # and 11) and 3.7e11 (d=2 level 15) against the limit of 5e11, and
+        # d=6 level 6 holds 8,848,236 Gram entries: the run passes every
+        # requirement and gets as far as its space
         class Built(Exception):
             pass
 
@@ -387,20 +403,25 @@ class TestVerify:
         assert len(checks) == 4
         assert all(c["value"] <= c["params"]["tail"] + c["params"]["noise"] for c in checks)
 
-    def test_float_runs_never_enter_ldl(self, capsys, monkeypatch):
-        # every float Gram block is factored by Cholesky, in solves and
-        # norm checks alike; L·D·Lᵀ is for formal blocks only
-        ldl = FockSpace._ldl
+    def test_float_xi_never_calls_cholesky(self, capsys, monkeypatch):
+        # float conjugate variables come from the explicit inverse with no
+        # factorization; only the norm checks factor float Gram blocks
+        calls = []
+        cholesky = qfock.norms.gram_cholesky
 
-        def formal_only(n, content, mat):
-            assert not any(isinstance(g, float) for row in mat for g in row), content
-            return ldl(n, content, mat)
+        def counted(gram, what):
+            calls.append(what)
+            return cholesky(gram, what)
 
-        monkeypatch.setattr(FockSpace, "_ldl", staticmethod(formal_only))
+        monkeypatch.setattr(qfock.norms, "gram_cholesky", counted)
+        monkeypatch.setattr(qfock.fock, "gram_cholesky", counted)
         config = "--mode float --d 2 --level 5 --series-m 2 --q 0.5".split()
-        for argv in ("export xi", "export fisher", "export gibbs", "verify duality", "verify gibbs", "verify bounds"):
+        for argv in ("export xi", "export fisher", "export gibbs", "verify duality", "verify gibbs"):
             assert main([*argv.split(), *config]) == 0, argv
             capsys.readouterr()
+        assert calls == []
+        assert main(["verify", "bounds", *config]) == 0
+        assert calls
 
 
 class TestExport:
@@ -414,6 +435,17 @@ class TestExport:
             if r["blocks"][:3] == [[0, 3], [1, 5], [2, 4]] and len(r["blocks"]) == 3
         ]
         assert match and match[0]["crossings"] == 4
+
+    def test_xi_d3_level9_is_exact(self, capsys):
+        # refused by the Gram size before the explicit inverse: 19,683 words
+        # at level 9, each level accepted only after its exact check
+        code, out = run(capsys, *"export xi --d 3 --level 9 --series-m 4".split())
+        assert code == 0
+        rows = json.loads(out)["xi"]
+        assert [row["i"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            assert all("coeff_num" in t and "coeff_den" in t for t in row["terms"])
+            assert max(len(t["word"]) for t in row["terms"]) == 9
 
     def test_xi_free_case_single_terms(self, capsys):
         code, out = run(
@@ -598,6 +630,19 @@ class TestNoTraceback:
                 raised.append((" ".join(argv), repr(exc)))
             capsys.readouterr()
         assert raised == []
+
+
+class TestNearOne:
+    """Float conjugate variables factor nothing, so they end in exit 0 near
+    |q| = 1 at levels the sweep above does not reach; the Cholesky solve
+    they replaced raised ``GramSingularError`` on the level-9 block of
+    content (1, 1, 1, 1, 1, 1, 1, 2, 2) at q = 0.99."""
+
+    @pytest.mark.parametrize("what", ["xi", "fisher"])
+    def test_float_level_9_at_099(self, capsys, what):
+        code, out = run(capsys, "export", what, "--mode", "float", "--q=0.99", "--d", "2", "--level", "9", "--series-m", "4")
+        assert code == 0
+        assert json.loads(out)[what]
 
 
 class TestMatrixConfig:

@@ -6,7 +6,6 @@ from gram_oracles import ChainedAdjoints
 
 import qfock.dual
 import qfock.fock
-import qfock.lifting
 from qfock import (
     FORMAL_Q,
     Deformation,
@@ -239,8 +238,9 @@ MIXED_3 = Deformation(
 
 
 class TestOneSolvePerLevel:
-    """Each level of the conjugate variable is one Gram solve; the chains
-    of right-creation adjoints it telescopes, one solve per adjoint, are
+    """Each level of the conjugate variable is one solve, G_{2m+1}^-1 b_i,
+    by the explicit inverse of the peeling factors; the chains of
+    right-creation adjoints it telescopes, one Gram solve per adjoint, are
     the oracle. A constant q is invariant under relabelling the letters,
     so there xi_1 stands for the others on the larger spaces."""
 
@@ -276,72 +276,47 @@ class TestOneSolvePerLevel:
             assert (got - want).max_coeff_magnitude() <= 1e-12 * want.max_coeff_magnitude(), i
 
     @pytest.mark.parametrize("q", [0.5, Fraction(1, 2)], ids=["float", "exact"])
-    def test_factors_only_the_solved_blocks(self, monkeypatch, q):
-        # b_1 reaches the level-(2m+1) contents with an odd count of letter
-        # 1 and even counts of the others, and each of them is factored
-        # once: by Cholesky in floats, modulo one prime when exact; every
-        # other block is built for the recursion only
+    def test_builds_no_block_above_level_m(self, monkeypatch, q):
+        # the explicit inverse builds no Gram block, and the Fisher pairing
+        # xi . b_i reads the blocks of level M at most; no float Gram is
+        # factored
         factored = []
-        if isinstance(q, float):
-            cholesky = qfock.fock.gram_cholesky
-
-            def counted(gram, what):
-                factored.append(what)
-                return cholesky(gram, what)
-
-            monkeypatch.setattr(qfock.fock, "gram_cholesky", counted)
-        else:
-            factor, solve, rows_solved = qfock.lifting._factor_mod, qfock.fock.solve_integer, []
-
-            def counted(mat, p):
-                factored.append(p)
-                return factor(mat, p)
-
-            def recorded(rows, *rest):
-                rows_solved.append(rows)
-                return solve(rows, *rest)
-
-            monkeypatch.setattr(qfock.lifting, "_factor_mod", counted)
-            monkeypatch.setattr(qfock.fock, "solve_integer", recorded)
-        sp = FockSpace.with_scalar_q(3, q, level=7)
-        conjugate_series(sp, 1, 3)
-        solved = [
-            content
-            for m in range(4)
-            for content in sp.blocks(2 * m + 1)
-            if content.count(1) % 2 == 1 and content.count(2) % 2 == 0 and content.count(3) % 2 == 0
-        ]
-        assert len(factored) == len(solved) == 20
-        if isinstance(q, float):
-            assert sorted(factored) == sorted(qfock.fock._block_name(len(c), c) for c in solved)
-        else:
-            of_rows = {id(sp.blocks(len(c))[c].rows): c for c in solved}
-            assert sorted(of_rows[id(rows)] for rows in rows_solved) == sorted(solved)
+        monkeypatch.setattr(qfock.fock, "gram_cholesky", lambda *args: factored.append(args))
+        xi_space = FockSpace.with_scalar_q(3, q, level=7)
+        conjugate_series(xi_space, 1, 3)
+        assert xi_space._memos["blocks"] == {}
+        fisher_space = FockSpace.with_scalar_q(3, q, level=7)
+        fisher_info(fisher_space, 3)
+        assert sorted(fisher_space._memos["blocks"]) == [0, 1, 2, 3]
+        assert factored == []
 
 
 class TestFisher:
     @pytest.mark.parametrize("defm", [Deformation.constant(2, Fraction(9, 10)), MIXED_2], ids=["9/10", "mixed"])
     def test_running_sum_pairs_each_level_once(self, monkeypatch, defm):
         # the report for M equals the squared norms of the whole partial
-        # series, while only d (M + 1) level pairings are made for all M
+        # series, while each level is paired once, as xi . b_i with
+        # G_{2m+1} xi = b_i, and no inner product is taken
         reference = FockSpace(defm, level=7)
         want = [
             sum(reference.inner(xi, xi) for xi in (conjugate_series(reference, i, M) for i in (1, 2)))
             for M in range(4)
         ]
         sp = FockSpace(defm, level=7)
-        pairs = []
-        inner = FockSpace.inner
+        pairs, inners = [], []
+        rhs = qfock.dual._series_rhs
 
-        def counted(self, u, v):
-            pairs.append(u is v)
-            return inner(self, u, v)
+        def counted(space, i, m):
+            pairs.append((i, m))
+            return rhs(space, i, m)
 
-        monkeypatch.setattr(FockSpace, "inner", counted)
+        monkeypatch.setattr(qfock.dual, "_series_rhs", counted)
+        monkeypatch.setattr(FockSpace, "inner", lambda *args: inners.append(args))
         reports = list(qfock.dual.fisher_reports(sp, 3))
         assert [r.source_length for r in reports] == [0, 1, 2, 3]
         assert [r.value for r in reports] == want
-        assert pairs == [True] * 8
+        assert pairs == [(i, m) for m in range(4) for i in (1, 2)]
+        assert inners == []
         assert fisher_info(sp, 3) == reports[-1]
 
     def test_free_case_counts_letters(self):

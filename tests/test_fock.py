@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from apply_oracles import annihilate_by_letters, gaussian_by_letters
-from gram_oracles import ChainedAdjoints, dense_gram, gram_rows, left_peeling_gram, permutation_gram, right_annihilate
+from gram_oracles import ChainedAdjoints, dense_gram, gram_rows, ldl, left_peeling_gram, permutation_gram, right_annihilate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from threads import together
 
-import qfock.lifting as lifting
 from qfock import (
     FORMAL_Q,
     Deformation,
@@ -28,6 +27,7 @@ from qfock import (
     wick_partition,
     wick_recursive,
 )
+from qfock.dual import _series_rhs
 
 Q = FORMAL_Q
 e = FockVector.basis
@@ -339,9 +339,8 @@ def _ldl_product(rows):
 
 
 class TestFactorization:
-    """Formal blocks are factored as L·D·Lᵀ without pivoting, rational
-    blocks (stored as integers, scale times G_n) as L·U modulo a prime;
-    inside the disk every pivot of the Gram form is positive."""
+    """The oracle's L·D·Lᵀ without pivoting rebuilds every block; inside
+    the disk every pivot of the Gram form is positive."""
 
     @pytest.mark.parametrize(
         "defm,top",
@@ -352,24 +351,7 @@ class TestFactorization:
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
             for content, blk in sp.blocks(n).items():
-                assert _ldl_product(FockSpace._ldl(n, content, blk.rows)) == blk.rows, (n, content)
-
-    @pytest.mark.parametrize(
-        "defm,top",
-        [(Deformation.constant(2, Fraction(1, 2)), 6), (MIXED_3, 4)],
-        ids=["half", "mixed3"],
-    )
-    def test_mod_p_rebuilds_every_block(self, defm, top):
-        sp = FockSpace(defm, level=top)
-        for n in range(top + 1):
-            for content, blk in sp.blocks(n).items():
-                assert all(isinstance(g, int) for row in blk.rows for g in row)
-                size = len(blk.words)
-                p = next(lifting._primes(size))
-                residues = np.array([[g % p for g in row] for row in blk.rows], dtype=np.int64)
-                packed, _ = lifting._factor_mod(residues, p)
-                lower = np.tril(packed, -1) + np.eye(size, dtype=np.int64)
-                assert ((lower @ np.triu(packed)) % p == residues).all(), (n, content)
+                assert _ldl_product(ldl(n, content, blk.rows)) == blk.rows, (n, content)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -382,61 +364,151 @@ class TestFactorization:
         for n in range(level + 1):
             for content, blk in sp.blocks(n).items():
                 assert blk.scale == q.denominator ** (n * (n - 1) // 2)
-                assert all(row[-1] > 0 for row in FockSpace._ldl(n, content, gram_rows(blk)))
+                assert all(row[-1] > 0 for row in ldl(n, content, gram_rows(blk)))
+
+
+def _weight(q, letter, others):
+    weight = 1
+    for b in others:
+        weight = weight * q(letter, b)
+    return weight
+
+
+def _apply(op, v):
+    """The linear extension of op (word -> {word: weight}) to v."""
+    acc = {}
+    for w, c in v.items():
+        for u, g in op(w).items():
+            acc[u] = acc.get(u, 0) + c * g
+    return {u: c for u, c in acc.items() if c}
+
+
+def _peel(q):
+    """The operators of the peeling identity as maps word -> {word: weight}:
+    T_t moves w_t to the end past the letters behind it, R = sum_t T_t, and
+    V moves w_0 to the next-to-last place, with weight D_V."""
+
+    def move_to_end(w, t):
+        return w[:t] + w[t + 1 :] + (w[t],), _weight(q, w[t], w[t + 1 :])
+
+    def r(w):
+        acc = {}
+        for t in range(len(w)):
+            u, g = move_to_end(w, t)
+            acc[u] = acc.get(u, 0) + g
+        return acc
+
+    def du_u(w):
+        u, g = move_to_end(w, 0)
+        return {u: g}
+
+    def dv_v(w):
+        return {w[1:-1] + (w[0], w[-1]): _weight(q, w[0], w[1:]) * q(w[0], w[-1])}
+
+    def tail_r(w):
+        return {w[:1] + u: g for u, g in r(w[1:]).items()}
+
+    return r, du_u, dv_v, tail_r
+
+
+def _random_matrix(rng, d):
+    """A symmetric matrix with rational entries in (-1, 1), about a fifth of
+    them 0."""
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            if rng.random() > 0.2:
+                den = rng.randint(2, 9)
+                m[a][b] = m[b][a] = Fraction(rng.randint(-den + 1, den - 1), den)
+    return Deformation(m)
+
+
+class TestPeelingIdentity:
+    """R_n (1 - D_U U) = (1 - D_V V) (1 (x) R_{n-1}), the identity the
+    explicit inverse rests on, and (D_V V)^(n-1) = c with c(w) the product
+    of q(w_a, w_b)^2 over the pairs of places, checked exactly on every
+    word, independently of the library's moves."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_identity_on_every_word(self, d):
+        rng = random.Random(d)
+        for trial in range(2):
+            defm = _random_matrix(rng, d)
+            r, du_u, dv_v, tail_r = _peel(defm.q)
+            for n in range(2, 7):
+                for w in FockSpace(defm, n).words(n):
+                    e_w = {w: Fraction(1)}
+                    left = _apply(r, e_w)
+                    for u, g in _apply(r, _apply(du_u, e_w)).items():
+                        left[u] = left.get(u, 0) - g
+                    right = _apply(tail_r, e_w)
+                    for u, g in _apply(dv_v, _apply(tail_r, e_w)).items():
+                        right[u] = right.get(u, 0) - g
+                    assert {u: c for u, c in left.items() if c} == {u: c for u, c in right.items() if c}, (trial, w)
+                    orbit = e_w
+                    for _ in range(n - 1):
+                        orbit = _apply(dv_v, orbit)
+                    c = Fraction(1)
+                    for a in range(n):
+                        for b in range(a + 1, n):
+                            c = c * defm.q(w[a], w[b]) ** 2
+                    assert orbit == ({w: c} if c else {}), (trial, w)
 
 
 def sp_one():
-    """The float space at q = 1, where every mixed-content block of level 2
-    is singular."""
+    """The float space at q = 1, where 1 - c(w) = 0 on every window."""
     return FockSpace.with_scalar_q(2, 1.0, level=3)
 
 
 class TestSolve:
-    """``solve`` finds x with G x = v block by block, factoring only the
-    blocks v touches; a singular block names the level and the content."""
+    """The conjugate variables solve G_{2m+1} xi = b_i level by level, with
+    no Gram block built; a window with 1 - c(w) = 0 names its level and its
+    content."""
 
     def test_inverts_the_gram_form(self, half2):
-        rng = random.Random(7)
-        v = FockVector({w: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for n in range(5) for w in half2.words(n)})
-        x = half2.solve(v)
-        for n in range(5):
-            for w in half2.words(n):
-                assert half2.inner(x, e(w)) == v.coeff(w), w
+        for m in range(3):
+            for i in (1, 2):
+                xi = conjugate_series(half2, i, m).level(2 * m + 1)
+                b = _series_rhs(half2, i, m)
+                for w in half2.words(2 * m + 1):
+                    assert half2.inner(xi, e(w)) == b.coeff(w), (m, i, w)
 
     def test_beyond_level_is_truncation_error(self):
         sp = FockSpace.with_scalar_q(1, Fraction(1, 2), level=2)
         with pytest.raises(TruncationError):
-            sp.solve(e((1, 1, 1)))
+            sp.inverse_peel(e((1, 1, 1)), 1)
 
     def test_exact_q_minus_one_is_singular(self):
         sp = FockSpace.with_scalar_q(2, Fraction(-1), level=3)
         with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 1\)"):
-            sp.solve(e((1, 1)))
+            conjugate_series(sp, 1, 1)
 
     def test_unit_mixed_entry_is_singular(self):
         half = Fraction(1, 2)
-        sp = FockSpace(Deformation([[half, 1], [1, half]]), level=2)
+        sp = FockSpace(Deformation([[half, 1], [1, half]]), level=3)
+        # c_1 touches the words 111 and 212: the window 21 has c = q_12^2 = 1
         with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
-            sp.solve(e((2, 1)))
+            conjugate_series(sp, 1, 1)
 
     def test_float_singular_block_detected(self):
-        # at q = 1 the content-(1, 2) block is [[1, 1], [1, 1]]; the
-        # content-(1, 1) block [[2]] is not, and solving on it succeeds.
-        # Cholesky reaches 1/2 through sqrt(2), so within one rounding
-        x = sp_one().solve(e((1, 1)))
-        assert x.support() == [(1, 1)]
-        assert abs(2 * x.coeff((1, 1)) - 1) <= 2.0**-52
-        with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 2\)"):
-            sp_one().solve(e((1, 2)))
+        # at q = 1 float xi factors nothing and meets 1 - c(w) = 0 on every
+        # window; level 1 has no window, and 1.0 stays a float
+        xi = conjugate_series(sp_one(), 1, 0)
+        assert xi == e((1,)).scaled(1.0) and type(xi.coeff((1,))) is float
+        with pytest.raises(GramSingularError, match=r"level-2 .*\(1, 1\)"):
+            conjugate_series(sp_one(), 1, 1)
 
     def test_float_singular_block_same_error_in_solve_and_norms(self):
-        # a float block is factored in one place, so the norm engines
-        # refuse it with the solve's error
+        # the explicit inverse and the norm engines refuse q = 1 with the
+        # same error type, each naming a level-2 content: the inverse the
+        # first window content it meets, the Cholesky factor of the norm
+        # checks the first block that is not positive definite
         with pytest.raises(GramSingularError) as solved:
-            sp_one().solve(e((1, 2)))
+            conjugate_series(sp_one(), 1, 1)
         with pytest.raises(GramSingularError) as normed:
             right_annihilation_norm(sp_one(), 1, 3)
-        assert str(normed.value) == str(solved.value) == "level-2 Gram block of content (1, 2) is not positive definite"
+        assert str(normed.value) == "level-2 Gram block of content (1, 2) is not positive definite"
+        assert str(solved.value) == "level-2 Gram factor R_2 on the window content (1, 1) has 1 - c(w) = 0"
 
 
 class TestFloatGram:
@@ -467,9 +539,9 @@ def _max_float_gap(exact_space, float_space, i, m, relative=False):
 
 
 class TestFloatConjugateSeries:
-    """Float mode runs the same Gram blocks as exact mode, solved through
-    their Cholesky factors; its conjugate variables must stay within 1e-9
-    of the exact ones, and at |q| = 9/10, where the coefficients reach
+    """Float mode runs the same explicit inverse as exact mode, with plain
+    division by 1 - c(w); its conjugate variables must stay within 1e-9 of
+    the exact ones, and at |q| = 9/10, where the coefficients reach
     several hundred, within 1e-8 relative to max(1, |exact|)."""
 
     @pytest.mark.parametrize("q", [Fraction(4, 5), Fraction(-4, 5)], ids=["+4/5", "-4/5"])
