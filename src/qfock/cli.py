@@ -15,7 +15,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, log2
 
 import mpmath as mp
@@ -264,18 +266,23 @@ def _suite_commutator(space, args, tol):
     return checks
 
 
-def _agreement(space, check, limit, unit, tol, residuals, size=lambda diff: diff.max_coeff_magnitude(), **params):
+def _agreement(space, check, limit, unit, tol, label, residuals, size=lambda diff: diff.max_coeff_magnitude(), **params):
     """One check that two sides agree on every word up to the length limit:
-    ``residuals(w)`` yields (case, difference) for each case of the word w.
-    The value counts the cases, or names the first counterexample."""
+    ``residuals(w)`` yields (case, left, right) for each case of the word w.
+    A case passes when left == right, or else when ``size(left - right)``
+    is at most tol; word maps are canonical (zeros dropped, ``QRat``
+    reduced), so equal sides are exactly those whose difference is the
+    zero map, and the difference is formed only where the sides differ. A
+    NaN size fails. The value counts the cases, or names the first
+    counterexample, ``label`` formatted with its case."""
     bad = None
     count = 0
     for n in range(limit + 1):
         for w in space.words(n):
-            for case, diff in residuals(w):
+            for case, left, right in residuals(w):
                 count += 1
-                if size(diff) > tol and bad is None:
-                    bad = case
+                if bad is None and left != right and not size(left - right) <= tol:
+                    bad = label.format(*case)
     value = f"{count} {unit}" if bad is None else f"counterexample {bad}"
     return [_check(check, value, bad is None, max_length=limit, **params)]
 
@@ -283,26 +290,23 @@ def _agreement(space, check, limit, unit, tol, residuals, size=lambda diff: diff
 def _suite_dual_agree(space, args, tol):
     letters = range(1, space.d + 1)
     return _agreement(
-        space, "dual-agree/strategies", min(args.level, 6), "words", tol,
-        lambda w: ((f"i={i} w={w}", dual_partition(space, i, w) - dual_recursive(space, i, w)) for i in letters),
+        space, "dual-agree/strategies", min(args.level, 6), "words", tol, "i={} w={}",
+        lambda w: (((i, w), dual_partition(space, i, w), dual_recursive(space, i, w)) for i in letters),
     )
 
 
 def _suite_wick_agree(space, args, tol):
     return _agreement(
-        space, "wick-agree/strategies", min(args.level, 6), "words", tol,
-        lambda w: [(f"w={w}", wick_partition(space, w) - wick_recursive(space, w))],
+        space, "wick-agree/strategies", min(args.level, 6), "words", tol, "w={}",
+        lambda w: [((w,), wick_partition(space, w), wick_recursive(space, w))],
     )
 
 
 def _suite_derivative_agree(space, args, tol):
     letters = range(1, space.d + 1)
     return _agreement(
-        space, "derivative-agree/strategies", min(args.level, 5), "pairs", tol,
-        lambda w: (
-            (f"i={i} w={w}", diff_partition(space, i, w) - diff_quotient(i, wick_recursive(space, w)))
-            for i in letters
-        ),
+        space, "derivative-agree/strategies", min(args.level, 5), "pairs", tol, "i={} w={}",
+        lambda w: (((i, w), diff_partition(space, i, w), diff_quotient(i, wick_recursive(space, w))) for i in letters),
     )
 
 
@@ -310,8 +314,8 @@ def _suite_duality(space, args, tol):
     m = args.series_m
     xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
     return _agreement(
-        space, "duality/pairing", min(args.level, m + 2), "monomials", tol,
-        lambda u: ((f"i={i} u={u}", duality_residual(space, u, i, xi)) for i, xi in xis.items()),
+        space, "duality/pairing", min(args.level, m + 2), "monomials", tol, "i={} u={}",
+        lambda u: (((i, u), duality_residual(space, u, i, xi), 0) for i, xi in xis.items()),
         size=magnitude, series_m=m,
     )
 
@@ -433,7 +437,7 @@ def run_verify(args) -> int:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    _emit(args, json.dumps(report, sort_keys=True, indent=2))
+    _emit(args, _json_chunks(report))
     return 0 if report["pass"] else 1
 
 
@@ -557,24 +561,35 @@ def run_export(args) -> int:
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: json.dumps(v, sort_keys=True, default=_scalar_json) if isinstance(v, (list, dict)) else v for k, v in row.items()})
-        _emit(args, buf.getvalue())
+        _emit(args, [buf.getvalue()])
     else:
         report = {"command": "export", "what": args.what, "config": _config_json(args)}
         report.update(payload)
-        _emit(args, json.dumps(report, sort_keys=True, indent=2))
+        _emit(args, _json_chunks(report))
     return 0
 
 
-def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+# chunks of a JSON report per write, about 1 MB; stdout may be unbuffered
+EMIT_BATCH_CHUNKS = 1 << 17
+
+
+def _json_chunks(report):
+    """The report as ``json.dumps(report, sort_keys=True, indent=2)``, in the
+    encoder's chunks, with no one string of the whole report."""
+    return json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+
+
+def _emit(args, chunks):
+    """Write the text the chunks make up, ``EMIT_BATCH_CHUNKS`` chunks to a
+    write, ended by a newline unless it ends with one."""
+    chunks = iter(chunks)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        text = ""
+        while batch := list(islice(chunks, EMIT_BATCH_CHUNKS)):
+            text = "".join(batch)
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write("\n")
 
 
 def build_parser():

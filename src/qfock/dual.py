@@ -86,7 +86,7 @@ def dual_recursive(space: FockSpace, i, word) -> FockVector:
     """D_i on a basis word by the commutation-rule recursion, memoized."""
     word = tuple(word)
     space._check_level(len(word))
-    return space._memo("dual", (i, word), lambda: _dual_build(space, i, word))
+    return space._memo("dual", (i, word), _dual_build, space, i, word)
 
 
 def _dual_build(space: FockSpace, i, word) -> FockVector:
@@ -97,7 +97,7 @@ def _dual_build(space: FockSpace, i, word) -> FockVector:
     terms = [(space.gaussian(j, dual_recursive(space, i, rest)), 1)]
     if i == j and not rest:
         terms.append((space.vacuum(), 1))
-    lowered = space.annihilate(j, FockVector.basis(rest))
+    lowered = space.annihilate(j, FockVector._wrap({rest: 1}))
     return FockVector.combination(terms + [(dual_recursive(space, i, u), -c) for u, c in lowered.items()])
 
 
@@ -127,7 +127,7 @@ def _diagram_terms(space: FockSpace, family, word, i=None):
     vertex_letters = ((i,) if family != "D" else ()) + word[::-1]
     pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
     letter = tuple(classes)
-    table, evaluated = space._memo("diagrams", (family, pattern), lambda: (diagram_table(family, pattern), {}))
+    table, evaluated = space._memo("diagrams", (family, pattern), _new_pattern_entry, family, pattern)
     rows = [space._labels[x - 1] for x in letter]
     labels = tuple(row[y - 1] for k, row in enumerate(rows) for y in letter[k:])
     weights = evaluated.get(labels)
@@ -138,6 +138,11 @@ def _diagram_terms(space: FockSpace, family, word, i=None):
     relabel = letter.__getitem__
     for left, right, weight in weights:
         yield weight, tuple(map(relabel, left)), tuple(map(relabel, right))
+
+
+def _new_pattern_entry(family, pattern):
+    """A ``diagrams`` memo entry: the pattern's table, no weights yet."""
+    return diagram_table(family, pattern), {}
 
 
 def _pattern_weights(space: FockSpace, table, letter):
@@ -167,8 +172,11 @@ def commutator_residual(space: FockSpace, i, level_limit):
     """{j: largest coefficient magnitude of (D_i A_j - A_j D_i - delta_ij P)
     e_w over all basis words w of length up to level_limit}, for every
     letter j, with D_i the B-family diagram sum, so that an exact zero
-    checks the paper's closed form. Each D_i e_u is summed once per call,
-    for all j."""
+    checks the paper's closed form; NaN if any difference holds a NaN.
+    Each D_i e_u is summed once per call, for all j. The two sides
+    D_i A_j e_w and A_j D_i e_w + delta_ij P e_w are compared first: word
+    maps are canonical, so equal sides have the zero map as difference,
+    and the difference is formed and measured only where they differ."""
     if level_limit > space.level - 1:
         raise ValueError("level_limit must stay one below the truncation")
     duals = {}
@@ -186,12 +194,14 @@ def commutator_residual(space: FockSpace, i, level_limit):
             basis = FockVector.basis(w)
             for j in letters:
                 lifted = space.gaussian(j, basis)
-                lhs = FockVector.combination((dual(u), c) for u, c in lifted.items())
-                lhs = lhs - space.gaussian(j, dual(w))
+                left = FockVector.combination((dual(u), c) for u, c in lifted.items())
+                right = space.gaussian(j, dual(w))
                 if i == j and n == 0:
-                    lhs = lhs - space.vacuum()
-                m = lhs.max_coeff_magnitude()
-                if m > worst[j]:
+                    right = right + space.vacuum()
+                if left == right:
+                    continue
+                m = (left - right).max_coeff_magnitude()
+                if m > worst[j] or m != m:
                     worst[j] = m
     return worst
 
@@ -215,7 +225,11 @@ def _series_sign_weight(a, i, word):
 def _series_level(space: FockSpace, i, m) -> FockVector:
     """The level-(2m+1) part of xi_i, G_{2m+1}^-1 (G_m (x) 1) c_i by the
     explicit inverse, memoized per space under the key (i, m)."""
-    return space._memo("xi", (i, m), lambda: space.inverse_peel(_series_source(space, i, m), m))
+    return space._memo("xi", (i, m), _series_build, space, i, m)
+
+
+def _series_build(space: FockSpace, i, m) -> FockVector:
+    return space.inverse_peel(_series_source(space, i, m), m)
 
 
 def _series_source(space: FockSpace, i, m) -> FockVector:

@@ -214,10 +214,14 @@ class WordMap:
         return hash(frozenset(self._c.items()))
 
     def max_coeff_magnitude(self):
-        """Largest coefficient magnitude; zero exactly for the zero map."""
+        """Largest coefficient magnitude; zero exactly for the zero map, and
+        NaN when any coefficient is NaN, so that no gate ``size <= tol``
+        passes it."""
         best = Fraction(0)
         for c in self._c.values():
             m = magnitude(c)
+            if m != m:
+                return m
             if m > best:
                 best = m
         return best
@@ -264,6 +268,11 @@ class FockVector(WordMap):
 def _content(word):
     """The letter content of a word: its letters in sorted order."""
     return tuple(sorted(word))
+
+
+def _all_words(d, n):
+    """The words of length n over d letters, in lexicographic order."""
+    return list(product(range(1, d + 1), repeat=n))
 
 
 class _Block(NamedTuple):
@@ -313,11 +322,12 @@ class FockSpace:
 
     All operator applications are pure. The per-level words and Gram
     blocks, and the memos of the dual operators, Wick polynomials,
-    conjugate-variable levels and diagram tables with their weights are
-    write-once tables (see ``_memo``), so a space can be shared freely
-    between threads. Every key stays within the truncation level, so the
-    tables are bounded by it; a diagram table holds at most one set of
-    weights per letter assignment of its pattern.
+    conjugate-variable levels, diagram tables with their weights and the
+    window tables of the inverse peeling are write-once tables (see
+    ``_memo``), so a space can be shared freely between threads. Every
+    key stays within the truncation level, so the tables are bounded by
+    it; a diagram table holds at most one set of weights per letter
+    assignment of its pattern.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -333,15 +343,17 @@ class FockSpace:
         # equal diagonal entries; otherwise no two words share a key (dual)
         diagonal = [row[k] for k, row in enumerate(self._labels)]
         self._shares_labels = len(set(diagonal)) < self.d
-        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi", "diagrams")}
+        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi", "diagrams", "peel")}
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
         return cls(Deformation.constant(d, q), level)
 
-    def _memo(self, table, key, build):
-        """The value ``build()`` stored once under ``key`` in the named
-        table. Threads racing on a missing key may each build it, since
+    def _memo(self, table, key, build, *args):
+        """The value ``build(*args)`` stored once under ``key`` in the named
+        table. ``build`` runs only on a miss, and callers pass it with its
+        arguments rather than as a closure, so a hit builds no function
+        object. Threads racing on a missing key may each build it, since
         builds recurse into the tables, but ``setdefault`` stores only the
         first value and hands it to every caller. A read and a store are
         each one atomic dict operation on keys of ints, strings and tuples,
@@ -349,14 +361,14 @@ class FockSpace:
         memo = self._memos[table]
         got = memo.get(key)
         if got is None:
-            got = memo.setdefault(key, build())
+            got = memo.setdefault(key, build(*args))
         return got
 
     # -- basis -------------------------------------------------------------
 
     def words(self, n):
         self._check_level(n)
-        return self._memo("words", n, lambda: list(product(range(1, self.d + 1), repeat=n)))
+        return self._memo("words", n, _all_words, self.d, n)
 
     def vacuum(self):
         return FockVector.basis(())
@@ -497,7 +509,7 @@ class FockSpace:
         """The content blocks of G_n as {content: block with ``words``,
         ``index`` and ``rows``}, built once by the right-peeling recursion
         from the blocks of G_{n-1}; every thread gets the same object."""
-        return self._memo("blocks", n, lambda: self._build_blocks(n))
+        return self._memo("blocks", n, FockSpace._build_blocks, self, n)
 
     def _build_blocks(self, n):
         s, a = self._cleared
@@ -606,7 +618,6 @@ class _Peeling:
         self.s, a = space._cleared
         dtype = float if self.kind == "float" else object
         self.a = a[0][0] if space.deformation.is_constant else np.array(a, dtype=dtype)
-        self.tables = {}
         letters = np.array(np.unravel_index(np.arange(self.d**n), (self.d,) * n))
         given = [sum((x - 1) * self.d ** (n - 1 - p) for p, x in enumerate(w)) for w in v._c]
         key = _content_key(letters, self.d)
@@ -623,20 +634,22 @@ class _Peeling:
     def _table(self, L):
         """Per window of length L: where U and V send it, the numerators of
         D_U and D_V (scalars at constant q), its content class, e(w) per
-        class and a window of each class."""
-        if L not in self.tables:
-            d, a = self.d, self.a
-            lw = np.array(np.unravel_index(np.arange(d**L), (d,) * L))
-            place = d ** np.arange(L - 1, -1, -1)
-            u_to = np.dot(np.roll(lw, -1, axis=0).T, place)
-            v_to = np.dot(np.concatenate([lw[1 : L - 1], lw[:1], lw[L - 1 :]]).T, place)
-            du = a ** (L - 1) if np.ndim(a) == 0 else np.prod([a[lw[0], lw[t]] for t in range(1, L)], axis=0)
-            dv = a**L if np.ndim(a) == 0 else du * a[lw[0], lw[L - 1]]
-            _, first, cls = np.unique(_content_key(lw, d), return_index=True, return_inverse=True)
-            entries = self.space._cleared[1]
-            es = [self.s ** (L * (L - 1)) - prod(entries[x][y] ** 2 for x, y in combinations(lw[:, w], 2)) for w in first]
-            self.tables[L] = (u_to, v_to, du, dv, cls, es, lw[:, first])
-        return self.tables[L]
+        class and a window of each class. The table depends only on the
+        space and L, so a space builds it once for all levels and letters."""
+        return self.space._memo("peel", L, _Peeling._build_table, self, L)
+
+    def _build_table(self, L):
+        d, a = self.d, self.a
+        lw = np.array(np.unravel_index(np.arange(d**L), (d,) * L))
+        place = d ** np.arange(L - 1, -1, -1)
+        u_to = np.dot(np.roll(lw, -1, axis=0).T, place)
+        v_to = np.dot(np.concatenate([lw[1 : L - 1], lw[:1], lw[L - 1 :]]).T, place)
+        du = a ** (L - 1) if np.ndim(a) == 0 else np.prod([a[lw[0], lw[t]] for t in range(1, L)], axis=0)
+        dv = a**L if np.ndim(a) == 0 else du * a[lw[0], lw[L - 1]]
+        _, first, cls = np.unique(_content_key(lw, d), return_index=True, return_inverse=True)
+        entries = self.space._cleared[1]
+        es = [self.s ** (L * (L - 1)) - prod(entries[x][y] ** 2 for x, y in combinations(lw[:, w], 2)) for w in first]
+        return u_to, v_to, du, dv, cls, es, lw[:, first]
 
     def _window(self, j, k):
         unit = self.d ** (self.n - k)

@@ -132,7 +132,7 @@ def wick_recursive(space: FockSpace, word) -> NCPoly:
     """
     word = tuple(word)
     space._check_level(len(word))
-    return space._memo("wick", word, lambda: _wick_build(space, word))
+    return space._memo("wick", word, _wick_build, space, word)
 
 
 def _wick_build(space: FockSpace, word) -> NCPoly:
@@ -140,7 +140,7 @@ def _wick_build(space: FockSpace, word) -> NCPoly:
         return NCPoly.one()
     a, rest = word[0], word[1:]
     head = wick_recursive(space, rest).prepend(a)
-    lowered = space.annihilate(a, FockVector.basis(rest))
+    lowered = space.annihilate(a, FockVector._wrap({rest: 1}))
     return NCPoly.combination([(head, 1)] + [(wick_recursive(space, u), -c) for u, c in lowered.items()])
 
 

@@ -89,6 +89,59 @@ class TestVerify:
         (check,) = json.loads(out)["checks"]
         assert (check["value"], check["pass"]) == (expected, False)
 
+    def test_commutator_names_the_broken_letter(self, capsys, monkeypatch):
+        right = qfock.dual.dual_partition
+
+        def bent(space, i, w):
+            value = right(space, i, w)
+            return value.scaled(2) if w == (1, 2) else value  # D_1 e_12 = 0
+
+        monkeypatch.setattr(qfock.dual, "dual_partition", bent)
+        code, out = run(capsys, "verify", "commutator", "--d", "2", "--level", "4")
+        assert code == 1
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert {name: c["pass"] for name, c in checks.items()} == {
+            "commutator/i=1,j=1": True,
+            "commutator/i=1,j=2": True,
+            "commutator/i=2,j=1": False,
+            "commutator/i=2,j=2": False,
+        }
+        assert all(Fraction(c["value"]) > 0 for c in checks.values() if not c["pass"])
+
+    @pytest.mark.parametrize("suite", ["dual-agree", "commutator"])
+    def test_float_nan_fails_its_gate(self, capsys, monkeypatch, suite):
+        # a NaN next to a difference within tolerance must not read as a pass
+        module, strategy = (qfock.cli, "dual_recursive") if suite == "dual-agree" else (qfock.dual, "dual_partition")
+        right = getattr(module, strategy)
+
+        def poisoned(space, i, w):
+            value = right(space, i, w)
+            return value + FockVector({(): float("nan"), (2,): 1e-13}) if w == (1, 2) else value
+
+        monkeypatch.setattr(module, strategy, poisoned)
+        code, out = run(capsys, "verify", suite, "--mode", "float", "--d", "2", "--level", "4")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        if suite == "dual-agree":
+            assert report["checks"][0]["value"] == "counterexample i=1 w=(1, 2)"
+
+    @pytest.mark.parametrize("suite", ["dual-agree", "wick-agree", "commutator"])
+    def test_passing_agreement_forms_no_difference(self, capsys, monkeypatch, suite):
+        calls = []
+        sub = qfock.fock.WordMap.__sub__
+
+        def counted(self, other):
+            calls.append(type(self))
+            return sub(self, other)
+
+        monkeypatch.setattr(qfock.fock.WordMap, "__sub__", counted)
+        code, _ = run(capsys, "verify", suite, "--d", "2", "--level", "4")
+        assert code == 0
+        assert calls == []
+        FockVector.basis((1,)) - FockVector.basis((2,))
+        assert calls == [FockVector]
+
     def test_univar_odd_trace_gates(self, capsys, monkeypatch):
         # a nonzero odd moment must fail its check, not end the run
         moments = qfock.onevariable.moments
@@ -589,6 +642,19 @@ class TestExport:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_report_streams_the_bytes_of_one_dumps(self, capsys, monkeypatch, tmp_path, to_file):
+        argv = ["export", "xi", "--d", "2", "--level", "5", "--series-m", "2"]
+        code, whole = run(capsys, *argv)
+        monkeypatch.setattr(qfock.cli, "EMIT_BATCH_CHUNKS", 7)
+        target = tmp_path / "xi.json"
+        code_small, small = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        if to_file:
+            assert small == ""
+            small = target.read_text()
+        assert (code, code_small) == (0, 0)
+        assert small == whole == json.dumps(json.loads(whole), sort_keys=True, indent=2) + "\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "xi.json"
         code = main(
@@ -794,6 +860,8 @@ _KEY_LEVEL = {
     "xi": lambda key: 2 * key[1] + 1,
     # (family, pattern): B and C patterns carry vertex 0 as well
     "diagrams": lambda key: len(key[1]) - (key[0] != "D"),
+    # the window length of the inverse peeling's move tables
+    "peel": lambda n: n,
 }
 
 

@@ -14,6 +14,8 @@ from qfock import (
     FockVector,
     NCPoly,
     NCTensorPoly,
+    QPoly,
+    QRat,
     TruncationError,
     conjugate_expansions,
     conjugate_series,
@@ -415,6 +417,42 @@ class TestWordMapAlgebra:
             with pytest.raises(AttributeError):
                 setattr(x, name, {})
         assert not hasattr(x, "__dict__")
+
+
+_POLYS = st.lists(COEFFS["fraction"], max_size=3).map(lambda cs: QPoly(tuple(cs)))
+# every coefficient field a word map meets: exact, float and formal
+FIELDS = {**COEFFS, "qpoly": _POLYS, "qrat": st.builds(QRat, _POLYS, _POLYS.filter(bool))}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_equal_exactly_when_the_difference_is_zero(field, data):
+    """The agreement gates rest on this: two canonical word maps are equal
+    exactly when their difference is the zero map."""
+    coeffs = FIELDS[field]
+    a = data.draw(st.dictionaries(WORDS, coeffs, max_size=5))
+    b = dict(data.draw(st.dictionaries(WORDS, coeffs, max_size=2)))
+    for w, c in a.items():
+        how = data.draw(st.sampled_from(("keep", "cancel", "change", "drop")))
+        if how == "keep":
+            b[w] = c
+        elif how == "cancel":  # the same value again, through a cancelling pair
+            x = data.draw(coeffs)
+            b[w] = (c + x) - x
+        elif how == "change":
+            b[w] = data.draw(coeffs)
+        else:
+            b.pop(w, None)
+    left, right = FockVector(a), FockVector(b)
+    assert (left == right) == (left - right).is_zero() == (not left != right)
+
+
+def test_nan_coefficient_has_nan_magnitude():
+    nan = float("nan")
+    for coeffs in ({(1,): nan, (2,): 1e-3}, {(2,): 1e-3, (1,): nan}, {(1,): 1e-3, (2,): nan, (3,): 2.0}):
+        m = FockVector(coeffs).max_coeff_magnitude()
+        assert m != m and not m <= 1e-10
 
 
 @settings(deadline=None, max_examples=60)
