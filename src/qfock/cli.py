@@ -50,7 +50,7 @@ from .norms import (
     right_annihilation_norm, series_tail,
 )
 from .partitions import enumerate_family
-from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude
+from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude, nan_safe
 
 class ConfigError(Exception):
     pass
@@ -329,9 +329,9 @@ def _suite_gibbs(space, args, tol):
     checks = [_check(f"gibbs/degree={k}", r, r <= tol, series_m=m) for k, r in sorted(exact.items())]
     truncated = {str(k): _scalar_json(magnitude(r)) for k, r in sorted(residuals.items()) if k not in exact}
     commutator = cyclic_commutator(space, m, expansions)
-    worst = max(
-        (magnitude(c) for w, c in commutator.items() if len(w) <= 2 * m + 1),
-        default=space.deformation.zero_magnitude(),
+    zero = space.deformation.zero_magnitude()
+    worst = nan_safe(
+        lambda sizes: max(sizes, default=zero), (magnitude(c) for w, c in commutator.items() if len(w) <= 2 * m + 1)
     )
     params = {"series_m": m, "max_level": 2 * m + 1, "truncated_degree_residuals": truncated}
     return checks + [_check("gibbs/cyclic-gradient", worst, worst <= tol, **params)]
@@ -351,11 +351,11 @@ def _suite_bounds(space, args, tol):
     for m in range(min(4, args.level - 1) + 1):
         # gated on the projected comparison the norm estimate needs; the
         # full-tensor residual is reported beside it and may be negative
-        c_m = min(projected_domination(floats, m, i) for i in letters)
+        c_m = nan_safe(min, (projected_domination(floats, m, i) for i in letters))
         full = gram_domination_residual(floats, m)
         name = f"bounds/gram-domination m={m}"
         checks.append(_check(name, c_m, c_m >= w - 1e-9, q0=q0, bound=w, full_tensor_residual=full))
-    norm = max(right_annihilation_norm(floats, i, min(args.level, 6)) for i in letters)
+    norm = nan_safe(max, (right_annihilation_norm(floats, i, min(args.level, 6)) for i in letters))
     bound = 1.0 / (w**0.5)
     checks.append(
         _check("bounds/right-annihilation-norm", norm, norm <= bound + 1e-9, bound=bound)

@@ -248,7 +248,7 @@ def _series_rhs(space: FockSpace, i, m) -> FockVector:
     s, a = space._cleared
     acc = {}
     for blk in space.blocks(m).values():
-        for w, row in zip(blk.words, blk.rows):
+        for w, row in zip(blk.words, blk.rows.tolist()):
             weight = _series_sign_weight(a, i, w)
             if not weight:
                 continue

@@ -22,7 +22,10 @@ Removing one j from both words keeps equal letter contents (the sorted
 letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
 content blocks, built from the blocks of the level below; ``blocks(n)`` is
-the only view of G_n, with no dense matrix over the whole word basis.
+the only view of G_n, with no dense matrix over the whole word basis. A
+block is one read-only numpy array, float64 for float entries and Python
+objects otherwise, built by whole-array gathers that add each entry's
+terms in the order of the recursion above, whatever the kind of entry.
 
 For rational entries the blocks are integers. With s the common
 denominator of the entries and A = s q their numerators, s^(n-1) times a
@@ -66,13 +69,14 @@ polynomials of :mod:`qfock.ncpoly` are its subclasses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import Deformation, QPoly, QRat, magnitude
+from .scalars import Deformation, QPoly, QRat, magnitude, nan_safe
 
 __all__ = [
     "FockVector",
@@ -217,14 +221,7 @@ class WordMap:
         """Largest coefficient magnitude; zero exactly for the zero map, and
         NaN when any coefficient is NaN, so that no gate ``size <= tol``
         passes it."""
-        best = Fraction(0)
-        for c in self._c.values():
-            m = magnitude(c)
-            if m != m:
-                return m
-            if m > best:
-                best = m
-        return best
+        return nan_safe(lambda sizes: max(sizes, default=Fraction(0)), map(magnitude, self._c.values()))
 
     def __repr__(self):
         name = type(self).__name__
@@ -277,12 +274,13 @@ def _all_words(d, n):
 
 class _Block(NamedTuple):
     """Gram matrix of the level-n words of one letter content, stored as
-    ``rows`` = ``scale`` times it: integers for a rational deformation, and
-    the Gram entries themselves (scale 1) for float and formal ones."""
+    ``rows`` = ``scale`` times it, one read-only numpy array: Python ints
+    (dtype object) for a rational deformation, and the Gram entries
+    themselves (scale 1) for float (float64) and formal (object) ones."""
 
     words: list  # in lexicographic order
     index: dict  # word -> position in words
-    rows: list  # rows[a][b] = scale * <e_{words[a]}, e_{words[b]}>
+    rows: np.ndarray  # rows[a, b] = scale * <e_{words[a]}, e_{words[b]}>, read-only
     scale: int  # s^(n(n-1)/2), s the common denominator of the entries
 
 
@@ -487,7 +485,7 @@ class FockSpace:
                 cols = [blk.index[b] for b, _ in same]
                 part = 0
                 for (a, _), na in zip(terms, nums_u):
-                    row = blk.rows[blk.index[a]]
+                    row = blk.rows[blk.index[a]].tolist()
                     part = part + na * sum(nb * row[c] for nb, c in zip(nums_v, cols))
                 total = total + _div(part, den_u * den_v * blk.scale)
             return total
@@ -498,7 +496,7 @@ class FockSpace:
             if not same:
                 continue
             blk = self.blocks(len(a))[content]
-            row = blk.rows[blk.index[a]]
+            row = blk.rows[blk.index[a]].tolist()
             for b, cb in same:
                 total = total + ca * cb * row[blk.index[b]]
         return total
@@ -512,48 +510,53 @@ class FockSpace:
         return self._memo("blocks", n, FockSpace._build_blocks, self, n)
 
     def _build_blocks(self, n):
+        """The level-n blocks by whole-array gathers. The rows of content c
+        that end in letter j are the words of content c - j with j
+        appended, in the same order. So they are the sum over the places t
+        of j in the column word v, in increasing t and skipping a zero
+        weight, of W_t(v) S[:, P_t(v)]: S is the block of c - j, P_t(v)
+        numbers v without place t in it, and W_t(v) = s^t prod_{r>t}
+        A(j, v[r]) is s^(n-1) times the weight for G_n. Every word of c
+        holds j equally often, so the k-th places of j of all columns are
+        gathered at once, and each entry is the same sum in the same order
+        as the recursion written entry by entry."""
         s, a = self._cleared
+        d, dtype = self.d, float if self.deformation.is_float else object
         if n == 0:
-            # a float unit keeps float-mode data out of int/int Fractions
-            one = 1.0 if self.deformation.is_float else 1
-            blocks = {(): _Block([()], {(): 0}, [[one]], 1)}
-        else:
-            below = self.blocks(n - 1)
-            scale = s ** (n * (n - 1) // 2)
-            grouped = {}
-            for w in self.words(n):
-                grouped.setdefault(_content(w), []).append(w)
-            blocks = {}
-            for content, words in grouped.items():
-                # peel[b][j]: (position of v without t below, weight) over
-                # the positions t of v = words[b] with v[t] = j; the weight
-                # s^t prod_{r>t} A(j, v[r]) is s^(n-1) times the one for G_n
-                peel = []
-                for v in words:
-                    by_letter = {}
-                    for t, j in enumerate(v):
-                        weight = s**t
-                        for r in v[t + 1 :]:
-                            weight = weight * a[j - 1][r - 1]
-                        if not weight:
-                            continue
-                        rest = v[:t] + v[t + 1 :]
-                        sub = below[_content(rest)]
-                        by_letter.setdefault(j, []).append((sub.index[rest], weight))
-                    peel.append(by_letter)
-                rows = []
-                for u in words:
-                    head, j = u[:-1], u[-1]
-                    sub = below[_content(head)]
-                    row_below = sub.rows[sub.index[head]]
-                    row = []
-                    for by_letter in peel:
-                        total = 0
-                        for pos, weight in by_letter.get(j, ()):
-                            total = total + weight * row_below[pos]
-                        row.append(total)
-                    rows.append(row)
-                blocks[content] = _Block(words, {w: k for k, w in enumerate(words)}, rows, scale)
+            return {(): _Block([()], {(): 0}, _frozen(np.ones((1, 1), dtype=dtype)), 1)}
+        below, words = self.blocks(n - 1), self.words(n)
+        letters, groups, _ = _by_content(d, n)
+        rank = _by_content(d, n - 1)[2]
+        entries = np.empty((d, d), dtype=dtype)
+        entries[:] = a
+        # row t: W_t and P_t of every word; word number num without place t
+        # keeps the first t letters, num // d^(n-t), and the last n-1-t
+        weight = np.empty((n, d**n), dtype=dtype)
+        weight[:] = np.array([s**t for t in range(n)], dtype=dtype)[:, None]
+        for r in range(1, n):
+            weight[:r] = weight[:r] * entries[letters[:r], letters[r]]
+        num, low = np.arange(d**n), d ** np.arange(n - 1, -1, -1)[:, None]
+        pos = rank[num // (low * d) * low + num % low]
+        # each word's places sorted by letter, then by place: in a word of
+        # content c the places of j are rows c.index(j) onwards
+        by_letter = np.argsort(letters, axis=0, kind="stable"), num
+        weight, pos = weight[by_letter], pos[by_letter]
+        live = weight.astype(bool)
+        blocks = {}
+        for g in groups:
+            content, last = _content(words[g[0]]), letters[-1, g]
+            rows = np.empty((len(g), len(g)), dtype=dtype)
+            for j in sorted(set(content)):
+                first = content.index(j)
+                sub = below[content[:first] + content[first + 1 :]].rows
+                acc = np.zeros((len(sub), len(g)), dtype=dtype)
+                for k in range(first, first + content.count(j)):
+                    cols = live[k, g]
+                    acc[:, cols] += weight[k, g[cols]] * sub[:, pos[k, g[cols]]]
+                rows[last == j - 1] = acc
+            block_words = [words[k] for k in g.tolist()]
+            index = {w: k for k, w in enumerate(block_words)}
+            blocks[content] = _Block(block_words, index, _frozen(rows), s ** (n * (n - 1) // 2))
         return blocks
 
     def inverse_peel(self, v: FockVector, below: int) -> FockVector:
@@ -731,6 +734,27 @@ class _Peeling:
 
 def _scaled(x, c):
     return x if np.ndim(c) == 0 and c == 1 else x * c
+
+
+def _frozen(rows):
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _by_content(d, n):
+    """The level-n words grouped by letter content: their letters (0-based,
+    one column per word in lexicographic order), the word numbers of each
+    content in increasing order, contents ordered as their sorted words,
+    and each word's position within its content. Shared and read-only."""
+    letters = np.indices((d,) * n).reshape(n, d**n)
+    key = _content_key(letters, d)
+    order = np.argsort(key, kind="stable")
+    groups = tuple(map(_frozen, np.split(order, np.flatnonzero(np.diff(key[order])) + 1)))
+    rank = np.empty(d**n, dtype=np.intp)
+    for g in groups:
+        rank[g] = np.arange(len(g))
+    return _frozen(letters), groups, _frozen(rank)
 
 
 def _content_key(letters, d):

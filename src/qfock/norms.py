@@ -16,6 +16,8 @@ map each level-(m+1) content block to itself, and right annihilation by
 letter i maps the block of content c+i to the block of content c. So each
 check is a min or max over small per-block eigenproblems on the blocks of
 ``FockSpace.blocks``; none of them depends on the order of the word basis.
+Their max and min over blocks, levels and trials return a NaN wherever
+one occurs (``scalars.nan_safe``), so that no gate reads a number past it.
 
 The norm engines read the blocks of the float space they are given, so a
 mixed q_ij space is checked on its own Gram blocks, against the constants
@@ -30,8 +32,15 @@ Series tails are summed in arbitrary-precision floats: at strong
 deformation the majorant terms pass through astronomically large magnitudes
 before the quadratic exponent wins, far beyond double range, yet the sums
 stay finite. Each majorant's terms are built once per process, each from
-the one before by its closed-form ratio with one power of |q| per term, and
-kept in a small memo shared by every truncation (``_majorant``). Terms and
+the one before by its closed-form ratio, and kept in a small memo shared by
+every truncation (``_majorant``). The ratios of the four majorants at one
+|q| read x^k, [k]_x and sqrt([k]_x) from one bounded per-|q| table
+(``_powers``), so each power is formed once. Each majorant records, as its
+terms grow, the indices k where t(k) < t(k-1) / 2, so a tail finds its stop
+by bisection; and it keeps one running chain of partial sums, which a tail
+from any other start meets once its own rounded partial sum equals the
+chain's at the same index. From there the two are bit-identical, since
+every later step is the same addition of the same term. Terms and
 sums are raw ``mpmath.libmp`` values at 113 bits, with the operations and
 roundings of mpf arithmetic at that precision, so a reported bound is the
 exact truncated sum rounded once to double precision. Near |q| = 1 a tail
@@ -44,9 +53,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -57,7 +66,7 @@ from mpmath.libmp import (
 
 from .fock import FockVector, _block_name, gram_cholesky
 from .ncpoly import poly_apply, wick_recursive
-from .scalars import analytic_constants
+from .scalars import analytic_constants, nan_safe
 
 __all__ = [
     "TailReport",
@@ -111,12 +120,11 @@ def _top_eigenvalue(quad, chol):
 def _lift(below, blk, j):
     """r_j* G_{n-1} r_j on one level-n content block: the level-(n-1) Gram
     block of the heads of its words that end in letter j, placed on those
-    words, and 0 on the rest."""
+    words, and 0 on the rest. Those heads are the words of their block in
+    its own order, so the whole block is placed."""
     pos = [k for k, w in enumerate(blk.words) if w[-1] == j]
-    sub = below[tuple(sorted(blk.words[pos[0]][:-1]))]
-    at = [sub.index[blk.words[k][:-1]] for k in pos]
     out = np.zeros((len(blk.words), len(blk.words)))
-    out[np.ix_(pos, pos)] = np.array(sub.rows, dtype=float)[np.ix_(at, at)]
+    out[np.ix_(pos, pos)] = below[tuple(sorted(blk.words[pos[0]][:-1]))].rows
     return out
 
 
@@ -127,13 +135,12 @@ def _right_gain(space, i, n):
     c without i, so this is the largest generalized eigenvalue of
     (r_i* G_{n-1} r_i, G_n[c]), maximized over the blocks c holding i.
     """
-    best = 0.0
-    for content, blk in space.blocks(n).items():
-        if i in content:
-            quad = _lift(space.blocks(n - 1), blk, i)
-            chol = gram_cholesky(np.array(blk.rows, dtype=float), _block_name(n, content))
-            best = max(best, _top_eigenvalue(quad, chol))
-    return best
+    gains = [
+        _top_eigenvalue(_lift(space.blocks(n - 1), blk, i), gram_cholesky(blk.rows, _block_name(n, content)))
+        for content, blk in space.blocks(n).items()
+        if i in content
+    ]
+    return nan_safe(max, [0.0, *gains])
 
 
 def _require_float(space):
@@ -155,13 +162,13 @@ def gram_domination_residual(space, m):
     """
     _require_float(space)
     w, _ = analytic_constants(space.deformation.max_abs_float())
-    worst = math.inf
+    lows = []
     for content, blk in space.blocks(m + 1).items():
-        diff = np.array(blk.rows, dtype=float) / w
+        diff = blk.rows / w
         for j in sorted(set(content)):
             diff -= _lift(space.blocks(m), blk, j)
-        worst = min(worst, float(np.linalg.eigvalsh(diff)[0]))
-    return worst
+        lows.append(float(np.linalg.eigvalsh(diff)[0]))
+    return nan_safe(min, [math.inf, *lows])
 
 
 def projected_domination(space, m, i):
@@ -185,7 +192,7 @@ def right_annihilation_norm(space, i, level):
     """
     space._check_letter(i)
     _require_float(space)
-    return math.sqrt(max((_right_gain(space, i, n) for n in range(1, level + 1)), default=0.0))
+    return math.sqrt(nan_safe(max, [0.0, *(_right_gain(space, i, n) for n in range(1, level + 1))]))
 
 
 LEVEL_MARGIN = 2  # haagerup_residual's domain holds levels 0..LEVEL_MARGIN
@@ -214,7 +221,7 @@ def _block_basis(space, levels):
         for blk in space.blocks(n).values():
             start = len(index)
             index.update((w, start + k) for k, w in enumerate(blk.words))
-            blocks.append((slice(start, len(index)), np.array(blk.rows, dtype=float)))
+            blocks.append((slice(start, len(index)), blk.rows))
     return index, blocks
 
 
@@ -256,7 +263,7 @@ def haagerup_residual(space, m, trials=50, seed=0):
     shape = (len(cod_index), len(dom_index))
 
     rng = np.random.default_rng(seed)
-    worst = -math.inf
+    excess = []
     for _ in range(trials):
         coeffs = rng.standard_normal(len(level_words))
         vec = FockVector(dict(zip(level_words, coeffs)))
@@ -264,8 +271,8 @@ def haagerup_residual(space, m, trials=50, seed=0):
         op = np.bincount(cell, weights=coeffs[word_of] * value, minlength=shape[0] * shape[1]).reshape(shape)
         quad = sum(op[at].T @ gram @ op[at] for at, gram in cod_blocks)
         op_norm = math.sqrt(max(_top_eigenvalue(quad, chol_dom), 0.0))
-        worst = max(worst, op_norm - bound_factor * vec_norm)
-    return worst
+        excess.append(op_norm - bound_factor * vec_norm)
+    return nan_safe(max, [-math.inf, *excess])
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +291,7 @@ _WIDE = mp.MPContext()
 _WIDE.prec = _PREC
 _HALF = mpf_shift(fone, -1)
 TAIL_TERMS = 100000  # the most terms a tail sums before its terms must halve
+_MEMO_LOCK = threading.Lock()
 
 
 def _mul(*factors):
@@ -295,29 +303,70 @@ def _mul(*factors):
     return out
 
 
+class _Powers:
+    """x^k, the q-integer [k]_x = (1 - x^k) / (1 - x) and its square root
+    at one |q| = x, each formed once, on first read, x^k by one
+    ``mpf_pow_int``: the factors the ratios of every majorant at x read.
+    An entry never changes once stored, so no lock is taken; threads that
+    miss at once form the same value and ``setdefault`` keeps one."""
+
+    def __init__(self, x):
+        self.x, self._x = x, from_float(x)
+        self._gap = mpf_sub(fone, self._x, _PREC, _RND)
+        self._power, self._bracket, self._root = {}, {}, {}
+
+    def power(self, k):
+        got = self._power.get(k)
+        return self._power.setdefault(k, mpf_pow_int(self._x, k, _PREC, _RND)) if got is None else got
+
+    def bracket(self, k):
+        got = self._bracket.get(k)
+        if got is None:
+            got = self._bracket.setdefault(k, mpf_div(mpf_sub(fone, self.power(k), _PREC, _RND), self._gap, _PREC, _RND))
+        return got
+
+    def root(self, k):
+        got = self._root.get(k)
+        return self._root.setdefault(k, mpf_sqrt(self.bracket(k), _PREC, _RND)) if got is None else got
+
+
+_powers = lru_cache(maxsize=8)(_Powers)
+
+
 class _Majorant:
-    """The raw terms t(m0), t(m0+1), ... of one majorant series, grown on demand.
+    """The raw terms t(m0), t(m0+1), ... of one majorant series, grown on
+    demand, with their halving indices and one chain of partial sums.
 
     t(m0) is the last term that every truncation keeps: the tail beyond
     truncation M starts at t(m0 + 1 + M). Each new term is the one before it
-    times the closed-form ratio ``ratio(m) = t(m+1) / t(m)``. The list only
-    grows, and only under the lock, so concurrent callers extend one list
-    and read the same terms; an entry once there never changes, so it can be
-    read without the lock.
+    times the closed-form ratio ``ratio(m, powers) = t(m+1) / t(m)``. The
+    lists only grow, and only under the lock, so concurrent callers extend
+    one set of lists and read the same values; an entry once there never
+    changes, so it can be read without the lock.
     """
 
-    def __init__(self, m0, first, ratio, formula):
+    def __init__(self, m0, first, ratio, formula, powers):
         self.m0 = m0
         self.formula = formula
-        self._ratio = ratio
+        self._ratio, self._powers = ratio, powers
         self._terms = [first]
+        self._halving = []  # every k with t(k) < t(k-1) / 2, ascending
+        self._zero = 0 if first == fzero else math.inf  # the first k with t(k) = 0, if any
+        self._base, self._sums = None, []  # _sums[j] = t(base) + ... + t(base + j)
         self._lock = threading.Lock()
 
     def _grow(self, k):
         """The term list, extended through index k; the lock is held."""
         terms = self._terms
         while len(terms) <= k:
-            terms.append(mpf_mul(terms[-1], self._ratio(self.m0 + len(terms) - 1), _PREC, _RND))
+            prev, at = terms[-1], len(terms)
+            term = mpf_mul(prev, self._ratio(self.m0 + at - 1, self._powers), _PREC, _RND)
+            # halving is exact, so this is the test t(k) < t(k-1) / 2
+            if mpf_lt(term, mpf_shift(prev, -1)):
+                self._halving.append(at)
+            if term == fzero:
+                self._zero = min(self._zero, at)
+            terms.append(term)
         return terms
 
     def term(self, m):
@@ -326,47 +375,70 @@ class _Majorant:
 
     def stops_in_reach(self, start, m_safe):
         """Whether ``tail(start, m_safe)`` stops within TAIL_TERMS terms
-        past t(start), read off one ratio without growing the list: from
-        m_safe on the ratio is strictly decreasing, so the tail stops in
-        reach exactly when m_safe is in reach and the ratio of the last
-        step in reach is below one half."""
+        past t(start), read off one ratio, formed on a table of its own so
+        that the shared one keeps no entry that far out: from m_safe on the
+        ratio is strictly decreasing, so the tail stops in reach exactly
+        when m_safe is in reach and the ratio of the last step in reach is
+        below one half."""
         last = start + TAIL_TERMS - 1
-        return m_safe <= last and mpf_lt(self._ratio(last), _HALF)
+        return m_safe <= last and mpf_lt(self._ratio(last, _Powers(self._powers.x)), _HALF)
+
+    def _stop(self, lo, safe):
+        """The index of the last term of the tail from index lo: lo if
+        t(lo) = 0, else the first zero term or the first halving index
+        past safe, whichever comes first. The list grows that far, and
+        never beyond TAIL_TERMS past lo; the lock is held."""
+        terms, halving = self._grow(lo), self._halving
+        while self._zero > len(terms) and (not halving or halving[-1] <= safe) and len(terms) <= lo + TAIL_TERMS:
+            self._grow(len(terms))
+        at = bisect_right(halving, safe)
+        k = min(halving[at : at + 1] + [max(lo, self._zero)])
+        if k - lo > TAIL_TERMS:
+            raise RuntimeError("series tail failed to enter geometric decay")
+        return k
+
+    def _chain(self, lo, k):
+        """The chain of partial sums, extended through index k, and its
+        start, set to lo by the first call; the lock is held."""
+        if self._base is None:
+            self._base = lo
+        sums, terms, base = self._sums, self._terms, self._base
+        while base + len(sums) <= k:
+            at = base + len(sums)
+            sums.append(mpf_add(sums[-1], terms[at], _PREC, _RND) if sums else terms[at])
+        return sums, base
 
     def tail(self, start, m_safe):
         """(raw sum, count) of the terms from t(start) by the stop rule of
         ``series_tail``: summed left to right until a term is 0, or until,
         at some m >= m_safe, t(m+1) < t(m) / 2, and then t(m+1) is added
-        twice. The stop is found under the lock, taken once, growing the
-        list as far as it needs; the sum reads the list without it."""
-        lo = k = start - self.m0
-        safe, doubled = m_safe - self.m0, False
+        twice. The stop is found and the chain extended to the term before
+        it under the lock, taken once. The sum runs on its own only until
+        its rounded partial sum equals the chain's at the same index: from
+        there every step of both is the same ``mpf_add`` of the same term."""
+        lo, safe = start - self.m0, m_safe - self.m0
         with self._lock:
-            terms = self._grow(k)
-            while terms[k] != fzero:
-                if len(terms) == k + 1:
-                    self._grow(k + 1)
-                k += 1
-                # halving is exact, so this is the test t(m+1) < t(m) / 2
-                if k > safe and mpf_lt(terms[k], mpf_shift(terms[k - 1], -1)):
-                    doubled = True
-                    break
-                if k - lo >= TAIL_TERMS:
-                    raise RuntimeError("series tail failed to enter geometric decay")
-        total = terms[lo]
-        for t in islice(terms, lo + 1, k):
-            total = mpf_add(total, t, _PREC, _RND)
+            k = self._stop(lo, safe)
+            sums, base = self._chain(lo, k - 1)
+        terms = self._terms
+        total, j = terms[lo], lo
+        while j < k - 1 and not (j >= base and total == sums[j - base]):
+            j += 1
+            total = mpf_add(total, terms[j], _PREC, _RND)
+        if j < k - 1:
+            total = sums[k - 1 - base]
         if k > lo:
-            total = mpf_add(total, mpf_shift(terms[k], 1) if doubled else terms[k], _PREC, _RND)
+            total = mpf_add(total, mpf_shift(terms[k], 1) if k > safe else terms[k], _PREC, _RND)
         return total, k - lo + 1
 
 
 @lru_cache(maxsize=32)
-def _majorant(series, x, d, op_norm_bound):
+def _majorant(series, x, d, op_norm_bound, powers=None):
     """The shared raw term sequence of the named majorant at |q| = x.
 
-    Each ratio raises x to one power k and takes the q-integer [k]_x and
-    its square root from it (lipschitz also needs [2m+1]_x and [2m+2]_x);
+    Each ratio reads x^k, the q-integer [k]_x and its square root for one
+    power k (lipschitz also [2m+1]_x and [2m+2]_x) from the table of
+    ``_powers(x)``, which the four series at x share, or from ``powers``;
     every factor is formed and multiplied in the order of the closed-form
     ratio, so each term is the one mpf arithmetic at 113 bits gives.
 
@@ -374,58 +446,44 @@ def _majorant(series, x, d, op_norm_bound):
     one verification run or one Fisher scan asks for; the longest sequence
     (lipschitz at x = 0.95) has about 1,200 terms.
     """
+    powers = _powers(x) if powers is None else powers
     w, haag = analytic_constants(x)
-    x, haag = from_float(x), from_float(haag)
-    gap = mpf_sub(fone, x, _PREC, _RND)
+    haag = from_float(haag)
     r = mpf_rdiv_int(1, mpf_sqrt(from_float(w), _PREC, _RND), _PREC, _RND)
     dr = mpf_mul_int(r, d, _PREC, _RND)
 
-    def bracket(xk):  # the q-integer [k]_x from x^k
-        return mpf_div(mpf_sub(fone, xk, _PREC, _RND), gap, _PREC, _RND)
-
-    def root_bracket(xk):
-        return mpf_sqrt(bracket(xk), _PREC, _RND)
-
-    def power(k):
-        return mpf_pow_int(x, k, _PREC, _RND)
-
     if series == "fisher":
 
-        def ratio(m):
-            xk = power(m)
-            return _mul(xk, dr, root_bracket(xk))
+        def ratio(m, p):
+            return _mul(p.power(m), dr, p.root(m))
 
-        return _Majorant(1, r, ratio, "x^(m(m-1)/2) d^(m-1) r^m sqrt([m-1]!)")
+        return _Majorant(1, r, ratio, "x^(m(m-1)/2) d^(m-1) r^m sqrt([m-1]!)", powers)
     if series == "xi":
 
-        def ratio(m):
-            xk = power(m + 1)
-            grow = mpf_div(mpf_mul(xk, from_int(2 * m + 4), _PREC, _RND), from_int(2 * m + 2), _PREC, _RND)
-            return _mul(grow, dr, root_bracket(xk))
+        def ratio(m, p):
+            grow = mpf_div(mpf_mul(p.power(m + 1), from_int(2 * m + 4), _PREC, _RND), from_int(2 * m + 2), _PREC, _RND)
+            return _mul(grow, dr, p.root(m + 1))
 
         first = _mul(mpf_mul_int(haag, 2, _PREC, _RND), mpf_sqrt(haag, _PREC, _RND), r)
-        return _Majorant(0, first, ratio, "d^m x^(m(m+1)/2) (2m+2) C^(3/2) r^(m+1) sqrt([m]!)")
+        return _Majorant(0, first, ratio, "d^m x^(m(m+1)/2) (2m+2) C^(3/2) r^(m+1) sqrt([m]!)", powers)
     if series == "lipschitz":
         dr3 = mpf_pow_int(dr, 3, _PREC, _RND)
 
-        def ratio(m):
-            xk = power(m + 1)
+        def ratio(m, p):
             factorials = mpf_div(from_int((2 * m + 3) ** 3 * (2 * m + 4)), from_int((2 * m + 1) ** 2), _PREC, _RND)
-            brackets = bracket(power(2 * m + 1)), bracket(power(2 * m + 2))
-            return _mul(xk, factorials, dr3, root_bracket(xk), *brackets)
+            return _mul(p.power(m + 1), factorials, dr3, p.root(m + 1), p.bracket(2 * m + 1), p.bracket(2 * m + 2))
 
         first = _mul(mpf_mul_int(mpf_pow_int(haag, 3, _PREC, _RND), 2 * d, _PREC, _RND), mpf_pow_int(r, 2, _PREC, _RND))
-        return _Majorant(0, first, ratio, "C' x^(m(m+1)/2) (2m+1)^2 (2m+2)! (d r)^(3m) sqrt([m]!) [2m]!")
+        return _Majorant(0, first, ratio, "C' x^(m(m+1)/2) (2m+1)^2 (2m+2)! (d r)^(3m) sqrt([m]!) [2m]!", powers)
     if series == "gibbs":
         a = _WIDE.mpf(op_norm_bound)._mpf_
         step = _mul(mpf_pow_int(dr, 3, _PREC, _RND), mpf_pow_int(a, 2, _PREC, _RND))
 
-        def ratio(m):
-            xk = power(m + 1)
-            return mpf_mul_int(_mul(xk, step, root_bracket(xk)), (2 * m + 2) * (2 * m + 3), _PREC, _RND)
+        def ratio(m, p):
+            return mpf_mul_int(_mul(p.power(m + 1), step, p.root(m + 1)), (2 * m + 2) * (2 * m + 3), _PREC, _RND)
 
         first = _mul(a, mpf_pow_int(dr, 2, _PREC, _RND))
-        return _Majorant(0, first, ratio, "x^(m(m+1)/2) (d r)^(3m+2) sqrt([m]!) (2m+1)! A^(2m+1)")
+        return _Majorant(0, first, ratio, "x^(m(m+1)/2) (d r)^(3m+2) sqrt([m]!) (2m+1)! A^(2m+1)", powers)
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_IDS}")
 
 
@@ -443,7 +501,8 @@ def _tail_start(series, truncation, x, d, op_norm_bound, build=_majorant):
         op_norm_bound = None
     elif op_norm_bound is None:
         op_norm_bound = 2.0 / math.sqrt(1.0 - x)
-    majorant = build(series, x, d, op_norm_bound)
+    with _MEMO_LOCK:  # threads that miss the memos at once share one majorant
+        majorant = build(series, x, d, op_norm_bound)
     start = truncation + majorant.m0 + 1
     # beyond m_safe the ratio of consecutive terms is strictly decreasing
     m_safe = start + (0 if x == 0.0 else int(math.ceil(8.0 / (1.0 - x))))
@@ -452,14 +511,16 @@ def _tail_start(series, truncation, x, d, op_norm_bound, build=_majorant):
 
 def _reach_limit(series, truncation, d, op_norm_bound):
     """The |q| from which the tail beyond the truncation does not stop in
-    reach, by bisection to 1e-6 on majorants built outside the memo. It
+    reach, by bisection to 1e-6 on majorants built outside the memos. It
     depends on the series, d and M: at d = 2, M = 2 it is about 0.9955
     for gibbs and lipschitz and 0.9975 for xi and fisher."""
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-6:
         mid = (lo + hi) / 2
         try:
-            majorant, start, m_safe, _ = _tail_start(series, truncation, mid, d, op_norm_bound, _majorant.__wrapped__)
+            majorant, start, m_safe, _ = _tail_start(
+                series, truncation, mid, d, op_norm_bound, lambda *key: _majorant.__wrapped__(*key, _Powers(key[1]))
+            )
             reached = majorant.stops_in_reach(start, m_safe)
         except ValueError:  # the constants leave double range first
             reached = False
@@ -491,10 +552,13 @@ def series_tail(series, truncation, q0, d, op_norm_bound=None) -> TailReport:
     guarantees this terminates for every |q| < 1.
 
     The terms come from one sequence per (series, |q|, d, A) in a bounded
-    process-wide memo, built by the closed-form term ratios, so the calls
-    for truncations M, M+2, ... share every term; each call takes the
-    sequence's lock once, to grow it as far as its stop, then sums its own
-    range forward from its start on raw 113-bit values.
+    process-wide memo, built by the closed-form ratios from the per-|q|
+    table of powers and q-integers, so the calls for truncations M, M+2, ...
+    share every term and power. The stop is the first recorded halving
+    index past m_safe. The sum runs forward from its start on raw 113-bit
+    values only until its partial sum equals the sequence's chain at the
+    same index and then reads the chain, which adds the same terms from
+    there: bit for bit a full left-to-right sum, in any order of calls.
 
     Accuracy: term m is a product of m ratios, each formed with at most a
     dozen roundings, so in double precision the longest sequences (about

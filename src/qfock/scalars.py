@@ -712,6 +712,15 @@ def magnitude(s):
     raise TypeError(f"not a scalar: {s!r}")
 
 
+def nan_safe(reduce, values):
+    """reduce(values) for max or min, or the first NaN among the values:
+    max and min keep a number over a NaN that follows it, and a gate
+    ``value <= tol`` would then read the number."""
+    values = list(values)
+    nans = [v for v in values if v != v]
+    return nans[0] if nans else reduce(values)
+
+
 def parse_scalar(value):
     """Parse a JSON/CLI scalar: 'p/q' strings and ints exact, floats float."""
     if isinstance(value, str):

@@ -17,6 +17,8 @@ library's per-block eigenproblems.
 
 ``gram_rows`` reads a content block back as the Gram entries themselves:
 the library stores rational blocks as integers, scale times G_n.
+``peeled_blocks`` builds the blocks by the library's own recursion written
+entry by entry, against its whole-array gathers.
 
 ``ldl`` factors one block as L·D·Lᵀ without pivoting, and ``ldl_solve``
 is the Gram solve built on it: each touched block factored, then
@@ -87,9 +89,56 @@ def left_peeling_gram(n, deformation):
 
 def gram_rows(blk):
     """The Gram entries of a content block: its rows divided by its scale."""
+    rows = blk.rows.tolist()
     if blk.scale == 1:
-        return blk.rows
-    return [[Fraction(g, blk.scale) for g in row] for row in blk.rows]
+        return rows
+    return [[Fraction(g, blk.scale) for g in row] for row in rows]
+
+
+def peeled_blocks(space, n):
+    """{content: (words, rows)} of level n by the right-peeling recursion
+    written entry by entry, on the space's cleared entries (s, A), as the
+    library built its blocks before it gathered whole arrays: row u'j,
+    column v is the sum, over the places t of v with v[t] = j and a
+    nonzero weight s^t prod_{r>t} A(j, v[r]), in increasing t, of the
+    weight times the level-(n-1) entry at (u', v without t). Rows are
+    lists of the scaled entries, ints for rational entries; a row entry
+    with no term is the int 0."""
+    s, a = space._cleared
+    if n == 0:
+        return {(): ([()], [[1.0 if space.deformation.is_float else 1]])}
+    below = {c: (words, {w: k for k, w in enumerate(words)}, rows) for c, (words, rows) in peeled_blocks(space, n - 1).items()}
+    grouped = {}
+    for w in _words(space.d, n):
+        grouped.setdefault(tuple(sorted(w)), []).append(w)
+    blocks = {}
+    for content, words in grouped.items():
+        peel = []  # peel[b][j]: (position of v without t below, weight)
+        for v in words:
+            by_letter = {}
+            for t, j in enumerate(v):
+                weight = s**t
+                for r in v[t + 1 :]:
+                    weight = weight * a[j - 1][r - 1]
+                if not weight:
+                    continue
+                rest = v[:t] + v[t + 1 :]
+                by_letter.setdefault(j, []).append((below[tuple(sorted(rest))][1][rest], weight))
+            peel.append(by_letter)
+        rows = []
+        for u in words:
+            head, j = u[:-1], u[-1]
+            _, index, sub_rows = below[tuple(sorted(head))]
+            row_below = sub_rows[index[head]]
+            row = []
+            for by_letter in peel:
+                total = 0
+                for pos, weight in by_letter.get(j, ()):
+                    total = total + weight * row_below[pos]
+                row.append(total)
+            rows.append(row)
+        blocks[content] = (words, rows)
+    return blocks
 
 
 def dense_gram(space, n):

@@ -7,7 +7,8 @@ to that precision.
 
 ``context_tail`` builds the terms by the closed-form ratios and sums them in
 mpf arithmetic of a private 113-bit context, as the library did before it
-worked on raw libmp values: the library must reproduce it bit for bit.
+worked on raw libmp values: the library must reproduce it bit for bit. Its
+results are kept, so tests that ask for the same tail sum it once.
 
 ``fisher_remainder_above`` bounds the true one-letter Fisher remainder from
 above in exact rationals, for checking that a reported tail covers it.
@@ -78,6 +79,7 @@ def context_terms(series, x, d, op_norm_bound):
     return m0, terms
 
 
+@lru_cache(maxsize=512)
 def context_tail(series, truncation, q0, d, op_norm_bound=None):
     """(bound, terms summed) of the tail beyond the truncation: the terms
     summed in the 113-bit context until, beyond m_safe, the next term is

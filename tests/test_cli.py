@@ -126,6 +126,44 @@ class TestVerify:
         if suite == "dual-agree":
             assert report["checks"][0]["value"] == "counterexample i=1 w=(1, 2)"
 
+    @pytest.mark.parametrize("at", [0, -1], ids=["nan-first", "nan-last"])
+    def test_gibbs_nan_fails_its_gate(self, capsys, monkeypatch, at):
+        # max keeps a number over a NaN that follows it
+        sizes = [1e-13, 1e-13]
+        sizes[at] = float("nan")
+        monkeypatch.setattr(qfock.cli, "cyclic_commutator", lambda *args: FockVector({(1,): sizes[0], (2,): sizes[1]}))
+        code, out = run(capsys, "verify", "gibbs", "--mode", "float", "--d", "2", "--level", "5", "--series-m", "2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        checks = {c["check"]: c for c in report["checks"]}
+        assert checks["gibbs/cyclic-gradient"]["pass"] is False
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["nan-first", "nan-last"])
+    @pytest.mark.parametrize(
+        "engine,check",
+        [("projected_domination", "bounds/gram-domination m=0"), ("right_annihilation_norm", "bounds/right-annihilation-norm")],
+        ids=["projected", "norm"],
+    )
+    def test_bounds_nan_fails_its_gate(self, capsys, monkeypatch, tmp_path, engine, check, at):
+        # a mixed matrix gates the min or max over its three letters
+        entries = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 3, "entries": entries}))
+        real, poisoned_letter = getattr(qfock.cli, engine), [1, 2, 3][at]
+        letter_at = 1 if engine == "projected_domination" else 0  # (space, m, i) or (space, i, level)
+
+        def poisoned(space, *args):
+            return float("nan") if args[letter_at] == poisoned_letter else real(space, *args)
+
+        monkeypatch.setattr(qfock.cli, engine, poisoned)
+        code, out = run(capsys, "verify", "bounds", "--d", "3", "--q-matrix", str(path))
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        checks = {c["check"]: c for c in report["checks"]}
+        assert checks[check]["pass"] is False
+
     @pytest.mark.parametrize("suite", ["dual-agree", "wick-agree", "commutator"])
     def test_passing_agreement_forms_no_difference(self, capsys, monkeypatch, suite):
         calls = []

@@ -4,7 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from apply_oracles import annihilate_by_letters, gaussian_by_letters
-from gram_oracles import ChainedAdjoints, dense_gram, gram_rows, ldl, left_peeling_gram, permutation_gram, right_annihilate
+from gram_oracles import (
+    ChainedAdjoints,
+    dense_gram,
+    gram_rows,
+    ldl,
+    left_peeling_gram,
+    peeled_blocks,
+    permutation_gram,
+    right_annihilate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from threads import together
@@ -325,6 +334,50 @@ class TestGramOracles:
             assert dense_gram(sp, n) == left_peeling_gram(n, defm), n
 
 
+FLOAT_BLOCKS = [
+    pytest.param(Deformation.constant(2, 0.9), 6, id="d2-0.9"),
+    pytest.param(Deformation.constant(3, -0.9), 5, id="d3--0.9"),
+    pytest.param(Deformation([[0.7, 0.0], [0.0, -0.4]]), 6, id="d2-mixed-zero"),
+    pytest.param(Deformation([[1 / 2, -1 / 3, 0.0], [-1 / 3, -1 / 5, 2 / 7], [0.0, 2 / 7, 3 / 4]]), 5, id="d3-mixed-zero"),
+]
+
+
+class TestBlocksAgainstEntryByEntry:
+    """The whole-array gathers of ``_build_blocks`` against the same
+    recursion written entry by entry: float blocks bit for bit, rational and
+    formal ones exactly and with the same entry types, in the same order of
+    contents."""
+
+    @pytest.mark.parametrize("defm,top", FLOAT_BLOCKS)
+    def test_float_blocks_bit_for_bit(self, defm, top):
+        sp = FockSpace(defm, level=top)
+        for n in range(top + 1):
+            want = peeled_blocks(sp, n)
+            assert list(sp.blocks(n)) == list(want), n
+            for content, (words, rows) in want.items():
+                blk = sp.blocks(n)[content]
+                assert blk.words == words and blk.rows.dtype == np.float64
+                assert blk.rows.tobytes() == np.array(rows, dtype=float).tobytes(), (n, content)
+
+    @pytest.mark.parametrize(
+        "defm,top", [(MIXED_2, 6), (MIXED_3, 4), (Deformation.constant(2, FORMAL_Q), 5)], ids=["2x2", "3x3", "formal"]
+    )
+    def test_exact_blocks_equal(self, defm, top):
+        sp = FockSpace(defm, level=top)
+        for n in range(top + 1):
+            want = peeled_blocks(sp, n)
+            assert list(sp.blocks(n)) == list(want), n
+            for content, (words, rows) in want.items():
+                got = sp.blocks(n)[content].rows.tolist()
+                assert got == rows, (n, content)
+                assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in rows], (n, content)
+
+    def test_blocks_are_read_only(self):
+        blk = FockSpace.with_scalar_q(2, 0.5, level=3).blocks(3)[(1, 1, 2)]
+        with pytest.raises(ValueError):
+            blk.rows[0, 0] = 0.0
+
+
 def _ldl_product(rows):
     """L·D·Lᵀ from the factor rows: row r holds L[r][:r], then D[r]."""
 
@@ -351,7 +404,8 @@ class TestFactorization:
         sp = FockSpace(defm, level=top)
         for n in range(top + 1):
             for content, blk in sp.blocks(n).items():
-                assert _ldl_product(ldl(n, content, blk.rows)) == blk.rows, (n, content)
+                rows = blk.rows.tolist()
+                assert _ldl_product(ldl(n, content, rows)) == rows, (n, content)
 
     @settings(max_examples=30, deadline=None)
     @given(

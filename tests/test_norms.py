@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from qfock import (
     right_annihilation_norm,
     series_tail,
 )
-from qfock.norms import SERIES_IDS, _majorant, check_tail, haagerup_factor
+from qfock.norms import SERIES_IDS, TAIL_TERMS, _majorant, _powers, check_tail, haagerup_factor
 
 
 def scalar_space(q0, d, level):
@@ -152,6 +153,61 @@ def test_engines_refuse_a_space_without_float_blocks(engine, q):
     # rational blocks hold scale * G_n in integers, formal ones polynomials
     with pytest.raises(ValueError):
         engine(FockSpace.with_scalar_q(2, q, 3))
+
+
+def _poisoned(monkeypatch, owner, name, engine, at, nan):
+    """engine() with ``owner.name`` answering ``nan(value)`` on one call,
+    the first (at = 0) or the last (at = -1) of the calls it makes."""
+    real, calls = getattr(owner, name), []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    engine()
+    hit, seen = at % len(calls), []
+
+    def poisoned(*args):
+        seen.append(None)
+        value = real(*args)
+        return nan(value) if len(seen) - 1 == hit else value
+
+    monkeypatch.setattr(owner, name, poisoned)
+    return engine()
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+class TestNanComesOut:
+    """A NaN from one block or one trial is what the engine's max or min
+    returns, first or last: the built-ins keep a number over a NaN that
+    follows it, and the CLI gates would read that number."""
+
+    space = FockSpace(Deformation(MIXED), 5)
+
+    def test_right_gain(self, monkeypatch, at):
+        got = _poisoned(
+            monkeypatch, qfock.norms, "_top_eigenvalue", lambda: projected_domination(self.space, 3, 2), at, lambda v: math.nan
+        )
+        assert math.isnan(got)
+
+    def test_right_annihilation_over_levels(self, monkeypatch, at):
+        got = _poisoned(
+            monkeypatch, qfock.norms, "_top_eigenvalue", lambda: right_annihilation_norm(self.space, 1, 4), at, lambda v: math.nan
+        )
+        assert math.isnan(got)
+
+    def test_gram_domination(self, monkeypatch, at):
+        got = _poisoned(
+            monkeypatch, qfock.norms.np.linalg, "eigvalsh", lambda: gram_domination_residual(self.space, 3), at, lambda v: v * math.nan
+        )
+        assert math.isnan(got)
+
+    def test_haagerup(self, monkeypatch, at):
+        got = _poisoned(
+            monkeypatch, qfock.norms, "_top_eigenvalue", lambda: haagerup_residual(self.space, 1, trials=4), at, lambda v: math.nan
+        )
+        assert math.isnan(got)
 
 
 class TestHaagerup:
@@ -371,6 +427,61 @@ class TestRatioBuiltTerms:
         for _ in range(3):
             _majorant.cache_clear()
             assert together(lambda M: series_tail("lipschitz", M, 0.95, 3), truncations) == serial
+
+    def test_powers_memo_stays_within_maxsize(self):
+        maxsize = _powers.cache_info().maxsize
+        for k in range(maxsize + 4):
+            series_tail("fisher", 0, 0.01 * (k + 1), 2)
+        assert _powers.cache_info().currsize <= maxsize
+
+    def test_reach_limit_adds_no_memo_entry(self, monkeypatch):
+        monkeypatch.setattr(qfock.norms, "TAIL_TERMS", 2000)
+        _majorant.cache_clear()
+        _powers.cache_clear()
+        qfock.norms._reach_limit("lipschitz", 2, 2, None)
+        assert (_majorant.cache_info().currsize, _powers.cache_info().currsize) == (0, 0)
+
+    def test_reach_check_grows_no_list(self):
+        # the check reads the ratio TAIL_TERMS terms past the start, with
+        # powers at up to twice that index: no kept list or table grows
+        majorant, start, m_safe, _ = check_tail("lipschitz", 2, 0.95, 3)
+        series_tail("lipschitz", 2, 0.95, 3)
+        powers = majorant._powers
+        lists = (majorant._terms, majorant._halving, majorant._sums, powers._power, powers._bracket, powers._root)
+        before = [len(kept) for kept in lists]
+        assert majorant.stops_in_reach(start, m_safe)
+        assert [len(kept) for kept in lists] == before
+        assert max(before) < TAIL_TERMS // 10
+
+
+CHAIN_CASES = [(q0, d) for q0 in (0.95, 0.99, -0.9) for d in (1, 3)]
+
+
+@pytest.mark.parametrize("q0,d", CHAIN_CASES, ids=[f"q{q0}-d{d}" for q0, d in CHAIN_CASES])
+def test_shared_chain_is_order_independent(q0, d):
+    """Each tail sums on its own only until it meets its majorant's one
+    chain of partial sums, whichever tails came first: in descending,
+    shuffled and concurrent order of truncations, from empty memos, every
+    report equals the 113-bit context sum bit for bit."""
+    truncations = [0, 1, 3, 6]  # rows of TestRawArithmetic too, whose context sums are kept
+    want = {(series, M): context_tail(series, M, q0, d, None) for series in SERIES_IDS for M in truncations}
+    shuffled = truncations[:]
+    random.Random(f"{q0}/{d}").shuffle(shuffled)
+
+    def report(series, M):
+        rep = series_tail(series, M, q0, d)
+        return rep.bound, rep.terms_summed
+
+    for order in (truncations[::-1], shuffled):
+        _majorant.cache_clear()
+        _powers.cache_clear()
+        got = {(series, M): report(series, M) for series in SERIES_IDS for M in order}
+        assert got == want, order
+    # two truncations each of two series, which share one powers table
+    jobs = [("lipschitz", shuffled[0]), ("xi", shuffled[1]), ("lipschitz", shuffled[2]), ("xi", shuffled[3])]
+    _majorant.cache_clear()
+    _powers.cache_clear()
+    assert together(lambda job: report(*job), jobs) == [want[job] for job in jobs]
 
 
 CONTEXT_SERIES = [
