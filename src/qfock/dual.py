@@ -51,9 +51,15 @@ right-peeling factors of :mod:`qfock.fock`, the level is the explicit
 
     xi_i^(2m+1) = R_{2m+1}^-1 (R_{2m}^-1 (x) 1) ... (R_{m+1}^-1 (x) 1) c_i,
 
-computed by ``FockSpace.inverse_peel`` with no Gram block at all. A
-space builds each level once; partial sums are truncated by source-word
-length and every report carries an analytic tail bound.
+computed by ``FockSpace.inverse_peel`` with no Gram block at all. In a
+word w i w of c_i every letter of w appears twice and i once more, so i
+is the one letter it holds an odd number of times: the c_i of different
+letters sit on disjoint letter contents. Every peeling factor keeps
+contents, so one peeling of the sum of the c_i (in groups of contents on
+large levels) solves every letter at once, and each content's part of the
+answer belongs to its odd letter. A space builds each level once, for all
+letters; partial sums are truncated by source-word length and every
+report carries an analytic tail bound.
 
 Levels of different length are orthogonal, so the Fisher information of
 the truncation M is the sum over levels m <= M of the squared norms of the
@@ -224,12 +230,20 @@ def _series_sign_weight(a, i, word):
 
 def _series_level(space: FockSpace, i, m) -> FockVector:
     """The level-(2m+1) part of xi_i, G_{2m+1}^-1 (G_m (x) 1) c_i by the
-    explicit inverse, memoized per space under the key (i, m)."""
-    return space._memo("xi", (i, m), _series_build, space, i, m)
+    explicit inverse. One solve makes the level of every letter, memoized
+    per space under the key m."""
+    return space._memo("xi", m, _series_build, space, m)[i]
 
 
-def _series_build(space: FockSpace, i, m) -> FockVector:
-    return space.inverse_peel(_series_source(space, i, m), m)
+def _series_build(space: FockSpace, m):
+    letters = range(1, space.d + 1)
+    source = FockVector._wrap({w: c for i in letters for w, c in _series_source(space, i, m).items()})
+    levels = {i: {} for i in letters}
+    for words, coeffs in space._peeled(source, m):
+        # the letter of a content: the one it holds an odd number of times
+        w = words[0]
+        levels[next(x for x in w if w.count(x) % 2)].update((w, c) for w, c in zip(words, coeffs) if c)
+    return {i: FockVector._wrap(acc) for i, acc in levels.items()}
 
 
 def _series_source(space: FockSpace, i, m) -> FockVector:

@@ -37,9 +37,13 @@ entries take s = 1 through the same code, so their blocks are the Gram
 entries themselves.
 
 No Gram block is solved: ``inverse_peel`` applies G_n^-1 (G_m (x) 1) by
-the explicit inverses of the peeling factors (see ``_Peeling``). Blocks
-are read by ``inner``, the Fisher pairing and the float eigenproblems of
-:mod:`qfock.norms`, factored by ``gram_cholesky``. For |q_ij| < 1 the
+the explicit inverses of the peeling factors (see ``_Peeling``). Their
+moves keep each word's letter content, so exact numerators are carried
+over one denominator per content, which takes in only the 1 - c(w) of
+that content's own windows, and a level's contents are peeled together
+in groups of up to ``PEEL_WORDS`` words. Blocks are read by ``inner``,
+the Fisher pairing and the float eigenproblems of :mod:`qfock.norms`,
+factored by ``gram_cholesky``. For |q_ij| < 1 the
 Gram form is positive (M. Bozejko and R. Speicher, Comm. Math. Phys. 137,
 1991; Math. Ann. 300, 1994); a float block that is not positive definite,
 and a window with 1 - c(w) = 0, raise ``GramSingularError`` naming the
@@ -70,7 +74,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -85,6 +89,13 @@ __all__ = [
     "GramSingularError",
     "gram_cholesky",
 ]
+
+
+# the most words one inverse peeling holds; a larger content is peeled
+# alone. Long arrays of big numerators run slower: d=3 level 11 at q = 1/2
+# took 7 s in groups of 2^13 words and 12 s with every content at once (on
+# a 2-core x86-64 box)
+PEEL_WORDS = 2**13
 
 
 class TruncationError(RuntimeError):
@@ -525,7 +536,7 @@ class FockSpace:
         if n == 0:
             return {(): _Block([()], {(): 0}, _frozen(np.ones((1, 1), dtype=dtype)), 1)}
         below, words = self.blocks(n - 1), self.words(n)
-        letters, groups, _ = _by_content(d, n)
+        letters, groups, *_ = _by_content(d, n)
         rank = _by_content(d, n - 1)[2]
         entries = np.empty((d, d), dtype=dtype)
         entries[:] = a
@@ -562,11 +573,27 @@ class FockSpace:
     def inverse_peel(self, v: FockVector, below: int) -> FockVector:
         """R_n^-1 (R_{n-1}^-1 (x) 1) ... (R_{below+1}^-1 (x) 1) v for v on one
         level n: the x with G_n x = (G_below (x) 1) v, by ``_Peeling``."""
+        return FockVector._wrap({w: c for words, coeffs in self._peeled(v, below) for w, c in zip(words, coeffs) if c})
+
+    def _peeled(self, v, below):
+        """``inverse_peel`` as one (words, coefficients) pair per content,
+        the contents taken in groups of at most ``PEEL_WORDS`` words."""
         if not v:
-            return FockVector.zero()
+            return []
         (n,) = {len(w) for w in v._c}
         self._check_level(n)
-        return _Peeling(self, v, n).solve(below)
+        _, groups, _, content = _by_content(self.d, n)
+        parts = {}
+        for w, c in v._c.items():
+            parts.setdefault(int(content[_number(w, self.d)]), {})[w] = c
+        chunks, size = [], PEEL_WORDS
+        for k in sorted(parts):
+            if size + len(groups[k]) > PEEL_WORDS:
+                chunks.append({})
+                size = 0
+            chunks[-1].update(parts[k])
+            size += len(groups[k])
+        return chain.from_iterable(_Peeling(self, FockVector._wrap(part), n).solve(below) for part in chunks)
 
 
 class _Peeling:
@@ -605,12 +632,15 @@ class _Peeling:
     constant q they are Zagier's 1 - q^(n(n-1)) (D. Zagier, Comm. Math.
     Phys. 147, 1992). No positivity is needed.
 
-    The vector lives on the words of the contents it touches, which moves
-    keep; the window [j, k) of word number i is (i // d^(n-k)) % d^(k-j).
-    Exact entries are numerators over one denominator: with the cleared
-    entries (s, A), D_U and D_V are A-products over s^(L-1) and s^L and
-    1 - c = e(w) / s^(L(L-1)), the e(w) present go in as their lcm, and the
-    (polynomial, for a formal q) gcd is divided out per R_k. Floats divide.
+    The vector lives on the words of the contents it touches, ordered by
+    content, which moves keep; the window [j, k) of word number i is
+    (i // d^(n-k)) % d^(k-j). Exact entries are numerators over one
+    denominator per content: with the cleared entries (s, A), D_U and D_V
+    are A-products over s^(L-1) and s^L and 1 - c = e(w) / s^(L(L-1)).
+    Since a move keeps a word's content, the numerators of a content only
+    ever meet the e(w) of its own windows, so each content takes in the lcm
+    of those alone, and the (polynomial, for a formal q) gcd is divided out
+    per content and R_k. Floats divide.
     """
 
     def __init__(self, space, v, n):
@@ -621,18 +651,23 @@ class _Peeling:
         self.s, a = space._cleared
         dtype = float if self.kind == "float" else object
         self.a = a[0][0] if space.deformation.is_constant else np.array(a, dtype=dtype)
-        letters = np.array(np.unravel_index(np.arange(self.d**n), (self.d,) * n))
-        given = [sum((x - 1) * self.d ** (n - 1 - p) for p, x in enumerate(w)) for w in v._c]
-        key = _content_key(letters, self.d)
-        self.idx = np.flatnonzero(np.isin(key, key[given]))
+        letters, groups, _, content = _by_content(self.d, n)
+        given = [_number(w, self.d) for w in v._c]
+        touched = [groups[k] for k in sorted(set(content[given].tolist()))]
+        self.idx = np.concatenate(touched)
+        sizes = [len(g) for g in touched]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        self.slices = list(zip(bounds, bounds[1:]))
+        self.part = np.repeat(np.arange(len(sizes)), sizes)  # content number of each entry
         self.pos = np.full(self.d**n, -1)
         self.pos[self.idx] = np.arange(len(self.idx))
         self.words = [tuple(w) for w in (letters[:, self.idx].T + 1).tolist()]
         self.x = np.zeros(len(self.idx), dtype=dtype)
         if self.kind == "rational":
-            self.x[self.pos[given]], self.den = _over_one_denominator(list(v.items()))
+            self.x[self.pos[given]], self.den0 = _over_one_denominator(list(v.items()))
         else:
-            self.x[self.pos[given]], self.den = list(v._c.values()), 1
+            self.x[self.pos[given]], self.den0 = list(v._c.values()), 1
+        self.den = [self.den0] * len(self.slices)
 
     def _table(self, L):
         """Per window of length L: where U and V send it, the numerators of
@@ -670,8 +705,8 @@ class _Peeling:
 
     def _divide(self, x, j, k):
         """x / (1 - c(w)) on the window [j, k), times s^L for the sum that
-        follows; exact entries move the multiple of the e(w) present into
-        the denominator."""
+        follows; exact entries move, per content, the lcm of the e(w) present
+        into that content's denominator."""
         L = k - j
         *_, cls, es, reps = self._table(L)
         present = cls[self._window(j, k)[0]]
@@ -681,18 +716,29 @@ class _Peeling:
             raise GramSingularError(f"level-{L} Gram factor R_{L} on the window content {min(singular)} has 1 - c(w) = 0")
         if self.kind == "float":
             return x / np.array(es)[present]
-        values = {es[c] for c in used}
+        scale, values = self.s**L, {es[c] for c in used.tolist()}
         if len(values) == 1:  # e(w) itself, which may be negative for |q| > 1
-            multiple, factor = values.pop(), 1
-        else:
-            multiple = lcm(*values)
-            factor = np.array([multiple // e if e else 0 for e in es], dtype=object)[present]
-        self.den = self.den * multiple
-        return _scaled(x, factor * self.s**L)
+            (e,) = values
+            self.den = [den * e for den in self.den]
+            return _scaled(x, scale)
+        # factor[c * len(es) + k]: the multiple of content c over the e(w)
+        # of class k, times s^L
+        codes = self.part * len(es) + present
+        classes = {}
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            classes.setdefault(code // len(es), []).append(code % len(es))
+        factor = [scale] * (len(self.slices) * len(es))
+        for c, ks in classes.items():
+            values = {es[k] for k in ks}
+            multiple = values.pop() if len(values) == 1 else lcm(*values)
+            self.den[c] = self.den[c] * multiple
+            for k in ks:
+                factor[c * len(es) + k] = multiple // es[k] * scale
+        return x * np.array(factor, dtype=object)[codes]
 
     def _inverse(self, x, k):
-        """R_k^-1 on the first k places, with the common factor of the
-        numerators and the denominator divided out."""
+        """R_k^-1 on the first k places, with the common factor of each
+        content's numerators and denominator divided out."""
         s = self.s
         for j in range(k - 1):
             y = x = self._divide(x, j, k)
@@ -700,36 +746,50 @@ class _Peeling:
                 x = self._move(x, j, k, 1) + _scaled(y, s ** ((k - j) * t))
         for j in range(k - 2, -1, -1):
             x = _scaled(x, s ** (k - j - 1)) - self._move(x, j, k, 0)
-            self.den = self.den * s ** (k - j - 1)
-        if self.kind == "rational":
-            g = gcd(self.den, *x)
-            self.den //= g
-            return x // g
-        g = isinstance(self.den, QPoly) and self.den.common_factor(*(c for c in x if c))
-        if g:
-            self.den = self.den.exact_quotient(g)
-            x = np.array([c.exact_quotient(g) if c else c for c in x], dtype=object)
+            self.den = [den * s ** (k - j - 1) for den in self.den]
+        if self.kind == "float":
+            return x
+        x = x.copy()  # for k = 1 it is the source, which the check reads
+        for c, (lo, hi) in enumerate(self.slices):
+            if self.kind == "rational":
+                g = gcd(self.den[c], *x[lo:hi])
+                if g != 1:
+                    self.den[c] //= g
+                    x[lo:hi] //= g
+            elif isinstance(self.den[c], QPoly):
+                g = self.den[c].common_factor(*(v for v in x[lo:hi] if v))
+                if g:
+                    self.den[c] = self.den[c].exact_quotient(g)
+                    x[lo:hi] = [v.exact_quotient(g) if v else v for v in x[lo:hi]]
         return x
 
     def solve(self, below):
-        """The inverse; exact entries only once the forward product, s^(k-1) R_k
-        the sum over t of s^t D_U U on [t, k), gives the source back."""
-        source, den0 = self.x, self.den
+        """The inverse, one (words, coefficients) pair per content, made as
+        it is read; exact entries only once the forward product, s^(k-1)
+        R_k the sum over t of s^t D_U U on [t, k), gives the source back."""
+        source = self.x
         x = source
         for k in range(below + 1, self.n + 1):
             x = self._inverse(x, k)
         if self.kind == "float":
-            return FockVector._wrap({w: c for w, c in zip(self.words, x.tolist()) if c})
+            return ((self.words[lo:hi], x[lo:hi].tolist()) for lo, hi in self.slices)
         check, scale = x, 1
         for k in range(self.n, below, -1):
-            moved = [_scaled(self._move(check, t, k, 0), self.s**t) for t in range(k - 1)]
-            check = sum(moved, _scaled(check, self.s ** (k - 1)))
-            scale *= self.s ** (k - 1)
-        if any(a * den0 != b * self.den * scale for a, b in zip(check, source)):
-            raise ArithmeticError(f"the level-{self.n} solve failed its exact check")
-        # a formal level above 1 stays a ratio even where its denominator cancels
-        div = QRat if isinstance(self.den, QPoly) else _div
-        return FockVector._wrap({w: div(c, self.den) for w, c in zip(self.words, x) if c})
+            total = _scaled(check, self.s ** (k - 1))
+            for t in range(k - 1):
+                total = total + _scaled(self._move(check, t, k, 0), self.s**t)
+            check, scale = total, scale * self.s ** (k - 1)
+        for den, (lo, hi) in zip(self.den, self.slices):
+            den = den * scale
+            if any(a * self.den0 != b * den for a, b in zip(check[lo:hi], source[lo:hi])):
+                raise ArithmeticError(f"the level-{self.n} solve failed its exact check")
+        return self._parts(x)
+
+    def _parts(self, x):
+        for den, (lo, hi) in zip(self.den, self.slices):
+            # a formal level above 1 stays a ratio even where its denominator cancels
+            div = QRat if isinstance(den, QPoly) else _div
+            yield self.words[lo:hi], [div(c, den) for c in x[lo:hi]]
 
 
 def _scaled(x, c):
@@ -746,15 +806,21 @@ def _by_content(d, n):
     """The level-n words grouped by letter content: their letters (0-based,
     one column per word in lexicographic order), the word numbers of each
     content in increasing order, contents ordered as their sorted words,
-    and each word's position within its content. Shared and read-only."""
+    each word's position within its content and the number of its content.
+    Shared and read-only."""
     letters = np.indices((d,) * n).reshape(n, d**n)
     key = _content_key(letters, d)
     order = np.argsort(key, kind="stable")
     groups = tuple(map(_frozen, np.split(order, np.flatnonzero(np.diff(key[order])) + 1)))
-    rank = np.empty(d**n, dtype=np.intp)
-    for g in groups:
-        rank[g] = np.arange(len(g))
-    return _frozen(letters), groups, _frozen(rank)
+    rank, content = np.empty(d**n, dtype=np.intp), np.empty(d**n, dtype=np.intp)
+    for k, g in enumerate(groups):
+        rank[g], content[g] = np.arange(len(g)), k
+    return _frozen(letters), groups, _frozen(rank), _frozen(content)
+
+
+def _number(word, d):
+    """The number of a word among the words of its length, lexicographically."""
+    return sum((x - 1) * d ** (len(word) - 1 - p) for p, x in enumerate(word))
 
 
 def _content_key(letters, d):

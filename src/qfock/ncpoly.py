@@ -15,7 +15,9 @@ exists:
 
 * the Wick transform: the unique polynomial sending the vacuum to a given
   basis vector, via the peeling recursion and via the singleton/pair
-  diagram family D;
+  diagram family D; a whole vector is expanded by one pass over the
+  prefix trie of its words, from e_a (x) y = X_a y - l_a y, in integers
+  scaled by s^E for a rational deformation (see :func:`vector_to_poly`);
 * the free difference quotient: the Leibniz derivation with
   d_i(letter j) = delta_ij 1 (x) 1, via Leibniz on monomials and via the
   C-family diagram sum (whose weight skips crossings between right-area
@@ -29,6 +31,9 @@ exists:
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .dual import _diagram_terms, conjugate_series
 from .fock import FockSpace, FockVector, TruncationError, WordMap, _add_to
@@ -151,8 +156,55 @@ def wick_partition(space: FockSpace, word) -> NCPoly:
 
 
 def vector_to_poly(space: FockSpace, v: FockVector) -> NCPoly:
-    """Exact inverse of applying a polynomial to the vacuum."""
-    return NCPoly.combination((wick_recursive(space, w), c) for w, c in v.items())
+    """Exact inverse of applying a polynomial to the vacuum, by one pass
+    over the prefix trie of the words of v.
+
+    With v = c_0 vacuum + sum_a e_a (x) v_a and e_a (x) y = X_a y - l_a y,
+    P(v) = c_0 + sum_a X_a P(v_a) - P(sum_a l_a v_a). So the trie node p
+    holds the tails still to expand after the prefix p, longest first: a
+    tail a y moves y to the node pa and puts -l_a y back into p, and the
+    constant left at p is the coefficient of the monomial p.
+
+    Rational entries and coefficients run on integers, each value held
+    times s^E D: (s, A) are the cleared entries, D the coefficients' common
+    denominator and E = n(n-1)/2 for the top length n. Annihilating at
+    place t <= L - 2 of a tail of length L divides by s^t, and the places
+    along any chain of ever shorter tails sum to less than E, so every
+    division is exact and each monomial forms one ``Fraction``. Other
+    entries take s = 1 through the same loop, as ``FockSpace.annihilate``
+    does.
+    """
+    terms = list(v.items())
+    exact = space._rational and all(isinstance(c, (int, Fraction)) for _, c in terms)
+    s, a = space._cleared if exact else (1, space.deformation.entries)
+    top = max((len(w) for w, _ in terms), default=0)
+    den = lcm(*(c.denominator for _, c in terms)) * s ** (top * (top - 1) // 2) if exact else 1
+    powers = [s**t for t in range(top)]
+    out = {}
+    stack = [((), {w: c.numerator * (den // c.denominator) if exact else c for w, c in terms})]
+    while stack:
+        prefix, tails = stack.pop()
+        by_length, below = {}, {}
+        for w, c in tails.items():
+            by_length.setdefault(len(w), {})[w] = c
+        for n in range(top, 0, -1):
+            lower = by_length.setdefault(n - 2, {}) if n > 1 else None
+            for w, c in by_length.get(n, {}).items():
+                first, rest = w[0], w[1:]
+                below.setdefault(first, {})[rest] = c
+                if first not in rest:
+                    continue
+                row, weight = a[first - 1], 1
+                last = len(rest) - 1 - rest[::-1].index(first)
+                for t, letter in enumerate(rest[: last + 1]):
+                    if letter == first:
+                        _add_to(lower, rest[:t] + rest[t + 1 :], -(c // powers[t] if s != 1 else c) * weight)
+                    weight = weight * row[letter - 1]
+        constant = by_length.get(0, {}).get(())
+        if constant:
+            out[prefix] = Fraction(constant, den) if exact else constant
+        stack += ((prefix + (letter,), sub) for letter, sub in below.items())
+    return NCPoly._wrap(out)
 
 
 def poly_apply(space: FockSpace, p: NCPoly, v: FockVector) -> FockVector:

@@ -10,10 +10,12 @@ oracles take the direct routes instead:
   letter, X_i (P_i vacuum) and P_i e_i, and sums the differences;
 * ``annihilate_by_letters`` builds each running weight q(i, .) as a chain
   of entry products, letter by letter, and ``gaussian_by_letters`` adds it
-  to the creation as two separate vectors.
+  to the creation as two separate vectors;
+* ``wick_by_words`` expands a vector word by word, where the library makes
+  one pass over the prefix trie of its words.
 """
 
-from qfock import FockSpace, FockVector
+from qfock import FockSpace, FockVector, NCPoly, wick_recursive
 
 
 def apply_by_monomials(space, p, v):
@@ -54,3 +56,9 @@ def gaussian_by_letters(space, i, v):
     """The field operator as the sum of two vectors, the creation and
     ``annihilate_by_letters``."""
     return space.create(i, v) + annihilate_by_letters(space, i, v)
+
+
+def wick_by_words(space, v):
+    """The polynomial sending the vacuum to v, as the sum over the words w
+    of v of c_w times the Wick polynomial ``wick_recursive(w)``."""
+    return NCPoly.combination((wick_recursive(space, w), c) for w, c in v.items())

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -895,7 +898,7 @@ _KEY_LEVEL = {
     "blocks": lambda n: n,
     "dual": lambda key: len(key[1]),
     "wick": len,
-    "xi": lambda key: 2 * key[1] + 1,
+    "xi": lambda m: 2 * m + 1,
     # (family, pattern): B and C patterns carry vertex 0 as well
     "diagrams": lambda key: len(key[1]) - (key[0] != "D"),
     # the window length of the inverse peeling's move tables
@@ -923,3 +926,38 @@ class TestMemoBounds:
         assert set(sp._memos) == set(_KEY_LEVEL)
         for name, memo in sp._memos.items():
             assert all(_KEY_LEVEL[name](key) <= sp.level for key in memo), name
+
+
+# run in a fresh interpreter: the commands, then every module that main
+# imported, one name a line
+_FRESH_RUN = """
+import contextlib, io, sys
+import qfock.cli
+before = set(sys.modules)
+extra = sys.argv[1:]
+for argv in ("export xi", "export fisher", "export gibbs", "verify duality", "verify gibbs"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qfock.cli.main(argv.split() + "--d 2 --level 5 --series-m 2".split() + extra)
+    assert code == 0, argv
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestColdImports:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["constant", "mixed"])
+    def test_exact_series_commands_import_no_numpy_module(self, tmp_path, mixed):
+        # a lazily imported numpy module (numpy.ma, loaded by a plain
+        # np.unique, takes about 30 ms) is paid by every command-line run
+        extra = []
+        if mixed:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"d": 2, "entries": [["1/3", "2/5"], ["2/5", "-3/7"]]}))
+            extra = ["--q-matrix", str(path)]
+        src = os.path.dirname(os.path.dirname(qfock.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, *extra], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert [name for name in loaded if name == "numpy" or name.startswith("numpy.")] == []

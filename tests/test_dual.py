@@ -211,11 +211,20 @@ class TestConjugateSeries:
                     assert isinstance(at_q0, (int, Fraction))
                     assert Fraction(at_q0) == Fraction(xi_q.coeff(w)), (q0, i, w)
 
-    def test_levels_are_shared_between_lengths_and_calls(self):
+    def test_levels_are_shared_between_lengths_and_calls(self, monkeypatch):
         defm = Deformation(
             [[Fraction(1, 3), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 4)]]
         )
         shared = FockSpace(defm, level=7)
+        built = []
+        build = qfock.dual._series_build
+
+        def counted(space, m):
+            if space is shared:
+                built.append(m)
+            return build(space, m)
+
+        monkeypatch.setattr(qfock.dual, "_series_build", counted)
         for i in (1, 2):
             full = conjugate_series(FockSpace(defm, level=7), i, 3)
             for M in (3, 0, 2, 1, 3):
@@ -223,8 +232,10 @@ class TestConjugateSeries:
                 for m in range(M + 1):
                     pieces = pieces + full.level(2 * m + 1)
                 assert conjugate_series(shared, i, M) == pieces
-        # one memoized level per index and source length
-        assert len(shared._memos["xi"]) == 2 * 4
+        # one memoized level per source length, holding every index, and
+        # each level built once
+        assert sorted(shared._memos["xi"]) == [0, 1, 2, 3]
+        assert sorted(built) == [0, 1, 2, 3]
 
 
 MIXED_2 = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])

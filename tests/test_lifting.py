@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qfock.fock
 from qfock import FORMAL_Q, Deformation, FockSpace, GramSingularError
-from qfock.dual import _series_level, _series_rhs
+from qfock.dual import _series_level, _series_rhs, _series_source
 
 
 def _levels(space):
@@ -117,3 +117,86 @@ class TestExactCheck:
         monkeypatch.setattr(qfock.fock._Peeling, "_inverse", corrupted)
         with pytest.raises(ArithmeticError, match="level-5 solve failed its exact check"):
             _series_level(FockSpace(defm, 5), 1, 2)
+
+
+MIXED_2 = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+MIXED_3 = Deformation(
+    [
+        [Fraction(-1, 3), Fraction(2, 5), Fraction(1, 7)],
+        [Fraction(2, 5), Fraction(3, 7), Fraction(-1, 5)],
+        [Fraction(1, 7), Fraction(-1, 5), Fraction(2, 3)],
+    ]
+)
+DIAGONAL_3 = Deformation([[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 0], [0, 0, Fraction(2, 5)]])
+
+
+def _floats(defm):
+    return Deformation([[float(v) for v in row] for row in defm.entries])
+
+
+class TestOneSolveForEveryLetter:
+    """A level of the conjugate variables is one peeling of the sum of the
+    c_i of every letter, split back by the letter each content holds an
+    odd number of times. Each letter's part equals a peeling of its c_i
+    alone, and the Fraction solve of G_{2m+1} x = b_i."""
+
+    @pytest.mark.parametrize(
+        "defm,level",
+        [
+            *((Deformation.constant(d, q), 7 if d < 3 else 5) for q in (Fraction(1, 2), Fraction(-1, 2)) for d in (1, 2, 3)),
+            (MIXED_2, 7),
+            (MIXED_3, 5),
+            (Deformation([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]), 7),
+            (DIAGONAL_3, 7),
+            (Deformation.constant(2, FORMAL_Q), 5),
+            (Deformation.constant(3, FORMAL_Q), 3),
+            (Deformation.constant(2, 0.5), 7),
+            (_floats(MIXED_2), 7),
+            (_floats(MIXED_3), 7),
+        ],
+        ids=[
+            *(f"{q}-d{d}" for q in ("1/2", "-1/2") for d in (1, 2, 3)),
+            "mixed-d2",
+            "mixed-d3",
+            "diagonal-d2",
+            "diagonal-d3",
+            "formal-d2",
+            "formal-d3",
+            "float-d2",
+            "float-mixed-d2",
+            "float-mixed-d3",
+        ],
+    )
+    def test_equals_a_lone_peeling_and_the_fraction_solve(self, defm, level):
+        sp = FockSpace(defm, level)
+        for m in range((level - 1) // 2 + 1):
+            for i in range(1, sp.d + 1):
+                got = _series_level(sp, i, m)
+                assert got == FockSpace(defm, level).inverse_peel(_series_source(sp, i, m), m), (i, m)
+                want = ldl_solve(sp, _series_rhs(sp, i, m))
+                if defm.is_float:
+                    assert got.support() == want.support()
+                    assert (got - want).max_coeff_magnitude() <= 1e-12 * want.max_coeff_magnitude(), (i, m)
+                else:
+                    assert got == want, (i, m)
+
+    @pytest.mark.parametrize("q", [MIXED_3, Fraction(1, 2), Fraction(-1, 2)], ids=["mixed", "1/2", "-1/2"])
+    def test_level_7_d3_equals_a_lone_peeling(self, q):
+        # the Fraction solve of the level-7 blocks takes seconds at d = 3
+        defm = q if isinstance(q, Deformation) else Deformation.constant(3, q)
+        sp = FockSpace(defm, 7)
+        for i in range(1, 4):
+            assert _series_level(sp, i, 3) == FockSpace(defm, 7).inverse_peel(_series_source(sp, i, 3), 3), i
+
+    @pytest.mark.parametrize("defm", [MIXED_3, Deformation.constant(3, Fraction(1, 2)), _floats(MIXED_3)], ids=["mixed", "1/2", "float-mixed"])
+    def test_groups_of_contents_change_no_coefficient(self, monkeypatch, defm):
+        # moves keep contents, so peeling each content alone, or a few at a
+        # time, gives every coefficient of one peeling of the whole level
+        def levels(words):
+            monkeypatch.setattr(qfock.fock, "PEEL_WORDS", words)
+            sp = FockSpace(defm, 7)
+            return [_series_level(sp, i, m).items() for m in range(4) for i in range(1, 4)]
+
+        whole = levels(3**7)
+        assert levels(1) == whole
+        assert levels(100) == whole

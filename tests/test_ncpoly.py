@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from apply_oracles import apply_by_monomials, commutator_by_letters
+from apply_oracles import apply_by_monomials, commutator_by_letters, wick_by_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +92,9 @@ class TestWick:
                 assert poly_apply(sym2, wick_recursive(sym2, w), sym2.vacuum()) == e(w)
 
 
+MIXED = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+
+
 class TestVectorToPoly:
     def test_single_letter(self, sym2):
         assert vector_to_poly(sym2, e((2,))) == NCPoly.letter(2)
@@ -115,8 +118,39 @@ class TestVectorToPoly:
             want = NCPoly({(1,) * k: c for k, c in enumerate(h.coeffs) if c})
             assert vector_to_poly(sym1, e((1,) * n)) == want
 
+    @staticmethod
+    def _vectors(space, coeff):
+        """The zero vector, the conjugate variable xi_1 to M = 2 (odd
+        words), and random vectors of even words and of both parities, each
+        with a vacuum coefficient."""
+        rng = random.Random(17)
+        xi = conjugate_series(space, 1, 2)
+        yield FockVector()
+        yield FockVector({w: coeff(c) for w, c in xi.items()}) if space.deformation.is_float else xi
+        for lengths in ((0, 2, 4, 6), range(7)):
+            words = [w for n in lengths if n for w in space.words(n)]
+            picked = rng.sample(words, 24)
+            yield FockVector({(): coeff(Fraction(3, 7)), **{w: coeff(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for w in picked}})
 
-MIXED = Deformation([[Fraction(1, 3), Fraction(2, 5)], [Fraction(2, 5), Fraction(-3, 7)]])
+    @pytest.mark.parametrize(
+        "defm",
+        [Deformation.constant(2, Fraction(1, 2)), MIXED, Deformation.constant(2, Q)],
+        ids=["half", "mixed", "formal"],
+    )
+    def test_trie_pass_equals_word_by_word(self, defm):
+        sp = FockSpace(defm, 6)
+        for v in self._vectors(sp, lambda c: c):
+            assert vector_to_poly(sp, v) == wick_by_words(sp, v)
+
+    @pytest.mark.parametrize("entries", [[[0.9, 0.9], [0.9, 0.9]], [[float(x) for x in row] for row in MIXED.entries]], ids=["0.9", "mixed"])
+    def test_float_trie_pass_within_relative_1e12(self, entries):
+        sp = FockSpace(Deformation(entries), 6)
+        for v in self._vectors(sp, float):
+            got, want = vector_to_poly(sp, v), wick_by_words(sp, v)
+            assert (got - want).max_coeff_magnitude() <= 1e-12 * want.max_coeff_magnitude()
+            assert bool(got) == bool(want)
+
+
 COMMUTATOR_CASES = [
     (Deformation.constant(2, Fraction(1, 2)), 2),
     (MIXED, 3),
