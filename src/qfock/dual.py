@@ -285,9 +285,10 @@ def _check_source_length(space: FockSpace, source_length):
 
 def conjugate_series(space: FockSpace, i, source_length: int) -> FockVector:
     """Partial sum of the conjugate variable over source words up to the
-    given length; the level-(2m+1) component comes from words of length m."""
+    given length; the level-(2m+1) component comes from words of length m,
+    so the levels' maps are disjoint and joined as they are."""
     _check_source_length(space, source_length)
-    return FockVector.combination((_series_level(space, i, m), 1) for m in range(source_length + 1))
+    return FockVector._wrap({w: c for m in range(source_length + 1) for w, c in _series_level(space, i, m).items()})
 
 
 @dataclass(frozen=True)

@@ -21,27 +21,27 @@ peels the last letter j of the row word:
 Removing one j from both words keeps equal letter contents (the sorted
 letters) equal, so G_n is block-diagonal over contents: entries between
 words of different content are exactly 0. Each level is stored as its
-content blocks, built from the blocks of the level below; ``blocks(n)`` is
-the only view of G_n, with no dense matrix over the whole word basis. A
-block is one read-only numpy array, float64 for float entries and Python
-objects otherwise, built by whole-array gathers that add each entry's
-terms in the order of the recursion above, whatever the kind of entry.
+content blocks, the forward product G_n = (R_2 (x) 1) ... (R_{n-1} (x) 1)
+R_n of the peeling factors (encoded once, in ``_Peeling``) on its unit
+vectors; ``blocks(n)`` is the only view of G_n, with no dense matrix over
+the whole word basis. A block is one read-only numpy array, float64 for
+float entries and Python objects otherwise.
 
 For rational entries the blocks are integers. With s the common
-denominator of the entries and A = s q their numerators, s^(n-1) times a
-peeling weight is the integer s^t prod_{r>t} A(j, v[r]), so the same
-recursion run on A gives Ĝ_n = s^(n(n-1)/2) G_n in Python ints. A block
-stores Ĝ_n with that scale, and its readers (``inner``, the right-hand
-sides of the conjugate variables) divide by it once. Float and formal
-entries take s = 1 through the same code, so their blocks are the Gram
-entries themselves.
+denominator of the entries and A = s q their numerators, s^(k-1) R_k moves
+w_t with the integer weight s^t prod_{r>t} A(w_t, w_r), so the forward
+product gives Ĝ_n = s^(n(n-1)/2) G_n in Python ints. A block stores Ĝ_n
+with that scale, and its readers (``inner``, the right-hand sides of the
+conjugate variables) divide by it once. Float and formal entries take
+s = 1 through the same code, so their blocks are the Gram entries
+themselves.
 
 No Gram block is solved: ``inverse_peel`` applies G_n^-1 (G_m (x) 1) by
 the explicit inverses of the peeling factors (see ``_Peeling``). Their
 moves keep each word's letter content, so exact numerators are carried
 over one denominator per content, which takes in only the 1 - c(w) of
 that content's own windows, and a level's contents are peeled together
-in groups of up to ``PEEL_WORDS`` words. Blocks are read by ``inner``,
+in runs of up to ``PEEL_WORDS`` words. Blocks are read by ``inner``,
 the Fisher pairing and the float eigenproblems of :mod:`qfock.norms`,
 factored by ``gram_cholesky``. For |q_ij| < 1 the
 Gram form is positive (M. Bozejko and R. Speicher, Comm. Math. Phys. 137,
@@ -96,6 +96,11 @@ __all__ = [
 # took 7 s in groups of 2^13 words and 12 s with every content at once (on
 # a 2-core x86-64 box)
 PEEL_WORDS = 2**13
+
+# the most entries (words times columns) one forward product for the Gram
+# blocks holds: float d=6 levels 0-6 took 0.23, 0.22, 0.43 and 0.33 s and
+# 130, 130, 131 and 205 MB with 2^13, 2^17, 2^19 and no limit (same box)
+FORWARD_ENTRIES = 2**17
 
 
 class TruncationError(RuntimeError):
@@ -332,7 +337,7 @@ class FockSpace:
     All operator applications are pure. The per-level words and Gram
     blocks, and the memos of the dual operators, Wick polynomials,
     conjugate-variable levels, diagram tables with their weights and the
-    window tables of the inverse peeling are write-once tables (see
+    window tables of the peeling factors are write-once tables (see
     ``_memo``), so a space can be shared freely between threads. Every
     key stays within the truncation level, so the tables are bounded by
     it; a diagram table holds at most one set of weights per letter
@@ -516,59 +521,31 @@ class FockSpace:
 
     def blocks(self, n):
         """The content blocks of G_n as {content: block with ``words``,
-        ``index`` and ``rows``}, built once by the right-peeling recursion
-        from the blocks of G_{n-1}; every thread gets the same object."""
+        ``index``, ``rows`` and ``scale``} in content order, built once by
+        the forward product of the peeling factors; every thread gets the
+        same object."""
         return self._memo("blocks", n, FockSpace._build_blocks, self, n)
 
     def _build_blocks(self, n):
-        """The level-n blocks by whole-array gathers. The rows of content c
-        that end in letter j are the words of content c - j with j
-        appended, in the same order. So they are the sum over the places t
-        of j in the column word v, in increasing t and skipping a zero
-        weight, of W_t(v) S[:, P_t(v)]: S is the block of c - j, P_t(v)
-        numbers v without place t in it, and W_t(v) = s^t prod_{r>t}
-        A(j, v[r]) is s^(n-1) times the weight for G_n. Every word of c
-        holds j equally often, so the k-th places of j of all columns are
-        gathered at once, and each entry is the same sum in the same order
-        as the recursion written entry by entry."""
-        s, a = self._cleared
-        d, dtype = self.d, float if self.deformation.is_float else object
-        if n == 0:
-            return {(): _Block([()], {(): 0}, _frozen(np.ones((1, 1), dtype=dtype)), 1)}
-        below, words = self.blocks(n - 1), self.words(n)
-        letters, groups, *_ = _by_content(d, n)
-        rank = _by_content(d, n - 1)[2]
-        entries = np.empty((d, d), dtype=dtype)
-        entries[:] = a
-        # row t: W_t and P_t of every word; word number num without place t
-        # keeps the first t letters, num // d^(n-t), and the last n-1-t
-        weight = np.empty((n, d**n), dtype=dtype)
-        weight[:] = np.array([s**t for t in range(n)], dtype=dtype)[:, None]
-        for r in range(1, n):
-            weight[:r] = weight[:r] * entries[letters[:r], letters[r]]
-        num, low = np.arange(d**n), d ** np.arange(n - 1, -1, -1)[:, None]
-        pos = rank[num // (low * d) * low + num % low]
-        # each word's places sorted by letter, then by place: in a word of
-        # content c the places of j are rows c.index(j) onwards
-        by_letter = np.argsort(letters, axis=0, kind="stable"), num
-        weight, pos = weight[by_letter], pos[by_letter]
-        live = weight.astype(bool)
-        blocks = {}
-        for g in groups:
-            content, last = _content(words[g[0]]), letters[-1, g]
-            rows = np.empty((len(g), len(g)), dtype=dtype)
-            for j in sorted(set(content)):
-                first = content.index(j)
-                sub = below[content[:first] + content[first + 1 :]].rows
-                acc = np.zeros((len(sub), len(g)), dtype=dtype)
-                for k in range(first, first + content.count(j)):
-                    cols = live[k, g]
-                    acc[:, cols] += weight[k, g[cols]] * sub[:, pos[k, g[cols]]]
-                rows[last == j - 1] = acc
-            block_words = [words[k] for k in g.tolist()]
-            index = {w: k for k, w in enumerate(block_words)}
-            blocks[content] = _Block(block_words, index, _frozen(rows), s ** (n * (n - 1) // 2))
-        return blocks
+        """The level-n blocks by ``_Peeling.forward`` on the unit vectors in
+        rank form (column r of a word's row is the word of rank r in its
+        content), one identity per content; contents of one size share a
+        peeling, up to ``FORWARD_ENTRIES`` entries. Its scale, s^(n(n-1)/2),
+        is the blocks' own."""
+        groups = _by_content(self.d, n)[1]
+        by_size = {}
+        for k, g in enumerate(groups):
+            by_size.setdefault(len(g), []).append(k)
+        built = {}
+        for size, contents in by_size.items():
+            for run in _runs(contents, groups, FORWARD_ENTRIES // size):
+                peeling = _Peeling(self, n, run)
+                gram, scale = peeling.forward(np.tile(np.eye(size, dtype=peeling.dtype), (len(run), 1)), n, 0)
+                for k, (lo, hi) in zip(run, peeling.slices):
+                    words = peeling.words[lo:hi]
+                    index = {w: r for r, w in enumerate(words)}
+                    built[k] = _Block(words, index, _frozen(gram[lo:hi]), scale)
+        return {_content(built[k].words[0]): built[k] for k in range(len(groups))}
 
     def inverse_peel(self, v: FockVector, below: int) -> FockVector:
         """R_n^-1 (R_{n-1}^-1 (x) 1) ... (R_{below+1}^-1 (x) 1) v for v on one
@@ -577,27 +554,23 @@ class FockSpace:
 
     def _peeled(self, v, below):
         """``inverse_peel`` as one (words, coefficients) pair per content,
-        the contents taken in groups of at most ``PEEL_WORDS`` words."""
+        the contents taken in runs of at most ``PEEL_WORDS`` words."""
         if not v:
             return []
         (n,) = {len(w) for w in v._c}
         self._check_level(n)
-        _, groups, _, content = _by_content(self.d, n)
+        _, groups, content = _by_content(self.d, n)
         parts = {}
         for w, c in v._c.items():
             parts.setdefault(int(content[_number(w, self.d)]), {})[w] = c
-        chunks, size = [], PEEL_WORDS
-        for k in sorted(parts):
-            if size + len(groups[k]) > PEEL_WORDS:
-                chunks.append({})
-                size = 0
-            chunks[-1].update(parts[k])
-            size += len(groups[k])
-        return chain.from_iterable(_Peeling(self, FockVector._wrap(part), n).solve(below) for part in chunks)
+        runs = _runs(sorted(parts), groups, PEEL_WORDS)
+        return chain.from_iterable(
+            _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below) for run in runs
+        )
 
 
 class _Peeling:
-    """The explicit inverse of the right-peeling factors of one level.
+    """The right-peeling factors of one level and their explicit inverse.
 
     R_n e_w is the sum over the places t of w of T_t e_w: w_t moved to the
     end, with weight prod_{s>t} q(w_t, w_s). On a window of length n,
@@ -632,28 +605,27 @@ class _Peeling:
     constant q they are Zagier's 1 - q^(n(n-1)) (D. Zagier, Comm. Math.
     Phys. 147, 1992). No positivity is needed.
 
-    The vector lives on the words of the contents it touches, ordered by
+    A peeling lives on the words of the given contents, ordered by
     content, which moves keep; the window [j, k) of word number i is
-    (i // d^(n-k)) % d^(k-j). Exact entries are numerators over one
+    (i // d^(n-k)) % d^(k-j). One ``forward`` serves the exact check of
+    ``solve`` and the Gram blocks. Exact entries are numerators over one
     denominator per content: with the cleared entries (s, A), D_U and D_V
     are A-products over s^(L-1) and s^L and 1 - c = e(w) / s^(L(L-1)).
     Since a move keeps a word's content, the numerators of a content only
     ever meet the e(w) of its own windows, so each content takes in the lcm
     of those alone, and the (polynomial, for a formal q) gcd is divided out
-    per content and R_k. Floats divide.
+    per content and R_k. Floats divide; the forward product never does, so
+    only the inverse needs a constant formal q.
     """
 
-    def __init__(self, space, v, n):
+    def __init__(self, space, n, contents):
         self.space, self.n, self.d = space, n, space.d
         self.kind = "rational" if space._rational else "float" if space.deformation.is_float else "formal"
-        if self.kind == "formal" and not space.deformation.is_constant:
-            raise ValueError("formal conjugate variables need one constant q")
         self.s, a = space._cleared
-        dtype = float if self.kind == "float" else object
-        self.a = a[0][0] if space.deformation.is_constant else np.array(a, dtype=dtype)
-        letters, groups, _, content = _by_content(self.d, n)
-        given = [_number(w, self.d) for w in v._c]
-        touched = [groups[k] for k in sorted(set(content[given].tolist()))]
+        self.dtype = float if self.kind == "float" else object
+        self.a = a[0][0] if space.deformation.is_constant else np.array(a, dtype=self.dtype)
+        letters, groups, _ = _by_content(self.d, n)
+        touched = [groups[k] for k in contents]
         self.idx = np.concatenate(touched)
         sizes = [len(g) for g in touched]
         bounds = np.cumsum([0, *sizes]).tolist()
@@ -662,12 +634,6 @@ class _Peeling:
         self.pos = np.full(self.d**n, -1)
         self.pos[self.idx] = np.arange(len(self.idx))
         self.words = [tuple(w) for w in (letters[:, self.idx].T + 1).tolist()]
-        self.x = np.zeros(len(self.idx), dtype=dtype)
-        if self.kind == "rational":
-            self.x[self.pos[given]], self.den0 = _over_one_denominator(list(v.items()))
-        else:
-            self.x[self.pos[given]], self.den0 = list(v._c.values()), 1
-        self.den = [self.den0] * len(self.slices)
 
     def _table(self, L):
         """Per window of length L: where U and V send it, the numerators of
@@ -693,14 +659,16 @@ class _Peeling:
         unit = self.d ** (self.n - k)
         return (self.idx // unit) % self.d ** (k - j), unit
 
-    def _move(self, x, j, k, which):
+    def _move(self, x, j, k, which, times=1):
         """D_U U (which = 0) or D_V V (1) on the window [j, k), with weight
-        numerators over s^(L-1) and s^L."""
+        numerators over s^(L-1) and s^L times ``times``, on the rows of x."""
         table = self._table(k - j)
         to, weight = table[which], table[2 + which]
         wnd, unit = self._window(j, k)
+        if np.ndim(weight):
+            weight = weight[wnd].reshape((-1,) + (1,) * (x.ndim - 1))
         out = np.empty_like(x)
-        out[self.pos[self.idx + (to[wnd] - wnd) * unit]] = x * (weight if np.ndim(weight) == 0 else weight[wnd])
+        out[self.pos[self.idx + (to[wnd] - wnd) * unit]] = x * _scaled(weight, times)
         return out
 
     def _divide(self, x, j, k):
@@ -763,25 +731,40 @@ class _Peeling:
                     x[lo:hi] = [v.exact_quotient(g) if v else v for v in x[lo:hi]]
         return x
 
-    def solve(self, below):
-        """The inverse, one (words, coefficients) pair per content, made as
-        it is read; exact entries only once the forward product, s^(k-1)
-        R_k the sum over t of s^t D_U U on [t, k), gives the source back."""
-        source = self.x
+    def forward(self, x, top, below):
+        """(R_{below+1} (x) 1) ... R_top x, each R_k on the first k places
+        and times s^(k-1), with the product of the s^(k-1) as its scale; x
+        is one vector on the peeling's words or a matrix of them (columns)."""
+        scale = 1
+        for k in range(top, below, -1):
+            total = _scaled(x, self.s ** (k - 1))
+            for t in range(k - 1):
+                total = total + self._move(x, t, k, 0, self.s**t)
+            x, scale = total, scale * self.s ** (k - 1)
+        return x, scale
+
+    def solve(self, v, below):
+        """The inverse on v, a map from the peeling's words to coefficients,
+        as one (words, coefficients) pair per content, made as it is read;
+        exact entries only once ``forward`` gives v back."""
+        if self.kind == "formal" and not self.space.deformation.is_constant:
+            raise ValueError("formal conjugate variables need one constant q")
+        source = np.zeros(len(self.idx), dtype=self.dtype)
+        given = self.pos[[_number(w, self.d) for w in v]]
+        if self.kind == "rational":
+            source[given], den0 = _over_one_denominator(list(v.items()))
+        else:
+            source[given], den0 = list(v.values()), 1
+        self.den = [den0] * len(self.slices)
         x = source
         for k in range(below + 1, self.n + 1):
             x = self._inverse(x, k)
         if self.kind == "float":
             return ((self.words[lo:hi], x[lo:hi].tolist()) for lo, hi in self.slices)
-        check, scale = x, 1
-        for k in range(self.n, below, -1):
-            total = _scaled(check, self.s ** (k - 1))
-            for t in range(k - 1):
-                total = total + _scaled(self._move(check, t, k, 0), self.s**t)
-            check, scale = total, scale * self.s ** (k - 1)
+        check, scale = self.forward(x, self.n, below)
         for den, (lo, hi) in zip(self.den, self.slices):
             den = den * scale
-            if any(a * self.den0 != b * den for a, b in zip(check[lo:hi], source[lo:hi])):
+            if any(a * den0 != b * den for a, b in zip(check[lo:hi], source[lo:hi])):
                 raise ArithmeticError(f"the level-{self.n} solve failed its exact check")
         return self._parts(x)
 
@@ -796,6 +779,19 @@ def _scaled(x, c):
     return x if np.ndim(c) == 0 and c == 1 else x * c
 
 
+def _runs(contents, groups, limit):
+    """The content numbers, in order, in runs of at most ``limit`` words
+    (a larger content alone): the one rule for sharing a ``_Peeling``."""
+    runs, size = [], limit
+    for k in contents:
+        if size + len(groups[k]) > limit:
+            runs.append([])
+            size = 0
+        runs[-1].append(k)
+        size += len(groups[k])
+    return runs
+
+
 def _frozen(rows):
     rows.flags.writeable = False
     return rows
@@ -806,16 +802,15 @@ def _by_content(d, n):
     """The level-n words grouped by letter content: their letters (0-based,
     one column per word in lexicographic order), the word numbers of each
     content in increasing order, contents ordered as their sorted words,
-    each word's position within its content and the number of its content.
-    Shared and read-only."""
+    and the number of each word's content. Shared and read-only."""
     letters = np.indices((d,) * n).reshape(n, d**n)
     key = _content_key(letters, d)
     order = np.argsort(key, kind="stable")
     groups = tuple(map(_frozen, np.split(order, np.flatnonzero(np.diff(key[order])) + 1)))
-    rank, content = np.empty(d**n, dtype=np.intp), np.empty(d**n, dtype=np.intp)
+    content = np.empty(d**n, dtype=np.intp)
     for k, g in enumerate(groups):
-        rank[g], content[g] = np.arange(len(g)), k
-    return _frozen(letters), groups, _frozen(rank), _frozen(content)
+        content[g] = k
+    return _frozen(letters), groups, _frozen(content)
 
 
 def _number(word, d):

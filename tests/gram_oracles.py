@@ -16,9 +16,12 @@ complement, a block-diagonal Gram over several levels), as a check on the
 library's per-block eigenproblems.
 
 ``gram_rows`` reads a content block back as the Gram entries themselves:
-the library stores rational blocks as integers, scale times G_n.
-``peeled_blocks`` builds the blocks by the library's own recursion written
-entry by entry, against its whole-array gathers.
+the library stores rational blocks as integers, scale times G_n. Two
+oracles build those scaled blocks without it: ``peeled_blocks`` by the
+right-peeling recursion entry by entry from the level below, a route the
+library does not take, and ``forward_blocks`` by the library's forward
+product of the peeling factors written word by word, in its order of
+operations, so that float blocks agree bit for bit.
 
 ``ldl`` factors one block as L·D·Lᵀ without pivoting, and ``ldl_solve``
 is the Gram solve built on it: each touched block factored, then
@@ -97,13 +100,13 @@ def gram_rows(blk):
 
 def peeled_blocks(space, n):
     """{content: (words, rows)} of level n by the right-peeling recursion
-    written entry by entry, on the space's cleared entries (s, A), as the
-    library built its blocks before it gathered whole arrays: row u'j,
-    column v is the sum, over the places t of v with v[t] = j and a
+    written entry by entry, on the space's cleared entries (s, A): row
+    u'j, column v is the sum, over the places t of v with v[t] = j and a
     nonzero weight s^t prod_{r>t} A(j, v[r]), in increasing t, of the
-    weight times the level-(n-1) entry at (u', v without t). Rows are
-    lists of the scaled entries, ints for rational entries; a row entry
-    with no term is the int 0."""
+    weight times the level-(n-1) entry at (u', v without t). The library
+    builds its blocks by the forward product instead, so this shares no
+    code with it. Rows are lists of the scaled entries, ints for rational
+    entries; a row entry with no term is the int 0."""
     s, a = space._cleared
     if n == 0:
         return {(): ([()], [[1.0 if space.deformation.is_float else 1]])}
@@ -138,6 +141,50 @@ def peeled_blocks(space, n):
                 row.append(total)
             rows.append(row)
         blocks[content] = (words, rows)
+    return blocks
+
+
+def forward_blocks(space, n):
+    """{content: (words, rows)} of level n as G_n e_v = (R_2 (x) 1) ...
+    (R_{n-1} (x) 1) R_n e_v, word by word on the space's cleared entries
+    (s, A): row u, column r is entry u of that product on the unit vector
+    of the content's word of rank r. s^(k-1) R_k sends x to s^(k-1) x plus,
+    in increasing t = 0 .. k-2, s^t times the move of the letter at place t
+    to place k-1: entry u takes x at u[:t] + u[k-1] + u[t:k-1] + u[k:]
+    times the weight prod_{t<r<k} A(letter moved, letter r), multiplied
+    left to right, or A^(k-1-t) at constant q. The units are 1.0 for float
+    entries and the int 1 otherwise."""
+    s, a = space._cleared
+    constant = space.deformation.is_constant
+    one = 1.0 if space.deformation.is_float else 1
+    grouped = {}
+    for w in _words(space.d, n):
+        grouped.setdefault(tuple(sorted(w)), []).append(w)
+
+    def weight(letter, rest):
+        if constant:
+            return a[0][0] ** len(rest)
+        out = a[letter - 1][rest[0] - 1]
+        for r in rest[1:]:
+            out = out * a[letter - 1][r - 1]
+        return out
+
+    blocks = {}
+    for content, words in grouped.items():
+        columns = []
+        for v in words:
+            x = {u: one if u == v else one - one for u in words}
+            for k in range(n, 1, -1):
+                moved = {}
+                for u in words:
+                    total = x[u] * s ** (k - 1)
+                    for t in range(k - 1):
+                        w = u[:t] + u[k - 1 : k] + u[t : k - 1] + u[k:]
+                        total = total + x[w] * weight(w[t], w[t + 1 : k]) * s**t
+                    moved[u] = total
+                x = moved
+            columns.append(x)
+        blocks[content] = (words, [[x[u] for x in columns] for u in words])
     return blocks
 
 
