@@ -18,7 +18,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, log2
+from math import comb, factorial, log2, sqrt
 
 import mpmath as mp
 
@@ -46,8 +46,7 @@ from .onevariable import (
     trace_cheb_odd,
 )
 from .norms import (
-    SERIES_IDS, check_tail, gram_domination_residual, haagerup_factor, haagerup_residual, projected_domination,
-    right_annihilation_norm, series_tail,
+    SERIES_IDS, check_tail, gram_domination_residual, haagerup_factor, haagerup_residual, right_gains, series_tail,
 )
 from .partitions import enumerate_family
 from .scalars import FORMAL_Q, Deformation, QPoly, QRat, analytic_constants, magnitude, nan_safe
@@ -121,7 +120,10 @@ def _parse_config(args):
 
 
 # the most Gram entries one level may hold: d=2 level 13 has 10,400,600, and
-# its blocks to that level take about 0.8 GB of Python ints
+# its blocks to that level take about 0.8 GB of Python ints. It refuses the
+# bounds suite from d=7 (27,210,169 entries at level 6), and duality from
+# d=2,450 at M=0 and from d=127 at M=1; every other refusal of a run is the
+# engine size's
 GRAM_ENTRIES_LIMIT = 12_000_000
 
 # the largest ``_engine_size``: d=3 level 11 at q = 1/2 is 3.1e11 (12 s),
@@ -164,10 +166,11 @@ def _require(deformation, args, names):
     bounds suite the Haagerup bound C^(3/2), which must not overflow.
     A name's own needs end with its sizes: the conjugate variables of
     level 2M+1 within ``ENGINE_SIZE_LIMIT``, and the deepest Gram level it
-    builds (M for fisher, M+2 for duality, up to 6 for the norm checks)
-    within ``GRAM_ENTRIES_LIMIT`` entries."""
+    builds (M+2 for duality, up to 6 for the norm checks) within
+    ``GRAM_ENTRIES_LIMIT`` entries. Fisher reads the level-M Gram, which
+    within the engine size holds at most 4,653 entries (M=5, d=3)."""
     m, level = args.series_m, args.level
-    deepest = {"fisher": m, "duality": min(level, m + 2), "bounds": min(level, 6)}
+    deepest = {"duality": min(level, m + 2), "bounds": min(level, 6)}
     q0 = _q_float(_float_deformation(deformation))
     tails = {
         "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
@@ -348,14 +351,17 @@ def _suite_bounds(space, args, tol):
     # relabelling letters is an isometry at constant q, so letter 1 stands
     # for every letter there; a mixed space gates the worst letter
     letters = [1] if floats.deformation.is_constant else range(1, d + 1)
+    # one squared norm of r_i per level and letter: c_m of the projected
+    # comparison is 1 / gains[m][i], and ||r_i|| the root of the largest
+    gains = [right_gains(floats, n, letters) for n in range(1, min(args.level, 6) + 1)]
     for m in range(min(4, args.level - 1) + 1):
         # gated on the projected comparison the norm estimate needs; the
         # full-tensor residual is reported beside it and may be negative
-        c_m = nan_safe(min, (projected_domination(floats, m, i) for i in letters))
+        c_m = nan_safe(min, (1.0 / gains[m][i] for i in letters))
         full = gram_domination_residual(floats, m)
         name = f"bounds/gram-domination m={m}"
         checks.append(_check(name, c_m, c_m >= w - 1e-9, q0=q0, bound=w, full_tensor_residual=full))
-    norm = nan_safe(max, (right_annihilation_norm(floats, i, min(args.level, 6)) for i in letters))
+    norm = sqrt(nan_safe(max, [0.0, *(g[i] for g in gains for i in letters)]))
     bound = 1.0 / (w**0.5)
     checks.append(
         _check("bounds/right-annihilation-norm", norm, norm <= bound + 1e-9, bound=bound)

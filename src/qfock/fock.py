@@ -41,7 +41,7 @@ the explicit inverses of the peeling factors (see ``_Peeling``). Their
 moves keep each word's letter content, so exact numerators are carried
 over one denominator per content, which takes in only the 1 - c(w) of
 that content's own windows, and a level's contents are peeled together
-in runs of up to ``PEEL_WORDS`` words. Blocks are read by ``inner``,
+in runs of up to ``PEEL_ENTRIES`` words. Blocks are read by ``inner``,
 the Fisher pairing and the float eigenproblems of :mod:`qfock.norms`,
 factored by ``gram_cholesky``. For |q_ij| < 1 the
 Gram form is positive (M. Bozejko and R. Speicher, Comm. Math. Phys. 137,
@@ -91,16 +91,13 @@ __all__ = [
 ]
 
 
-# the most words one inverse peeling holds; a larger content is peeled
-# alone. Long arrays of big numerators run slower: d=3 level 11 at q = 1/2
-# took 7 s in groups of 2^13 words and 12 s with every content at once (on
-# a 2-core x86-64 box)
-PEEL_WORDS = 2**13
-
-# the most entries (words times columns) one forward product for the Gram
-# blocks holds: float d=6 levels 0-6 took 0.23, 0.22, 0.43 and 0.33 s and
-# 130, 130, 131 and 205 MB with 2^13, 2^17, 2^19 and no limit (same box)
-FORWARD_ENTRIES = 2**17
+# the most entries (words times columns) one peeling holds; a larger content
+# is peeled alone. The inverse peels one column, so its runs hold up to
+# 2^13 words: long arrays of big numerators run slower, and d=3 level 11 at
+# q = 1/2 took 7 s in such runs and 12 s with every content at once. The
+# float blocks of d=5 levels 0-6 took 48 ms with this limit and 62 ms with
+# 2^17 entries (on a 2-core x86-64 box)
+PEEL_ENTRIES = 2**13
 
 
 class TruncationError(RuntimeError):
@@ -530,7 +527,7 @@ class FockSpace:
         """The level-n blocks by ``_Peeling.forward`` on the unit vectors in
         rank form (column r of a word's row is the word of rank r in its
         content), one identity per content; contents of one size share a
-        peeling, up to ``FORWARD_ENTRIES`` entries. Its scale, s^(n(n-1)/2),
+        peeling, up to ``PEEL_ENTRIES`` entries. Its scale, s^(n(n-1)/2),
         is the blocks' own."""
         groups = _by_content(self.d, n)[1]
         by_size = {}
@@ -538,7 +535,7 @@ class FockSpace:
             by_size.setdefault(len(g), []).append(k)
         built = {}
         for size, contents in by_size.items():
-            for run in _runs(contents, groups, FORWARD_ENTRIES // size):
+            for run in _runs(contents, groups, PEEL_ENTRIES // size):
                 peeling = _Peeling(self, n, run)
                 gram, scale = peeling.forward(np.tile(np.eye(size, dtype=peeling.dtype), (len(run), 1)), n, 0)
                 for k, (lo, hi) in zip(run, peeling.slices):
@@ -554,7 +551,7 @@ class FockSpace:
 
     def _peeled(self, v, below):
         """``inverse_peel`` as one (words, coefficients) pair per content,
-        the contents taken in runs of at most ``PEEL_WORDS`` words."""
+        the contents taken in runs of at most ``PEEL_ENTRIES`` words."""
         if not v:
             return []
         (n,) = {len(w) for w in v._c}
@@ -563,7 +560,7 @@ class FockSpace:
         parts = {}
         for w, c in v._c.items():
             parts.setdefault(int(content[_number(w, self.d)]), {})[w] = c
-        runs = _runs(sorted(parts), groups, PEEL_WORDS)
+        runs = _runs(sorted(parts), groups, PEEL_ENTRIES)
         return chain.from_iterable(
             _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below) for run in runs
         )

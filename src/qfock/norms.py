@@ -73,6 +73,7 @@ __all__ = [
     "gram_domination_residual",
     "projected_domination",
     "right_annihilation_norm",
+    "right_gains",
     "haagerup_factor",
     "haagerup_residual",
     "check_tail",
@@ -128,19 +129,27 @@ def _lift(below, blk, j):
     return out
 
 
-def _right_gain(space, i, n):
-    """Squared norm of right annihilation by letter i on level n.
+def right_gains(space, n, letters):
+    """{i: squared norm of right annihilation by letter i on level n} for
+    each of the letters.
 
     r_i maps the level-n block of content c to the level-(n-1) block of
-    c without i, so this is the largest generalized eigenvalue of
+    c without i, so its gain is the largest generalized eigenvalue of
     (r_i* G_{n-1} r_i, G_n[c]), maximized over the blocks c holding i.
+    Each block is factored once for all the letters it holds.
     """
-    gains = [
-        _top_eigenvalue(_lift(space.blocks(n - 1), blk, i), gram_cholesky(blk.rows, _block_name(n, content)))
-        for content, blk in space.blocks(n).items()
-        if i in content
-    ]
-    return nan_safe(max, [0.0, *gains])
+    for i in letters:
+        space._check_letter(i)
+    _require_float(space)
+    below = space.blocks(n - 1)
+    gains = {i: [0.0] for i in letters}
+    for content, blk in space.blocks(n).items():
+        held = [i for i in letters if i in content]
+        if held:
+            chol = gram_cholesky(blk.rows, _block_name(n, content))
+            for i in held:
+                gains[i].append(_top_eigenvalue(_lift(below, blk, i), chol))
+    return {i: nan_safe(max, gains[i]) for i in letters}
 
 
 def _require_float(space):
@@ -179,9 +188,7 @@ def projected_domination(space, m, i):
     level m+1. Hence ||r_i||^2 = 1 / min_m c_m on the truncated space, and
     the estimate ||r_i|| <= w(q)^(-1/2) is the statement c_m >= w(q).
     """
-    space._check_letter(i)
-    _require_float(space)
-    return 1.0 / _right_gain(space, i, m + 1)
+    return 1.0 / right_gains(space, m + 1, [i])[i]
 
 
 def right_annihilation_norm(space, i, level):
@@ -192,7 +199,7 @@ def right_annihilation_norm(space, i, level):
     """
     space._check_letter(i)
     _require_float(space)
-    return math.sqrt(nan_safe(max, [0.0, *(_right_gain(space, i, n) for n in range(1, level + 1))]))
+    return math.sqrt(nan_safe(max, [0.0, *(right_gains(space, n, [i])[i] for n in range(1, level + 1))]))
 
 
 LEVEL_MARGIN = 2  # haagerup_residual's domain holds levels 0..LEVEL_MARGIN

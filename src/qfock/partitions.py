@@ -2,17 +2,20 @@
 
 Three families of partition diagrams supply the combinatorics behind the
 closed-form operator formulas in this package. All of them live on a row of
-vertices and are made of pair blocks and singleton blocks:
+vertices and are made of pair blocks and singleton blocks, and one pairing
+rule generates each: the lowest free vertex stays a singleton or pairs with
+a later free vertex, as its family allows.
 
-* Family B on vertices {0, ..., n}: vertex 0 is paired with some
-  k in {1..n} at height 1, every l in {1..k-1} is paired with an element of
-  {k+1..n} at height l+1, and everything else is a singleton drawn straight
-  up to the top.
+* Family D on vertices {1, ..., n}: any vertex may stay single or pair
+  with any later one, so D holds every partition into singletons and
+  pairs; a pair (a, b) with a < b is drawn at height a.
+* Family B on vertices {0, ..., n}: vertex 0 pairs with some k in {1..n}
+  at height 1, every l in {1..k-1} pairs with an element of {k+1..n} at
+  height l+1, and every vertex above k left free stays a singleton drawn
+  straight up to the top.
 * Family C on vertices {0, ..., n}: as B, except each l in {1..k-1} may
   instead stay a singleton. Singletons split into a left group (above k)
   and a right group (below k).
-* Family D on vertices {1, ..., n}: any partition into singletons and
-  pairs; a pair (a, b) with a < b is drawn at height a.
 
 A pair (a, b) is drawn as two vertical legs joined by a horizontal bar at
 the pair's height; a singleton is a vertical line to above the highest
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import permutations
 
 __all__ = [
     "DrawnPartition",
@@ -143,18 +145,45 @@ def enumerate_family(family, n_vertices):
     """All diagrams of the family on n_vertices vertices, deterministically.
 
     Families B and C use vertices {0..n_vertices-1}; family D uses
-    {1..n_vertices} and accepts n_vertices = 0 (the empty diagram). Output
-    order is lexicographic in (partner of 0, pairing assignment). The cache
-    holds the three families at every vertex count up to ten, enough for a
-    whole verification run; the diagrams keep their crossing maps.
+    {1..n_vertices} and accepts n_vertices = 0 (the empty diagram). One
+    recursion builds all three: the lowest free vertex v stays a singleton
+    if its family allows that, and then pairs with each free later vertex
+    it may reach, in increasing order. In D, v may stay single or pair
+    with any later vertex. In B and C, vertex 0 must pair, and its partner
+    k splits the rest: a vertex below k pairs with a vertex above k (in C
+    it may also stay single), and a vertex above k stays single. Output
+    order is lexicographic in (partner of 0, pairing assignment), the
+    singleton first. The cache holds the three families at every vertex
+    count up to ten, enough for a whole verification run; the diagrams
+    keep their crossing maps.
     """
-    if family == "B":
-        return tuple(_enum_b(n_vertices))
-    if family == "C":
-        return tuple(_enum_c(n_vertices))
-    if family == "D":
-        return tuple(_enum_d(n_vertices))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    lo = 1 if family == "D" else 0
+    if n_vertices < 1 - lo:
+        raise ValueError(f"family {family} needs n_vertices >= {1 - lo}")
+    out = []
+
+    def walk(free, pairs, singles, k):
+        if not free:
+            out.append(DrawnPartition(family, n_vertices, pairs, singles))
+            return
+        v, rest = free[0], free[1:]
+        if family == "D":
+            single, reach = True, rest
+        elif v == 0:
+            single, reach = False, rest
+        elif v < k:
+            single, reach = family == "C", [u for u in rest if u > k]
+        else:
+            single, reach = True, ()
+        if single:
+            walk(rest, pairs, singles + [v], k)
+        for u in reach:
+            walk([w for w in rest if w != u], pairs + [(v, u)], singles, u if v == 0 else k)
+
+    walk(list(range(lo, lo + n_vertices)), [], [], None)
+    return tuple(out)
 
 
 def diagram_table(family, pattern):
@@ -198,74 +227,3 @@ def diagram_table(family, pattern):
         sign = -1 if (part.num_pairs - (zero is not None)) % 2 else 1
         groups[key] = groups.get(key, 0) + sign
     return tuple((count,) + key for key, count in groups.items() if count)
-
-
-def _enum_b(n_vertices):
-    if n_vertices < 1:
-        raise ValueError("family B needs at least one vertex")
-    n = n_vertices - 1
-    out = []
-    for k in range(1, n + 1):
-        left = list(range(1, k))
-        right = [v for v in range(k + 1, n + 1)]
-        if len(left) > len(right):
-            continue
-        for targets in permutations(right, len(left)):
-            pairs = [(0, k)] + [(l, t) for l, t in zip(left, targets)]
-            used = {v for p in pairs for v in p}
-            singles = [v for v in range(n + 1) if v not in used]
-            out.append(DrawnPartition("B", n_vertices, pairs, singles))
-    return out
-
-
-def _enum_c(n_vertices):
-    if n_vertices < 1:
-        raise ValueError("family C needs at least one vertex")
-    n = n_vertices - 1
-    out = []
-    for k in range(1, n + 1):
-        left = list(range(1, k))
-        right = list(range(k + 1, n + 1))
-
-        def assign(idx, taken, acc):
-            if idx == len(left):
-                yield list(acc)
-                return
-            l = left[idx]
-            acc.append((l, None))  # singleton
-            yield from assign(idx + 1, taken, acc)
-            acc.pop()
-            for t in right:
-                if t not in taken:
-                    taken.add(t)
-                    acc.append((l, t))
-                    yield from assign(idx + 1, taken, acc)
-                    acc.pop()
-                    taken.remove(t)
-
-        for choice in assign(0, set(), []):
-            pairs = [(0, k)] + [(l, t) for l, t in choice if t is not None]
-            used = {v for p in pairs for v in p}
-            singles = [v for v in range(n + 1) if v not in used]
-            out.append(DrawnPartition("C", n_vertices, pairs, singles))
-    return out
-
-
-def _enum_d(n_vertices):
-    if n_vertices < 0:
-        raise ValueError("family D needs a nonnegative vertex count")
-
-    out = []
-
-    def build(remaining, pairs, singles):
-        if not remaining:
-            out.append(DrawnPartition("D", n_vertices, pairs, singles))
-            return
-        v = remaining[0]
-        rest = remaining[1:]
-        build(rest, pairs, singles + [v])
-        for idx, u in enumerate(rest):
-            build(rest[:idx] + rest[idx + 1 :], pairs + [(v, u)], singles)
-
-    build(list(range(1, n_vertices + 1)), [], [])
-    return out

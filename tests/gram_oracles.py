@@ -25,10 +25,9 @@ operations, so that float blocks agree bit for bit.
 
 ``ldl`` factors one block as L·D·Lᵀ without pivoting, and ``ldl_solve``
 is the Gram solve built on it: each touched block factored, then
-substituted through L, D and Lᵀ; ``ldl_solve_rows`` is the same solve on
-one symmetric matrix. The library solves no Gram block: its conjugate
-variables come from the explicit inverse of the peeling factors, and these
-solves are its oracle.
+substituted through L, D and Lᵀ. The library solves no Gram block: its
+conjugate variables come from the explicit inverse of the peeling factors,
+and these solves are its oracle.
 
 ``ChainedAdjoints`` builds the conjugate variables the way the paper writes
 them, as chains of right-creation adjoints with one Gram solve per adjoint,
@@ -334,12 +333,6 @@ def _substitute(factors, rhs):
             if factors[c][r] and x[c]:
                 x[r] = x[r] - factors[c][r] * x[c]
     return x
-
-
-def ldl_solve_rows(rows, rhs):
-    """The x with A x = rhs for a symmetric matrix A given as rows, by the
-    Fraction L·D·Lᵀ of ``ldl`` and substitution."""
-    return _substitute(ldl(len(rows), (), rows), rhs)
 
 
 def ldl_solve(space, v):

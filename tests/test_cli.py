@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,10 @@ from qfock import (
     right_annihilation_norm,
 )
 from qfock.cli import main
+
+
+# a mixed matrix with a zero entry, whose letters give distinct norm checks
+BOUNDS_MATRIX = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
 
 
 def run(capsys, *argv):
@@ -144,28 +149,54 @@ class TestVerify:
 
     @pytest.mark.parametrize("at", [0, -1], ids=["nan-first", "nan-last"])
     @pytest.mark.parametrize(
-        "engine,check",
-        [("projected_domination", "bounds/gram-domination m=0"), ("right_annihilation_norm", "bounds/right-annihilation-norm")],
+        "level,check",
+        [(1, "bounds/gram-domination m=0"), (6, "bounds/right-annihilation-norm")],
         ids=["projected", "norm"],
     )
-    def test_bounds_nan_fails_its_gate(self, capsys, monkeypatch, tmp_path, engine, check, at):
-        # a mixed matrix gates the min or max over its three letters
-        entries = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
+    def test_bounds_nan_fails_its_gate(self, capsys, monkeypatch, tmp_path, level, check, at):
+        # a mixed matrix gates the min or max over its three letters; the
+        # level-1 gains give c_0, and the level-6 ones only the norm
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"d": 3, "entries": entries}))
-        real, poisoned_letter = getattr(qfock.cli, engine), [1, 2, 3][at]
-        letter_at = 1 if engine == "projected_domination" else 0  # (space, m, i) or (space, i, level)
+        path.write_text(json.dumps({"d": 3, "entries": BOUNDS_MATRIX}))
+        real, poisoned_letter = qfock.cli.right_gains, [1, 2, 3][at]
 
-        def poisoned(space, *args):
-            return float("nan") if args[letter_at] == poisoned_letter else real(space, *args)
+        def poisoned(space, n, letters):
+            gains = real(space, n, letters)
+            return {i: float("nan") if (n, i) == (level, poisoned_letter) else g for i, g in gains.items()}
 
-        monkeypatch.setattr(qfock.cli, engine, poisoned)
+        monkeypatch.setattr(qfock.cli, "right_gains", poisoned)
         code, out = run(capsys, "verify", "bounds", "--d", "3", "--q-matrix", str(path))
         assert code == 1
         report = json.loads(out)
         assert report["pass"] is False
         checks = {c["check"]: c for c in report["checks"]}
         assert checks[check]["pass"] is False
+
+    @pytest.mark.parametrize("matrix, gains", [(False, 6), (True, 18)], ids=["constant", "float-matrix"])
+    def test_bounds_form_one_gain_per_level_and_letter(self, capsys, monkeypatch, tmp_path, matrix, gains):
+        # levels 1-6 of letter 1 at constant q, and of all three letters on
+        # a matrix; each Gram block is factored once for all its letters
+        formed, factored = [], []
+        real_gains, real_cholesky = qfock.norms.right_gains, qfock.norms.gram_cholesky
+
+        def counted_gains(space, n, letters):
+            formed.extend((n, i) for i in letters)
+            return real_gains(space, n, letters)
+
+        def counted_cholesky(rows, what):
+            factored.append(what)
+            return real_cholesky(rows, what)
+
+        for owner in (qfock.cli, qfock.norms):
+            monkeypatch.setattr(owner, "right_gains", counted_gains)
+        monkeypatch.setattr(qfock.norms, "gram_cholesky", counted_cholesky)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 3, "entries": BOUNDS_MATRIX}))
+        config = ["--mode", "float", "--q-matrix", str(path)] if matrix else ["--q", "9/10"]
+        code, _ = run(capsys, "verify", "bounds", "--d", "3", *config)
+        assert code == 0
+        assert len(formed) == len(set(formed)) == gains
+        assert len(factored) == len(set(factored))
 
     @pytest.mark.parametrize("suite", ["dual-agree", "wick-agree", "commutator"])
     def test_passing_agreement_forms_no_difference(self, capsys, monkeypatch, suite):
@@ -432,6 +463,24 @@ class TestVerify:
         monkeypatch.setattr(qfock.cli, "FockSpace", built)
         with pytest.raises(Built):
             main(argv.split())
+
+    def test_fisher_within_the_engine_size_reads_a_small_gram(self):
+        # at the largest d whose level 2M+1 passes the engine size (a float
+        # deformation weighs the least, 1), the level-M Gram fisher reads
+        # is far below the Gram limit; level 0 is the vacuum alone at any d
+        def size(d, n):
+            return qfock.cli._engine_size(SimpleNamespace(d=d, is_float=True, is_symbolic=False), n)
+
+        largest = {}
+        for m in range(9):
+            lo, hi = 1, qfock.cli.ENGINE_SIZE_LIMIT + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if size(mid, 2 * m + 1) <= qfock.cli.ENGINE_SIZE_LIMIT else (lo, mid)
+            largest[m] = (lo, qfock.cli._gram_size(lo, m)[0] if m else 1)
+        assert largest[0][0] == qfock.cli.ENGINE_SIZE_LIMIT
+        assert max(largest.values(), key=lambda de: de[1]) == (3, 4_653) == largest[5]
+        assert 4_653 < qfock.cli.GRAM_ENTRIES_LIMIT
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_gram_size_counts_the_blocks(self, d):
@@ -790,7 +839,7 @@ class TestMatrixConfig:
 
     def test_mixed_bounds_read_the_matrix_blocks(self, capsys, tmp_path):
         # max |q_ij| = 3/4 as a constant gives c_4 = 0.1319 and ||r_1|| = 3.037
-        entries = [["1/2", "-1/3", "0"], ["-1/3", "-1/5", "2/7"], ["0", "2/7", "3/4"]]
+        entries = BOUNDS_MATRIX
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"d": 3, "entries": entries}))
         code, out = run(capsys, "verify", "bounds", "--d", "3", "--q-matrix", str(path))
@@ -830,6 +879,8 @@ class TestGolden:
             ("verify wick-agree --d 2 --level 5", "b876a34c41d3e4d619a6335a73c11d0e4e9921c3"),
             ("verify derivative-agree --d 2 --level 5", "cb7d2fb976c7471a6b01e0d10e27839bbeda57be"),
             ("export partitions --family C --n 7", "46e9c122d063c3121b9fe60929944fedf70cbddd"),
+            ("export partitions --family B --n 11", "04dbf9700a5889feca08032e83c896b186273453"),
+            ("export partitions --family D --n 8", "b129f6864ba354435c6b4b03931a97fafd61afa5"),
             ("verify commutator --d 2 --level 5", "cc2619fba8ae9d3bab22fb80ad266f8e00648c49"),
             # three letter classes: d=3 words reach patterns d=2 cannot
             ("verify commutator --d 3 --level 5 --q=-1/2", "58ec77247d02a802b66da56043bc2d50e1cebd98"),

@@ -191,12 +191,20 @@ class TestOneSolveForEveryLetter:
     @pytest.mark.parametrize("defm", [MIXED_3, Deformation.constant(3, Fraction(1, 2)), _floats(MIXED_3)], ids=["mixed", "1/2", "float-mixed"])
     def test_groups_of_contents_change_no_coefficient(self, monkeypatch, defm):
         # moves keep contents, so peeling each content alone, or a few at a
-        # time, gives every coefficient of one peeling of the whole level
-        def levels(words):
-            monkeypatch.setattr(qfock.fock, "PEEL_WORDS", words)
+        # time, gives every coefficient of one peeling of the whole level,
+        # and every Gram block, floats bit for bit
+        def levels(entries):
+            monkeypatch.setattr(qfock.fock, "PEEL_ENTRIES", entries)
             sp = FockSpace(defm, 7)
-            return [_series_level(sp, i, m).items() for m in range(4) for i in range(1, 4)]
+            series = [_series_level(sp, i, m).items() for m in range(4) for i in range(1, 4)]
+            blocks = [
+                (content, blk.words, blk.scale, blk.rows.dtype, blk.rows.tobytes() if defm.is_float else blk.rows.tolist())
+                for n in range(8)
+                for content, blk in sp.blocks(n).items()
+            ]
+            return series, blocks
 
-        whole = levels(3**7)
+        # one run holds every content of a size: at most 3^7 words of 3^7 columns
+        whole = levels(3**14)
         assert levels(1) == whole
         assert levels(100) == whole

@@ -8,6 +8,8 @@ crossings by the interval rule. Both are kept deliberately separate from
 the library code paths.
 """
 
+import hashlib
+
 import pytest
 
 import partition_geometry as geometry
@@ -258,6 +260,41 @@ class TestInducedPermutation:
             induced_permutation(p)
 
 
+ORDER_DIGESTS = [
+    ("B", 1, "97d170e1550eee4afc0af065b78cda302a97674c"),
+    ("B", 2, "fee0e7686d68de99bc32a325632e21d1dffe79d0"),
+    ("B", 3, "302733f6b6261e7fc0edcec1d225b56a8293d1d2"),
+    ("B", 4, "8bba3cf3a400c57828e17ea0911abe0b55a5010b"),
+    ("B", 5, "aef14cd2caa358643df45117ba05e360c310f462"),
+    ("B", 6, "f7c61f4798b92c61effa4daa1ead0943345f2d03"),
+    ("B", 7, "d9459e97ccd34ed027a7fa276b2b8ec6744da6ea"),
+    ("B", 8, "f45f5907910a05f234aa28dfd94338d2b9ebaf94"),
+    ("B", 9, "f1a47af3f6f88a5246615d618c40b0ba9bf69362"),
+    ("B", 10, "18decfbb80b715af779056ed0b22f177ec728f7f"),
+    ("B", 11, "c9a64b4ac542f3d0458e9129c582e6419b700657"),
+    ("C", 1, "97d170e1550eee4afc0af065b78cda302a97674c"),
+    ("C", 2, "fee0e7686d68de99bc32a325632e21d1dffe79d0"),
+    ("C", 3, "b9470bdf81ec0d3cb0e69c5cadd335e02c7884f6"),
+    ("C", 4, "4a3d31b077631367d2bf37599346f5fab7b2aaa4"),
+    ("C", 5, "068079b35dc7db82c6be3bfa52cea2f9df27c93b"),
+    ("C", 6, "1c56639e294d8b056d85a94d8b1b6ce76172772d"),
+    ("C", 7, "0236a3a7c6d1b5bd4ddb2c1c0ce0f61897015f83"),
+    ("C", 8, "3008f282c4b3b25fe981a8ffea64375d330d3334"),
+    ("C", 9, "4a834cbd4b783b6cef23ca6d7d5f8be1b7153f3b"),
+    ("C", 10, "2f492e1ad40afed8fd253e57561678757f00e032"),
+    ("D", 0, "4e9274d6dc11931d0219299b91937d3338c4c1c2"),
+    ("D", 1, "6b9e2aea3e84c2ef276f8e21bbfced1c83e0a708"),
+    ("D", 2, "7b23807aa78b228a37acccddd24b93e4d878ff4b"),
+    ("D", 3, "73ca3fd02c79e21b4c3751a6eb05b3733b3c6d38"),
+    ("D", 4, "746a6ff7e5c5669f1bb5ef2463bfcad8fcfc413d"),
+    ("D", 5, "eaa39ea7f951984c04025a53a46a98c6e30f73f9"),
+    ("D", 6, "d77018e4d13928a0a891b9987f59ee24ad6ff403"),
+    ("D", 7, "2c5078c15ae35869c9018a737e7ca5b2320f8b56"),
+    ("D", 8, "73295c16c779dc4c5db97e58520fc75d2b2f5a81"),
+    ("D", 9, "d820caad4837f746db4dbc8f087a564131eaedb7"),
+]
+
+
 class TestStructure:
     def test_blocks_partition_vertices(self):
         with pytest.raises(ValueError):
@@ -271,6 +308,12 @@ class TestStructure:
         assert [(p.pairs, p.singletons) for p in parts] == [
             (p.pairs, p.singletons) for p in again
         ]
+
+    @pytest.mark.parametrize("family, n_vertices, sha1", ORDER_DIGESTS)
+    def test_enumeration_order_pinned(self, family, n_vertices, sha1):
+        # the sha1 of the (pairs, singletons) sequence, in enumeration order
+        seq = [(p.pairs, p.singletons) for p in enumerate_family(family, n_vertices)]
+        assert hashlib.sha1(repr(seq).encode()).hexdigest() == sha1
 
     def test_heights_distinct(self):
         for part in enumerate_family("C", 7):
