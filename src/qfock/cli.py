@@ -15,10 +15,11 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import islice
-from math import comb, factorial, log2, sqrt
+from itertools import repeat
+from math import comb, factorial, inf, isfinite, log2, sqrt
 
 import mpmath as mp
 
@@ -126,9 +127,20 @@ def _parse_config(args):
 # engine size's
 GRAM_ENTRIES_LIMIT = 12_000_000
 
-# the largest ``_engine_size``: d=3 level 11 at q = 1/2 is 3.1e11 (12 s),
-# d=2 level 15 3.7e11 (10 s), formal d=2 level 9 1.4e11 (12 s)
-ENGINE_SIZE_LIMIT = 5 * 10**11
+# the largest ``_engine_size`` (units of about 3.6 ns): ``export xi`` at
+# q = 1/2 runs d=5 level 9 (4.2e9) in 7.4 s and 676 MB, and would take 24 s
+# at d=2 level 17 (5.7e9) and 46 s and 1.2 GB at d=3 level 13 (1.0e10),
+# both refused; see ``_engine_size`` for the rest
+ENGINE_SIZE_LIMIT = 5 * 10**9
+
+# the most cases one per-word suite checks: (letter, word) cases for the
+# commutator and agreement suites, words alone for wick-agree, and (letter,
+# monomial) cases for duality. A case took about 95 us in the commutator
+# suite (d=5 and d=6 at level 6), 17-33 us in the agreement suites and
+# 33 us in duality (d=20, M=1: 168,420 cases in 5.7 s), so the slowest
+# admitted suite runs about 10 s (2-core x86-64 box); d=3 at level 6 checks
+# at most 3,279
+CASES_LIMIT = 100_000
 
 
 def _gram_size(d, n):
@@ -144,14 +156,73 @@ def _gram_size(d, n):
     return pairs[n], factorial(n) // (factorial(even + 1) ** extra * factorial(even) ** (d - extra))
 
 
+def _source_words(d, n):
+    """The level-n words holding exactly one letter an odd number of times,
+    the words of the contents of the c_i: d n! [x^n] sinh(x) cosh(x)^(d-1).
+    An exponential generating function is kept as its word counts, so a
+    product is the binomial convolution, and the power is taken by
+    squaring."""
+
+    def times(a, b):
+        return [sum(comb(t, k) * a[k] * b[t - k] for k in range(t + 1)) for t in range(n + 1)]
+
+    power, total, k = [1 - t % 2 for t in range(n + 1)], [t % 2 for t in range(n + 1)], d - 1
+    while k:
+        if k & 1:
+            total = times(total, power)
+        k >>= 1
+        if k:
+            power = times(power, power)
+    return d * total[n]
+
+
+def _orbit_words(d, n):
+    """The words of those contents of the c_i at level n that represent
+    their orbits under letter permutations: one per partition of n into at
+    most d parts with exactly one part odd, holding n! / prod(parts!)
+    words. With the odd part n - 2t and the even ones 2 mu for mu a
+    partition of t into c parts, g[t][c] is (2t)! times the sum of
+    1 / prod (2 mu_j)!, built one part size at a time."""
+    half, most = n // 2, min(d - 1, n // 2)
+    g = [[1] + [0] * most] + [[0] * (most + 1) for _ in range(half)]
+    for v in range(1, half + 1 if most else 1):
+        for t in range(v, half + 1):
+            for c in range(1, most + 1):
+                g[t][c] += g[t - v][c - 1] * comb(2 * t, 2 * v)
+    return sum(comb(n, 2 * t) * sum(g[t]) for t in range(half + 1)) if n % 2 else 0
+
+
 def _engine_size(deformation, n):
-    """The cost of the conjugate variables at level n: d^n words, about n^3
-    moves, and numerators of about n^3 times log2 s bits for rational
-    entries over the common denominator s (at least 1), one unit for
-    floats and 512 for a formal q, the cost of its polynomial arithmetic."""
+    """The cost of the conjugate variables at level n, in units of about
+    3.6 ns: n^4 times a weight for each word peeled, and 2^11 for each of
+    the d^n words written.
+
+    A constant deformation peels one content per orbit of letter
+    permutations (``_orbit_words``: 28,909 of the 177,147 words at d=3
+    level 11), a mixed one every content of the c_i (``_source_words``).
+    A peeled word takes about n^2 moves of numerators that grow with n: at
+    q = 1/2 the peeling took 29-38 us a word at level 9, 52 us at 11, 93 us
+    at 13 and 184 us at 15, about 3.6 ns n^4. The weight is log2 s for
+    rational entries over the common denominator s (at least 1), 1 for
+    floats, and 512 for a formal q (210-420 measured at levels 7-9, rising
+    with n). Forming and writing a word's JSON took 6-12 us. Sizes and
+    times of ``export xi``, one process each on a 2-core x86-64 box, at
+    q = 1/2: d=3 level 11 7.9e8 (3.0 s), d=2 level 15 9.0e8 (3.5 s), d=4
+    level 9 6.3e8 (1.7 s), d=5 level 9 4.2e9 (7.4 s, 676 MB), formal d=2
+    level 9 8.6e8 (3.1 s); above the limit, d=2 level 17 5.7e9 (24 s),
+    formal d=2 level 11 7.7e9 (46 s) and d=3 level 13 1.0e10 (46 s,
+    1.2 GB).
+
+    Far past any limit (n above 255, or d^n above 2^200) the peeled words
+    are not counted and one stands for them all."""
+    d = deformation.d
     exact = not (deformation.is_symbolic or deformation.is_float)
     weight = max(1.0, log2(_cleared(deformation)[0])) if exact else 512 if deformation.is_symbolic else 1
-    return deformation.d**n * n**6 * weight
+    bits = n * log2(d)
+    if n > 255 or bits > 200:
+        return weight * n**4 + (2.0**11 * d**n if bits < 1000 else inf)
+    peeled = _orbit_words(d, n) if deformation.is_constant else _source_words(d, n)
+    return float(weight * peeled * n**4 + 2**11 * d**n)
 
 
 def _require(deformation, args, names):
@@ -165,12 +236,13 @@ def _require(deformation, args, names):
     name sums, which must start halving its terms in reach; and for the
     bounds suite the Haagerup bound C^(3/2), which must not overflow.
     A name's own needs end with its sizes: the conjugate variables of
-    level 2M+1 within ``ENGINE_SIZE_LIMIT``, and the deepest Gram level it
+    level 2M+1 within ``ENGINE_SIZE_LIMIT``, the deepest Gram level it
     builds (M+2 for duality, up to 6 for the norm checks) within
-    ``GRAM_ENTRIES_LIMIT`` entries. Fisher reads the level-M Gram, which
-    within the engine size holds at most 4,653 entries (M=5, d=3)."""
+    ``GRAM_ENTRIES_LIMIT`` entries, and the cases a per-word suite checks
+    within ``CASES_LIMIT``. Fisher reads the level-M Gram, which within
+    the engine size holds at most 7,885 entries (M=4, d=5)."""
     m, level = args.series_m, args.level
-    deepest = {"duality": min(level, m + 2), "bounds": min(level, 6)}
+    deepest = {"duality": _case_length("duality", args), "bounds": min(level, 6)}
     q0 = _q_float(_float_deformation(deformation))
     tails = {
         "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
@@ -203,7 +275,7 @@ def _require(deformation, args, names):
                 size = _engine_size(deformation, 2 * m + 1)
                 if size > ENGINE_SIZE_LIMIT:
                     raise ConfigError(
-                        f"{label} computes the conjugate variables at level {2 * m + 1} over {deformation.d ** (2 * m + 1):,} "
+                        f"{label} computes the conjugate variables at level {2 * m + 1} over {deformation.d}^{2 * m + 1} "
                         f"words, an engine size of {size:.2g}, above the limit of {ENGINE_SIZE_LIMIT:.2g}"
                     )
             if name in deepest:
@@ -214,6 +286,10 @@ def _require(deformation, args, names):
                         f"{label} builds the level-{n} Gram matrix, {entries:,} entries in blocks of up to "
                         f"{largest:,} words, above the limit of {GRAM_ENTRIES_LIMIT:,} entries"
                     )
+            if name in _CASE_LENGTH:
+                cases = _cases(name, deformation.d, args)
+                if cases > CASES_LIMIT:
+                    raise ConfigError(f"{label} checks {cases:,} cases, above the limit of {CASES_LIMIT:,}")
         for name in names:
             if name in ("xi", "fisher"):
                 analytic_constants(q0)
@@ -252,9 +328,29 @@ def _check(name, value, passed, **params):
     }
 
 
+# the longest word each per-word suite checks, at a level and series length
+_CASE_LENGTH = {
+    "commutator": lambda level, m: min(level - 1, 5),
+    "dual-agree": lambda level, m: min(level, 6),
+    "wick-agree": lambda level, m: min(level, 6),
+    "derivative-agree": lambda level, m: min(level, 5),
+    "duality": lambda level, m: min(level, m + 2),
+}
+
+
+def _case_length(name, args):
+    return _CASE_LENGTH[name](args.level, args.series_m)
+
+
+def _cases(name, d, args):
+    """The cases a per-word suite checks: every word up to its length, each
+    with every letter but in wick-agree."""
+    return (1 if name == "wick-agree" else d) * sum(d**n for n in range(_case_length(name, args) + 1))
+
+
 def _suite_commutator(space, args, tol):
     checks = []
-    limit = min(args.level - 1, 5)
+    limit = _case_length("commutator", args)
     for i in range(1, space.d + 1):
         residuals = commutator_residual(space, i, limit)
         for j, res in residuals.items():
@@ -293,14 +389,14 @@ def _agreement(space, check, limit, unit, tol, label, residuals, size=lambda dif
 def _suite_dual_agree(space, args, tol):
     letters = range(1, space.d + 1)
     return _agreement(
-        space, "dual-agree/strategies", min(args.level, 6), "words", tol, "i={} w={}",
+        space, "dual-agree/strategies", _case_length("dual-agree", args), "words", tol, "i={} w={}",
         lambda w: (((i, w), dual_partition(space, i, w), dual_recursive(space, i, w)) for i in letters),
     )
 
 
 def _suite_wick_agree(space, args, tol):
     return _agreement(
-        space, "wick-agree/strategies", min(args.level, 6), "words", tol, "w={}",
+        space, "wick-agree/strategies", _case_length("wick-agree", args), "words", tol, "w={}",
         lambda w: [((w,), wick_partition(space, w), wick_recursive(space, w))],
     )
 
@@ -308,7 +404,7 @@ def _suite_wick_agree(space, args, tol):
 def _suite_derivative_agree(space, args, tol):
     letters = range(1, space.d + 1)
     return _agreement(
-        space, "derivative-agree/strategies", min(args.level, 5), "pairs", tol, "i={} w={}",
+        space, "derivative-agree/strategies", _case_length("derivative-agree", args), "pairs", tol, "i={} w={}",
         lambda w: (((i, w), diff_partition(space, i, w), diff_quotient(i, wick_recursive(space, w))) for i in letters),
     )
 
@@ -317,7 +413,7 @@ def _suite_duality(space, args, tol):
     m = args.series_m
     xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
     return _agreement(
-        space, "duality/pairing", min(args.level, m + 2), "monomials", tol, "i={} u={}",
+        space, "duality/pairing", _case_length("duality", args), "monomials", tol, "i={} u={}",
         lambda u: (((i, u), duality_residual(space, u, i, xi), 0) for i, xi in xis.items()),
         size=magnitude, series_m=m,
     )
@@ -462,7 +558,6 @@ def _config_json(args):
 def _word_json(word):
     return list(word)
 
-
 def _export_xi(space, args):
     rows = []
     tail = None
@@ -575,24 +670,134 @@ def run_export(args) -> int:
     return 0
 
 
-# chunks of a JSON report per write, about 1 MB; stdout may be unbuffered
-EMIT_BATCH_CHUNKS = 1 << 17
+# parts of a JSON report per write, about 1 MB of xi terms; stdout may be
+# unbuffered
+EMIT_BATCH_CHUNKS = 1 << 11
+
+# the most elements of a list or dict that the JSON writer makes one part
+# of; a longer one is streamed element by element
+JSON_SMALL = 64
+
+
+def _json_float(value):
+    """A float as ``json.dumps`` writes it, NaN and the infinities included."""
+    if isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_scalar_text(value):
+    """The JSON text of a value that is not a list, tuple or dict, as
+    ``json.dumps`` writes it (its type tests in its order)."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key):
+    """A dict key as ``json.dumps`` writes it: a string, or a float, bool,
+    None or int turned into one."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, (float, int)) or key is None:
+        return _json_str(_json_scalar_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _brackets(value):
+    return ("{", "}") if isinstance(value, dict) else ("[", "]")
+
+
+def _json_items(value, inner):
+    """(head, element) of a list or dict in the order written, each head
+    its indent and, in a dict, its key, the keys sorted as
+    ``sorted(value.items())`` sorts them."""
+    if isinstance(value, dict):
+        return ((inner + _json_key(k) + ": ", v) for k, v in sorted(value.items()))
+    return zip(repeat(inner), value)
+
+
+def _json_text(value, newline, depth=2):
+    """The JSON text of a value, as ``json.dumps`` writes it at the indent
+    that ``newline`` ends with, or None if it nests lists and dicts more
+    than ``depth`` deep or holds one of more than ``JSON_SMALL`` elements.
+    A list of ints is joined in one pass and counts as a scalar."""
+    t = type(value)
+    if t is int:
+        return repr(value)
+    if t is str:
+        return _json_str(value)
+    if t is float:
+        return _json_float(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _json_scalar_text(value)
+    opening, closing = _brackets(value)
+    if not value:
+        return opening + closing
+    inner = newline + "  "
+    if t is list and set(map(type, value)) == {int}:
+        return "[" + inner + ("," + inner).join(map(repr, value)) + newline + "]"
+    if not depth or len(value) > JSON_SMALL:
+        return None
+    texts = []
+    for head, element in _json_items(value, inner):
+        text = _json_text(element, inner, depth - 1)
+        if text is None:
+            return None
+        texts.append(head + text)
+    return opening + ",".join(texts) + newline + closing
 
 
 def _json_chunks(report):
-    """The report as ``json.dumps(report, sort_keys=True, indent=2)``, in the
-    encoder's chunks, with no one string of the whole report."""
-    return json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    """The report as ``json.dumps(report, sort_keys=True, indent=2)``, in
+    pieces of about ``EMIT_BATCH_CHUNKS`` parts, with no one string of the
+    whole report (the stdlib's writer for an indent is its pure-Python
+    one). A value that ``_json_text`` writes is one part; any other list
+    or dict is streamed element by element."""
+    parts = []
+
+    def stream(value, newline):
+        inner = newline + "  "
+        opening, closing = _brackets(value)
+        parts.append(opening)
+        sep = ""
+        for head, element in _json_items(value, inner):
+            text = _json_text(element, inner)
+            if text is None:
+                parts.append(sep + head)
+                yield from stream(element, inner)
+            else:
+                parts.append(sep + head + text)
+            sep = ","
+            if len(parts) >= EMIT_BATCH_CHUNKS:
+                yield "".join(parts)
+                parts.clear()
+        parts.append(newline + closing)
+
+    text = _json_text(report, "\n")
+    if text is None:
+        yield from stream(report, "\n")
+    else:
+        parts.append(text)
+    yield "".join(parts)
 
 
 def _emit(args, chunks):
-    """Write the text the chunks make up, ``EMIT_BATCH_CHUNKS`` chunks to a
-    write, ended by a newline unless it ends with one."""
-    chunks = iter(chunks)
+    """Write the text the chunks make up, one write per chunk, ended by a
+    newline unless it ends with one."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         text = ""
-        while batch := list(islice(chunks, EMIT_BATCH_CHUNKS)):
-            text = "".join(batch)
+        for text in chunks:
             fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")

@@ -61,6 +61,19 @@ answer belongs to its odd letter. A space builds each level once, for all
 letters; partial sums are truncated by source-word length and every
 report carries an analytic tail bound.
 
+At constant q a level needs one content per orbit of letter permutations.
+Let pi permute the letters, acting on words letter by letter. sigma(i, w)
+is then (-1)^m q^(m(m+1)/2) for every w, and pi maps the words w i w
+one to one onto the words (pi w) (pi i) (pi w), so pi c_i = c_{pi i}.
+Every peeling factor commutes with pi (see :mod:`qfock.fock`), so
+
+    xi_{pi i} = R^-1 ... c_{pi i} = R^-1 ... pi c_i = pi xi_i.
+
+The sum of the c_i is unchanged by every pi, and only the contents that
+represent their orbits are peeled; each other content's coefficients are
+its representative's, read at the relabelled words (28,909 of the 132,861
+words of d=3 level 11 are peeled). A mixed matrix is peeled whole.
+
 Levels of different length are orthogonal, so the Fisher information of
 the truncation M is the sum over levels m <= M of the squared norms of the
 level-(2m+1) parts, each the plain sum xi_i . b_i, which reads no block
@@ -236,10 +249,18 @@ def _series_level(space: FockSpace, i, m) -> FockVector:
 
 
 def _series_build(space: FockSpace, m):
+    """The level-(2m+1) part of xi_i for every letter i: one peeling of the
+    sum of the c_i, each content's part given to the letter it holds an odd
+    number of times. The sum is unchanged by relabelling letters, so at
+    constant q only one content per orbit is peeled, with the exact check
+    on each, and the rest are relabelled from it (xi_{pi i} = pi xi_i; see
+    the module docstring); contents and words come in the same order
+    either way, and float coefficients are the same bits, the relabelled
+    entries having met the same operations."""
     letters = range(1, space.d + 1)
     source = FockVector._wrap({w: c for i in letters for w, c in _series_source(space, i, m).items()})
     levels = {i: {} for i in letters}
-    for words, coeffs in space._peeled(source, m):
+    for words, coeffs in space._peeled(source, m, orbits=True):
         # the letter of a content: the one it holds an odd number of times
         w = words[0]
         levels[next(x for x in w if w.count(x) % 2)].update((w, c) for w, c in zip(words, coeffs) if c)

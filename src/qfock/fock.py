@@ -41,9 +41,25 @@ the explicit inverses of the peeling factors (see ``_Peeling``). Their
 moves keep each word's letter content, so exact numerators are carried
 over one denominator per content, which takes in only the 1 - c(w) of
 that content's own windows, and a level's contents are peeled together
-in runs of up to ``PEEL_ENTRIES`` words. Blocks are read by ``inner``,
-the Fisher pairing and the float eigenproblems of :mod:`qfock.norms`,
-factored by ``gram_cholesky``. For |q_ij| < 1 the
+in runs of up to ``PEEL_ENTRIES`` words.
+
+A letter permutation pi with q(pi a, pi b) = q(a, b) for all letters, at
+constant q every one, commutes with every peeling factor: R_n pi e_w moves
+the letter (pi w)_t to the end with weight prod_{s>t} q(pi w_t, pi w_s) =
+prod_{s>t} q(w_t, w_s), which is pi R_n e_w term by term. So it commutes
+with their inverses too, and the inverse of a vector that every pi leaves
+unchanged is itself unchanged. For such a vector at constant q
+``_peeled`` peels only the content that represents each orbit, the one
+whose letter counts do not increase from letter 1 on (``_orbit``), and
+gives every other content its representative's coefficients at the
+relabelled words. Float entries relabel bit for bit: at constant q a
+move of any window weighs with the same power of q and a division is by
+the same 1 - c(w), so a relabelled entry meets the same operations in the
+same order.
+
+Blocks are read by ``inner``, the Fisher pairing and the float
+eigenproblems of :mod:`qfock.norms`, factored by ``gram_cholesky``. For
+|q_ij| < 1 the
 Gram form is positive (M. Bozejko and R. Speicher, Comm. Math. Phys. 137,
 1991; Math. Ann. 300, 1994); a float block that is not positive definite,
 and a window with 1 - c(w) = 0, raise ``GramSingularError`` naming the
@@ -549,9 +565,14 @@ class FockSpace:
         level n: the x with G_n x = (G_below (x) 1) v, by ``_Peeling``."""
         return FockVector._wrap({w: c for words, coeffs in self._peeled(v, below) for w, c in zip(words, coeffs) if c})
 
-    def _peeled(self, v, below):
+    def _peeled(self, v, below, orbits=False):
         """``inverse_peel`` as one (words, coefficients) pair per content,
-        the contents taken in runs of at most ``PEEL_ENTRIES`` words."""
+        in content order, the contents taken in runs of at most
+        ``PEEL_ENTRIES`` words. With ``orbits``, for a v that is unchanged
+        by relabelling its letters, a constant deformation peels only the
+        content that represents each orbit of letter permutations and
+        relabels its answer onto the others (see ``_orbit``); v's own
+        invariance is checked on the way in."""
         if not v:
             return []
         (n,) = {len(w) for w in v._c}
@@ -560,10 +581,21 @@ class FockSpace:
         parts = {}
         for w, c in v._c.items():
             parts.setdefault(int(content[_number(w, self.d)]), {})[w] = c
-        runs = _runs(sorted(parts), groups, PEEL_ENTRIES)
-        return chain.from_iterable(
-            _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below) for run in runs
-        )
+        if not (orbits and self.deformation.is_constant):
+            runs = _runs(sorted(parts), groups, PEEL_ENTRIES)
+            return chain.from_iterable(
+                _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below) for run in runs
+            )
+        orbit = {k: _orbit(self.d, n, k) for k in parts}
+        for k, (r, relabel, _) in orbit.items():
+            if {tuple(relabel[x - 1] for x in w): c for w, c in parts[k].items()} != parts.get(r):
+                raise ValueError(f"the level-{n} vector is not invariant under relabelling its letters")
+        reps = sorted(k for k, (r, _, _) in orbit.items() if k == r)
+        peeled = {}
+        for run in _runs(reps, groups, PEEL_ENTRIES):
+            peeled.update(zip(run, _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below)))
+        return (_relabelled(self.d, n, k, peeled[r][1], rank) if k != r else peeled[k]
+                for k, (r, _, rank) in sorted(orbit.items()))
 
 
 class _Peeling:
@@ -787,6 +819,29 @@ def _runs(contents, groups, limit):
         runs[-1].append(k)
         size += len(groups[k])
     return runs
+
+
+def _orbit(d, n, k):
+    """(r, relabel, rank) for the level-n content number k: r the content
+    that represents its orbit under letter permutations, the one whose
+    letter counts do not increase from letter 1 on; relabel[x - 1] the
+    letter that x becomes, the letters taken by decreasing count and then
+    in order; and rank[p] the place in content r of the relabelled p-th
+    word of k. A representative is its own, relabel and rank the identity."""
+    letters, groups, content = _by_content(d, n)
+    g = groups[k]
+    relabel = np.empty(d, dtype=np.intp)
+    relabel[np.argsort(-np.bincount(letters[:, g[0]], minlength=d), kind="stable")] = np.arange(d)
+    numbers = np.dot(relabel[letters[:, g]].T, d ** np.arange(n - 1, -1, -1))
+    r = int(content[numbers[0]])
+    return r, (relabel + 1).tolist(), np.searchsorted(groups[r], numbers)
+
+
+def _relabelled(d, n, k, coeffs, rank):
+    """The words of the level-n content number k, each with the coefficient
+    at the rank of its relabelled word in its representative's ``coeffs``."""
+    letters, groups, _ = _by_content(d, n)
+    return [tuple(w) for w in (letters[:, groups[k]].T + 1).tolist()], [coeffs[p] for p in rank.tolist()]
 
 
 def _frozen(rows):

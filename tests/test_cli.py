@@ -6,8 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfock.cli
 import qfock.fock
@@ -426,10 +429,16 @@ class TestVerify:
             ("export xi --d 0 --level 5", "d must be at least 1"),
             ("verify bounds --d 0", "d must be at least 1"),
             # conjugate variables too large to compute, with their estimated size
-            ("export xi --d 2 --level 17 --series-m 8", "xi export computes the conjugate variables at level 17 over 131,072 words, an engine size of 3.2e+12"),
+            ("export xi --d 2 --level 17 --series-m 8", "xi export computes the conjugate variables at level 17 over 2^17 words, an engine size of 5.7e+09"),
             ("export fisher --d 2 --level 17 --series-m 8", "fisher export computes the conjugate variables at level 17"),
-            ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export computes the conjugate variables at level 11 over 2,048 words, an engine size of 1.9e+12"),
+            ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export computes the conjugate variables at level 11 over 2^11 words, an engine size of 7.7e+09"),
             ("verify all --d 3 --level 13 --series-m 6", "duality suite computes the conjugate variables at level 13"),
+            ("export xi --d 3 --level 13 --series-m 6", "xi export computes the conjugate variables at level 13 over 3^13 words, an engine size of 1e+10"),
+            # far past the limit the size is not formed in full, and is never a traceback
+            ("export xi --d 2 --level 2001 --series-m 1000", "xi export computes the conjugate variables at level 2001 over 2^2001 words, an engine size of inf"),
+            # per-word suites with too many cases, with their count
+            ("verify commutator --d 12 --level 6", "commutator suite checks 3,257,436 cases, above the limit of 100,000"),
+            ("verify duality --d 40 --level 5 --series-m 1", "duality suite checks 2,625,640 cases, above the limit of 100,000"),
             # Gram levels too large to build, with their estimated size
             ("verify bounds --d 7 --level 9", "bounds suite builds the level-6 Gram matrix, 27,210,169 entries"),
         ],
@@ -447,13 +456,21 @@ class TestVerify:
             "export xi --d 3 --level 11 --series-m 5",
             "export fisher --d 2 --level 15 --series-m 7",
             "verify all --d 3 --level 9 --series-m 4",
+            "export xi --d 4 --level 9 --series-m 4",
+            "export xi --d 5 --level 9 --series-m 4",
+            "export xi --mode symbolic --d 2 --level 9 --series-m 4",
+            "verify all --d 3 --level 6",
+            "verify commutator --d 6 --level 6",
         ],
     )
     def test_gram_size_under_the_limit_runs(self, monkeypatch, argv):
-        # engine sizes 3.9e10 (d=2 level 13), 1.0e10, 3.1e11 (d=3 levels 9
-        # and 11) and 3.7e11 (d=2 level 15) against the limit of 5e11, and
-        # d=6 level 6 holds 8,848,236 Gram entries: the run passes every
-        # requirement and gets as far as its space
+        # engine sizes 1.3e8 (d=2 levels 13 and 14), 6.1e7 and 7.9e8 (d=3
+        # levels 9 and 11), 9.0e8 (d=2 level 15), 6.3e8 and 4.2e9 (d=4 and
+        # d=5 level 9) and 8.6e8 (formal d=2 level 9) against the limit of
+        # 5e9; d=6 level 6 holds 8,848,236 Gram entries; d=3 level 6 checks
+        # at most 3,279 cases, and the commutator at d=6 level 6 55,986,
+        # against the limit of 100,000: the run passes every requirement
+        # and gets as far as its space
         class Built(Exception):
             pass
 
@@ -465,11 +482,12 @@ class TestVerify:
             main(argv.split())
 
     def test_fisher_within_the_engine_size_reads_a_small_gram(self):
-        # at the largest d whose level 2M+1 passes the engine size (a float
-        # deformation weighs the least, 1), the level-M Gram fisher reads
-        # is far below the Gram limit; level 0 is the vacuum alone at any d
+        # at the largest d whose level 2M+1 passes the engine size (a
+        # constant float deformation weighs the least: weight 1, one content
+        # peeled per orbit), the level-M Gram fisher reads is far below the
+        # Gram limit; level 0 is the vacuum alone at any d
         def size(d, n):
-            return qfock.cli._engine_size(SimpleNamespace(d=d, is_float=True, is_symbolic=False), n)
+            return qfock.cli._engine_size(SimpleNamespace(d=d, is_float=True, is_symbolic=False, is_constant=True), n)
 
         largest = {}
         for m in range(9):
@@ -478,9 +496,10 @@ class TestVerify:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if size(mid, 2 * m + 1) <= qfock.cli.ENGINE_SIZE_LIMIT else (lo, mid)
             largest[m] = (lo, qfock.cli._gram_size(lo, m)[0] if m else 1)
-        assert largest[0][0] == qfock.cli.ENGINE_SIZE_LIMIT
-        assert max(largest.values(), key=lambda de: de[1]) == (3, 4_653) == largest[5]
-        assert 4_653 < qfock.cli.GRAM_ENTRIES_LIMIT
+        # level 1 peels one word and writes d, at 2^11 each
+        assert largest[0][0] == (qfock.cli.ENGINE_SIZE_LIMIT - 1) // 2**11
+        assert max(largest.values(), key=lambda de: de[1]) == (5, 7_885) == largest[4]
+        assert 7_885 < qfock.cli.GRAM_ENTRIES_LIMIT
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_gram_size_counts_the_blocks(self, d):
@@ -859,6 +878,48 @@ class TestMatrixConfig:
         assert norm == pytest.approx(1.1387, abs=1e-4)
 
 
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.lists(st.integers(), min_size=1),
+        st.dictionaries(st.text(), kids),
+        st.dictionaries(st.integers(), kids),
+    ),
+    max_leaves=100,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_JSON_TREES)
+    def test_joined_chunks_equal_one_dumps(self, tree):
+        # at the writer's own sizes, and with every container streamed in
+        # batches of one or three parts
+        want = json.dumps(tree, sort_keys=True, indent=2)
+        for small, batch in ((qfock.cli.JSON_SMALL, qfock.cli.EMIT_BATCH_CHUNKS), (0, 1), (2, 3)):
+            with mock.patch.object(qfock.cli, "JSON_SMALL", small), mock.patch.object(qfock.cli, "EMIT_BATCH_CHUNKS", batch):
+                assert "".join(qfock.cli._json_chunks(tree)) == want
+
+    @pytest.mark.parametrize("value", [{1: 2, "a": 3}, {"a": {1j: 0}}, [object()], {"a": [1, 2, {3}]}])
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            "".join(qfock.cli._json_chunks(value))
+
+
 # fixed mixed matrices with signed entries of distinct denominators
 MIXED_2 = [["1/3", "2/5"], ["2/5", "-3/7"]]
 MIXED_3 = [["1/3", "-2/5", "1/7"], ["-2/5", "-3/7", "1/5"], ["1/7", "1/5", "2/3"]]
@@ -874,6 +935,10 @@ class TestGolden:
         [
             ("export xi --d 2 --level 5 --series-m 2", "ae50201169138297ab4762bd1d27cbeab5453a7d"),
             ("export xi --d 2 --level 5 --series-m 2 --mode symbolic", "91368c5c2d4ffb0cd6974393ebad61ff938360e6"),
+            # four letters: contents whose orbits under letter permutations
+            # hold up to 24 contents, most of them relabelled
+            ("export xi --d 4 --level 5 --series-m 2", "a2c891b58c023ba8e8d227391bd058e95077b5f3"),
+            ("export xi --mode symbolic --d 3 --level 5 --series-m 2", "b4299e9889d15a342b3f32b5ecb32040a8c27a8b"),
             ("export gibbs --d 2 --level 5 --series-m 2", "a8b7ca4369b68d40a6742b5e03f081ff7051a788"),
             ("verify dual-agree --d 2 --level 5", "d73aa3182fc87b610762a642e391c599cbf369e4"),
             ("verify wick-agree --d 2 --level 5", "b876a34c41d3e4d619a6335a73c11d0e4e9921c3"),

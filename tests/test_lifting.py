@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfock.fock
-from qfock import FORMAL_Q, Deformation, FockSpace, GramSingularError
-from qfock.dual import _series_level, _series_rhs, _series_source
+from qfock import FORMAL_Q, Deformation, FockSpace, FockVector, GramSingularError
+from qfock.dual import _series_level, _series_rhs, _series_source, conjugate_series
 
 
 def _levels(space):
@@ -144,6 +144,7 @@ class TestOneSolveForEveryLetter:
         "defm,level",
         [
             *((Deformation.constant(d, q), 7 if d < 3 else 5) for q in (Fraction(1, 2), Fraction(-1, 2)) for d in (1, 2, 3)),
+            (Deformation.constant(4, Fraction(1, 2)), 5),
             (MIXED_2, 7),
             (MIXED_3, 5),
             (Deformation([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]), 7),
@@ -151,11 +152,14 @@ class TestOneSolveForEveryLetter:
             (Deformation.constant(2, FORMAL_Q), 5),
             (Deformation.constant(3, FORMAL_Q), 3),
             (Deformation.constant(2, 0.5), 7),
+            (Deformation.constant(3, 0.5), 5),
+            (Deformation.constant(4, 0.5), 5),
             (_floats(MIXED_2), 7),
             (_floats(MIXED_3), 7),
         ],
         ids=[
             *(f"{q}-d{d}" for q in ("1/2", "-1/2") for d in (1, 2, 3)),
+            "1/2-d4",
             "mixed-d2",
             "mixed-d3",
             "diagonal-d2",
@@ -163,6 +167,8 @@ class TestOneSolveForEveryLetter:
             "formal-d2",
             "formal-d3",
             "float-d2",
+            "float-d3",
+            "float-d4",
             "float-mixed-d2",
             "float-mixed-d3",
         ],
@@ -188,11 +194,17 @@ class TestOneSolveForEveryLetter:
         for i in range(1, 4):
             assert _series_level(sp, i, 3) == FockSpace(defm, 7).inverse_peel(_series_source(sp, i, 3), 3), i
 
-    @pytest.mark.parametrize("defm", [MIXED_3, Deformation.constant(3, Fraction(1, 2)), _floats(MIXED_3)], ids=["mixed", "1/2", "float-mixed"])
+    @pytest.mark.parametrize(
+        "defm",
+        [MIXED_3, Deformation.constant(3, Fraction(1, 2)), Deformation.constant(3, 0.5), _floats(MIXED_3)],
+        ids=["mixed", "1/2", "float-0.5", "float-mixed"],
+    )
     def test_groups_of_contents_change_no_coefficient(self, monkeypatch, defm):
         # moves keep contents, so peeling each content alone, or a few at a
         # time, gives every coefficient of one peeling of the whole level,
-        # and every Gram block, floats bit for bit
+        # and every Gram block, floats bit for bit; at constant q the
+        # representatives of the orbits then fall in different runs from
+        # the contents relabelled from them
         def levels(entries):
             monkeypatch.setattr(qfock.fock, "PEEL_ENTRIES", entries)
             sp = FockSpace(defm, 7)
@@ -208,3 +220,22 @@ class TestOneSolveForEveryLetter:
         whole = levels(3**14)
         assert levels(1) == whole
         assert levels(100) == whole
+
+    @pytest.mark.parametrize("defm", [Deformation.constant(3, Fraction(1, 2)), MIXED_3], ids=["1/2", "mixed"])
+    def test_reversing_every_word_changes_no_coefficient(self, defm):
+        # G_n is unchanged when both of its words are reversed, and so is
+        # c_i, so xi_i is too: a check that the one-sided peeling cannot make
+        # of itself, met at constant q by the relabelled contents as well
+        sp = FockSpace(defm, 7)
+        for i in range(1, 4):
+            xi = conjugate_series(sp, i, 3)
+            assert FockVector({w[::-1]: c for w, c in xi.items()}) == xi, i
+
+    def test_orbit_peeling_refuses_a_vector_that_relabelling_changes(self):
+        # only a vector unchanged by every letter permutation may be peeled
+        # one content per orbit
+        sp = FockSpace(Deformation.constant(2, Fraction(1, 2)), 3)
+        v = FockVector({(1, 1, 2): 1, (2, 2, 1): 2})
+        with pytest.raises(ValueError, match="level-3 vector is not invariant under relabelling its letters"):
+            sp._peeled(v, 1, orbits=True)
+        assert sp.inverse_peel(v, 1)
