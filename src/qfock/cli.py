@@ -707,11 +707,8 @@ def _json_scalar_text(value):
 def _json_key(key):
     """A dict key as ``json.dumps`` writes it: a string, or a float, bool,
     None or int turned into one."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, (float, int)) or key is None:
-        return _json_str(_json_scalar_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    text = _json_scalar_text(key)
+    return text if isinstance(key, str) else _json_str(text)
 
 
 def _brackets(value):

@@ -581,21 +581,24 @@ class FockSpace:
         parts = {}
         for w, c in v._c.items():
             parts.setdefault(int(content[_number(w, self.d)]), {})[w] = c
-        if not (orbits and self.deformation.is_constant):
-            runs = _runs(sorted(parts), groups, PEEL_ENTRIES)
+
+        def solve(contents):
             return chain.from_iterable(
-                _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below) for run in runs
+                _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below)
+                for run in _runs(contents, groups, PEEL_ENTRIES)
             )
+
+        if not (orbits and self.deformation.is_constant):
+            return solve(sorted(parts))
         orbit = {k: _orbit(self.d, n, k) for k in parts}
         for k, (r, relabel, _) in orbit.items():
             if {tuple(relabel[x - 1] for x in w): c for w, c in parts[k].items()} != parts.get(r):
                 raise ValueError(f"the level-{n} vector is not invariant under relabelling its letters")
         reps = sorted(k for k, (r, _, _) in orbit.items() if k == r)
-        peeled = {}
-        for run in _runs(reps, groups, PEEL_ENTRIES):
-            peeled.update(zip(run, _Peeling(self, n, run).solve({w: c for k in run for w, c in parts[k].items()}, below)))
-        return (_relabelled(self.d, n, k, peeled[r][1], rank) if k != r else peeled[k]
-                for k, (r, _, rank) in sorted(orbit.items()))
+        peeled = dict(zip(reps, solve(reps)))
+        return (
+            peeled[k] if k == r else _relabelled(self.d, n, k, peeled[r][1], rank) for k, (r, _, rank) in sorted(orbit.items())
+        )
 
 
 class _Peeling:
