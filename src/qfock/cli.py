@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, factorial, inf, isfinite, log2, sqrt
 
 import mpmath as mp
@@ -135,11 +135,11 @@ ENGINE_SIZE_LIMIT = 5 * 10**9
 
 # the most cases one per-word suite checks: (letter, word) cases for the
 # commutator and agreement suites, words alone for wick-agree, and (letter,
-# monomial) cases for duality. A case took about 95 us in the commutator
-# suite (d=5 and d=6 at level 6), 17-33 us in the agreement suites and
-# 33 us in duality (d=20, M=1: 168,420 cases in 5.7 s), so the slowest
-# admitted suite runs about 10 s (2-core x86-64 box); d=3 at level 6 checks
-# at most 3,279
+# monomial) cases for duality. A case took about 65-75 us in the
+# commutator suite (d=5 and d=6 at level 6), 16-27 us in the agreement
+# suites and 33 us in duality (d=20, M=1: 168,420 cases in 5.7 s), so the
+# slowest admitted suite runs about 8 s (2-core x86-64 box); d=3 at level 6
+# checks at most 3,279
 CASES_LIMIT = 100_000
 
 
@@ -724,11 +724,22 @@ def _json_items(value, inner):
     return zip(repeat(inner), value)
 
 
+def _ints_text(value, newline):
+    """The JSON text of a list of ints (bools excluded) at the indent that
+    ``newline`` ends with, joined in one pass."""
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(repr, value)) + newline + "]"
+
+
 def _json_text(value, newline, depth=2):
     """The JSON text of a value, as ``json.dumps`` writes it at the indent
     that ``newline`` ends with, or None if it nests lists and dicts more
     than ``depth`` deep or holds one of more than ``JSON_SMALL`` elements.
-    A list of ints is joined in one pass and counts as a scalar."""
+    A list of ints is joined in one pass and counts as a scalar; a list of
+    such lists, within ``depth`` and ``JSON_SMALL``, is joined in one pass
+    too."""
     t = type(value)
     if t is int:
         return repr(value)
@@ -741,11 +752,13 @@ def _json_text(value, newline, depth=2):
     opening, closing = _brackets(value)
     if not value:
         return opening + closing
-    inner = newline + "  "
     if t is list and set(map(type, value)) == {int}:
-        return "[" + inner + ("," + inner).join(map(repr, value)) + newline + "]"
+        return _ints_text(value, newline)
     if not depth or len(value) > JSON_SMALL:
         return None
+    inner = newline + "  "
+    if t is list and set(map(type, value)) == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        return "[" + ",".join([inner + _ints_text(sub, inner) for sub in value]) + newline + "]"
     texts = []
     for head, element in _json_items(value, inner):
         text = _json_text(element, inner, depth - 1)

@@ -12,6 +12,11 @@ independent implementations are provided:
   factor per crossing of the two strings involved.
 
 The two strategies agree word for word and the test suite pins that down.
+Both the recursion and the commutator check ``commutator_residual`` read
+a_j e_w for a basis word from the space's ``annihilated`` memo
+(``FockSpace.annihilate_word``): the commutator's lift
+A_j e_w = e_{jw} + a_j e_w of each (j, w) shares that one annihilation
+with every index i and with the recursion for D_i.
 The diagram sums here and in ``ncpoly`` (families C and D) read the
 combinatorics from ``partitions.diagram_table``: one table per family and
 letter pattern, the word's vertex letters relabelled by first occurrence,
@@ -30,8 +35,9 @@ relabels those class words back to its letters. At constant q every word
 of a pattern shares one evaluation, the letter index i of B and C
 included. The labels hold the diagonal entry q(x, x) of each class letter
 x, so where the diagonal entries are pairwise distinct the labels name
-the word itself and no two words can share; such a space evaluates the
-weights per word and stores only the tables, as many as the patterns.
+the word itself and no two words can share; such a space forms no labels,
+evaluates the weights per word and stores only the tables, as many as the
+patterns.
 
 Applying the adjoint of D_i to the vacuum yields the conjugate variable:
 a graded series whose level-(2m+1) part sums, over all source words w of
@@ -116,7 +122,7 @@ def _dual_build(space: FockSpace, i, word) -> FockVector:
     terms = [(space.gaussian(j, dual_recursive(space, i, rest)), 1)]
     if i == j and not rest:
         terms.append((space.vacuum(), 1))
-    lowered = space.annihilate(j, FockVector._wrap({rest: 1}))
+    lowered = space.annihilate_word(j, rest)
     return FockVector.combination(terms + [(dual_recursive(space, i, u), -c) for u, c in lowered.items()])
 
 
@@ -144,16 +150,16 @@ def _diagram_terms(space: FockSpace, family, word, i=None):
     space._check_level(len(word))
     classes = {}
     vertex_letters = ((i,) if family != "D" else ()) + word[::-1]
-    pattern = tuple(classes.setdefault(x, len(classes)) for x in vertex_letters)
+    pattern = tuple([classes.setdefault(x, len(classes)) for x in vertex_letters])
     letter = tuple(classes)
     table, evaluated = space._memo("diagrams", (family, pattern), _new_pattern_entry, family, pattern)
-    rows = [space._labels[x - 1] for x in letter]
-    labels = tuple(row[y - 1] for k, row in enumerate(rows) for y in letter[k:])
-    weights = evaluated.get(labels)
-    if weights is None:
+    if space._shares_labels:
+        labels = tuple([space._labels[x - 1][y - 1] for k, x in enumerate(letter) for y in letter[k:]])
+        weights = evaluated.get(labels)
+        if weights is None:
+            weights = evaluated.setdefault(labels, _pattern_weights(space, table, letter))
+    else:
         weights = _pattern_weights(space, table, letter)
-        if space._shares_labels:
-            weights = evaluated.setdefault(labels, weights)
     relabel = letter.__getitem__
     for left, right, weight in weights:
         yield weight, tuple(map(relabel, left)), tuple(map(relabel, right))
@@ -167,13 +173,19 @@ def _new_pattern_entry(family, pattern):
 def _pattern_weights(space: FockSpace, table, letter):
     """A diagram table evaluated at the deformation entries of the class
     letters, as (left, right, weight) with the weights summed per (left,
-    right) class word in table order."""
+    right) class word in table order. Each factor ((a, b), e) is raised to
+    its power once per table, and the entries share it."""
     q = space.deformation.q
+    powers = {}
     acc = {}
     for count, left, right, exponents in table:
         weight = count
-        for (a, b), e in exponents:
-            weight = weight * q(letter[a], letter[b]) ** e
+        for factor in exponents:
+            power = powers.get(factor)
+            if power is None:
+                (a, b), e = factor
+                power = powers[factor] = q(letter[a], letter[b]) ** e
+            weight = weight * power
         _add_to(acc, (left, right), weight)
     return tuple((left, right, weight) for (left, right), weight in acc.items())
 
@@ -192,7 +204,9 @@ def commutator_residual(space: FockSpace, i, level_limit):
     e_w over all basis words w of length up to level_limit}, for every
     letter j, with D_i the B-family diagram sum, so that an exact zero
     checks the paper's closed form; NaN if any difference holds a NaN.
-    Each D_i e_u is summed once per call, for all j. The two sides
+    Each D_i e_u is summed once per call, for all j, and each lift
+    A_j e_w reads a_j e_w from the space's memo, formed once per (j, w)
+    for every i. The two sides
     D_i A_j e_w and A_j D_i e_w + delta_ij P e_w are compared first: word
     maps are canonical, so equal sides have the zero map as difference,
     and the difference is formed and measured only where they differ."""
@@ -210,10 +224,10 @@ def commutator_residual(space: FockSpace, i, level_limit):
     worst = dict.fromkeys(letters, space.deformation.zero_magnitude())
     for n in range(level_limit + 1):
         for w in space.words(n):
-            basis = FockVector.basis(w)
             for j in letters:
-                lifted = space.gaussian(j, basis)
-                left = FockVector.combination((dual(u), c) for u, c in lifted.items())
+                # the lift A_j e_w = e_{jw} + a_j e_w, its words in that order
+                lowered = space.annihilate_word(j, w)
+                left = FockVector.combination([(dual((j,) + w), 1)] + [(dual(u), c) for u, c in lowered.items()])
                 right = space.gaussian(j, dual(w))
                 if i == j and n == 0:
                     right = right + space.vacuum()

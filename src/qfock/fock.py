@@ -193,10 +193,15 @@ class WordMap:
 
     @classmethod
     def combination(cls, terms):
-        """The sum of s * m over the (m, s) pairs, accumulated in one map."""
+        """The sum of s * m over the (m, s) pairs, accumulated in one map.
+        A scale that is the int 1 adds m's coefficients as they are, which
+        is what multiplying each by it would give."""
         acc = {}
         for m, s in terms:
-            if s:
+            if type(s) is int and s == 1:
+                for k, c in m._c.items():
+                    _add_to(acc, k, c)
+            elif s:
                 for k, c in m._c.items():
                     _add_to(acc, k, c * s)
         return cls._wrap(acc)
@@ -348,13 +353,13 @@ class FockSpace:
     """Fock space over d letters, truncated at an explicit word length.
 
     All operator applications are pure. The per-level words and Gram
-    blocks, and the memos of the dual operators, Wick polynomials,
-    conjugate-variable levels, diagram tables with their weights and the
-    window tables of the peeling factors are write-once tables (see
-    ``_memo``), so a space can be shared freely between threads. Every
-    key stays within the truncation level, so the tables are bounded by
-    it; a diagram table holds at most one set of weights per letter
-    assignment of its pattern.
+    blocks, and the memos of the annihilated basis words, the dual
+    operators, Wick polynomials, conjugate-variable levels, diagram tables
+    with their weights and the window tables of the peeling factors are
+    write-once tables (see ``_memo``), so a space can be shared freely
+    between threads. Every key stays within the truncation level, so the
+    tables are bounded by it; a diagram table holds at most one set of
+    weights per letter assignment of its pattern.
     """
 
     def __init__(self, deformation: Deformation, level: int):
@@ -370,7 +375,9 @@ class FockSpace:
         # equal diagonal entries; otherwise no two words share a key (dual)
         diagonal = [row[k] for k, row in enumerate(self._labels)]
         self._shares_labels = len(set(diagonal)) < self.d
-        self._memos = {name: {} for name in ("words", "blocks", "dual", "wick", "xi", "diagrams", "peel")}
+        self._memos = {
+            name: {} for name in ("words", "blocks", "annihilated", "dual", "wick", "xi", "diagrams", "peel")
+        }
 
     @classmethod
     def with_scalar_q(cls, d, q, level):
@@ -422,14 +429,26 @@ class FockSpace:
         self._check_letter(i)
         return FockVector._wrap(self._annihilated(i, v))
 
+    def annihilate_word(self, i, word) -> FockVector:
+        """a_i e_word, the ``annihilate`` of a basis word, memoized per space
+        under (i, word): at most d entries per word up to the level."""
+        return self._memo("annihilated", (i, word), FockSpace._annihilated_word, self, i, word)
+
+    def _annihilated_word(self, i, word):
+        self._check_letter(i)
+        self._check_level(len(word))
+        return FockVector._wrap(self._annihilated(i, FockVector._wrap({word: 1})))
+
     def gaussian(self, i, v: FockVector) -> FockVector:
         """The field operator, creation plus annihilation, summed into the
         creation's map with no intermediate vector to build or re-validate.
         The created words come first and the annihilation terms are summed
         apart and then added, so every float coefficient is the
         c + (a_1 + a_2 + ...) of ``create(i, v) + annihilate(i, v)``, in
-        the same order."""
+        the same order. The zero vector maps to a new zero vector at once."""
         self._check_letter(i)
+        if not v._c:
+            return FockVector._wrap({})
         acc = self._created(i, v)
         for w, c in self._annihilated(i, v).items():
             _add_to(acc, w, c)

@@ -39,13 +39,25 @@ occurrence. ``diagram_table`` groups the diagrams of a family that pair
 equal classes of a pattern into signed integer counts, so the sums for
 all words of one pattern share one enumeration.
 
-One process-wide ``lru_cache`` holds the enumeration, not the
-deformation: ``enumerate_family``, at most 32 entries, one tuple of
-diagrams (with their crossing maps) per (family, vertex count).
-``diagram_table`` itself is not cached here: a ``FockSpace`` keeps each
-table it reads in its ``diagrams`` memo, beside the weights evaluated from
-it (see :mod:`qfock.dual`). A d=3 level-6 verification of every diagram
-sum meets 919 patterns: 549 in B, 184 in C and 186 in D.
+What is cached where:
+
+* each diagram caches, on itself and on first use, its crossing map
+  (``crossing_pairs``) and the record derived from that map once
+  (``record``): its pairs, its singletons in reading order, its sign and
+  its crossings by block vertex, with the crossings ``diagram_table``
+  leaves out already dropped;
+* one process-wide ``lru_cache`` holds the enumeration, not the
+  deformation: ``enumerate_family``, at most 32 entries, one tuple of
+  diagrams per (family, vertex count), so the diagrams keep their maps and
+  records for as long as their tuple stays cached;
+* ``diagram_table`` itself is not cached here: a ``FockSpace`` keeps each
+  table it reads in its ``diagrams`` memo, beside the weights evaluated
+  from it (see :mod:`qfock.dual`).
+
+``diagram_table`` reads only the records, so a table costs one pass over
+the family's diagrams and no crossing map is walked again. A d=3 level-6
+verification of every diagram sum meets 919 patterns: 549 in B, 184 in C
+and 186 in D.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ class DrawnPartition:
     pair, ``(s,)`` for a singleton.
     """
 
-    __slots__ = ("family", "n_vertices", "pairs", "singletons", "_cross")
+    __slots__ = ("family", "n_vertices", "pairs", "singletons", "_cross", "_record")
 
     def __init__(self, family, n_vertices, pairs, singletons):
         if family not in FAMILIES:
@@ -85,6 +97,7 @@ class DrawnPartition:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "singletons", singletons)
         object.__setattr__(self, "_cross", None)
+        object.__setattr__(self, "_record", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DrawnPartition is immutable")
@@ -127,6 +140,33 @@ class DrawnPartition:
     def crossings(self):
         """Total number of crossings between blocks."""
         return sum(self.crossing_pairs().values())
+
+    def record(self):
+        """(pairs, left, right, sign, crossings), what ``diagram_table``
+        reads, derived once from ``crossing_pairs`` and cached:
+
+        * left and right are the singletons above and below the partner of
+          0 (all of them are left in B and D), each right to left;
+        * sign is (-1) to the number of pairs not through vertex 0;
+        * crossings holds (u, v, count) per crossing block pair, u and v
+          the first vertices of the two blocks, leaving out the crossings of
+          the block through 0 with the right singletons.
+        """
+        if self._record is None:
+            zero = self.zero_block()
+            # singletons are sorted, so those below the partner of 0 come first
+            cut = bisect(self.singletons, zero[1]) if zero else 0
+            right, left = self.singletons[:cut], self.singletons[cut:]
+            skipped = {frozenset((zero, (s,))) for s in right}
+            crossings = []
+            for bpair, n in self.crossing_pairs().items():
+                if bpair not in skipped:
+                    u, v = bpair
+                    crossings.append((u[0], v[0], n))
+            sign = -1 if (self.num_pairs - (zero is not None)) % 2 else 1
+            record = (self.pairs, left[::-1], right[::-1], sign, tuple(crossings))
+            object.__setattr__(self, "_record", record)
+        return self._record
 
     def __repr__(self):
         return (
@@ -204,26 +244,20 @@ def diagram_table(family, pattern):
       number of pairs not through vertex 0; entries whose signs cancel
       are dropped.
     """
-    lo = 0 if family in ("B", "C") else 1
-
-    def read(vertices):
-        return tuple(pattern[v - lo] for v in reversed(vertices))
-
+    # at[v] is the class of vertex v
+    at = tuple(pattern) if family in ("B", "C") else (None,) + tuple(pattern)
     groups = {}
     for part in enumerate_family(family, len(pattern)):
-        if any(pattern[a - lo] != pattern[b - lo] for a, b in part.pairs):
-            continue
-        zero = part.zero_block()
-        # singletons are sorted, so those below the partner of 0 come first
-        cut = bisect(part.singletons, zero[1]) if zero else 0
-        right, left = part.singletons[:cut], part.singletons[cut:]
-        skipped = {frozenset((zero, (s,))) for s in right}
-        exponents = {}
-        for bpair, n in part.crossing_pairs().items():
-            if bpair not in skipped:
-                key = tuple(sorted(pattern[blk[0] - lo] for blk in bpair))
+        pairs, left, right, sign, crossings = part.record()
+        for a, b in pairs:
+            if at[a] != at[b]:
+                break
+        else:
+            exponents = {}
+            for u, v, n in crossings:
+                a, b = at[u], at[v]
+                key = (a, b) if a <= b else (b, a)
                 exponents[key] = exponents.get(key, 0) + n
-        key = (read(left), read(right), tuple(sorted(exponents.items())))
-        sign = -1 if (part.num_pairs - (zero is not None)) % 2 else 1
-        groups[key] = groups.get(key, 0) + sign
+            key = (tuple([at[v] for v in left]), tuple([at[v] for v in right]), tuple(sorted(exponents.items())))
+            groups[key] = groups.get(key, 0) + sign
     return tuple((count,) + key for key, count in groups.items() if count)

@@ -894,6 +894,9 @@ _JSON_TREES = st.recursive(
         st.lists(kids),
         st.lists(kids).map(tuple),
         st.lists(st.integers(), min_size=1),
+        st.lists(st.lists(st.integers())),
+        st.lists(st.lists(st.booleans())),
+        st.lists(st.lists(st.one_of(st.integers(), st.booleans()))),
         st.dictionaries(st.text(), kids),
         st.dictionaries(st.integers(), kids),
     ),
@@ -1012,6 +1015,8 @@ class TestGolden:
 _KEY_LEVEL = {
     "words": lambda n: n,
     "blocks": lambda n: n,
+    # (letter, word): the word annihilated
+    "annihilated": lambda key: len(key[1]),
     "dual": lambda key: len(key[1]),
     "wick": len,
     "xi": lambda m: 2 * m + 1,
@@ -1024,7 +1029,8 @@ _KEY_LEVEL = {
 
 class TestMemoBounds:
     @pytest.mark.parametrize(
-        "suite,table", [("dual-agree", "dual"), ("wick-agree", "wick"), ("derivative-agree", "diagrams")]
+        "suite,table",
+        [("commutator", "annihilated"), ("dual-agree", "dual"), ("wick-agree", "wick"), ("derivative-agree", "diagrams")],
     )
     def test_memos_within_level(self, capsys, monkeypatch, suite, table):
         spaces = []

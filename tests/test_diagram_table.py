@@ -4,6 +4,7 @@ one pattern share a table, which a space reads once. A space evaluates
 each table into weights once per sharing key, and words of one key share
 the weights."""
 
+import hashlib
 import io
 from collections import Counter
 from contextlib import redirect_stdout
@@ -17,7 +18,7 @@ import qfock.cli
 import qfock.dual
 import qfock.ncpoly
 import qfock.partitions
-from qfock import FORMAL_Q, Deformation, FockSpace, commutator_residual, dual_partition, wick_partition
+from qfock import FORMAL_Q, Deformation, FockSpace, commutator_residual, dual_partition, dual_recursive, wick_partition
 from qfock.cli import main
 from qfock.dual import _diagram_terms
 from qfock.partitions import diagram_table
@@ -163,6 +164,15 @@ class TestPatternSharedWeights:
             assert all(len(evaluated) == 1 for _, evaluated in memo.values()), suite
 
 
+def letter_patterns(n):
+    """The letter patterns on n vertices, classes numbered by first
+    occurrence, in lexicographic order."""
+    patterns = [()]
+    for _ in range(n):
+        patterns = [p + (c,) for p in patterns for c in range(max(p, default=-1) + 2)]
+    return patterns
+
+
 class TestPatternTable:
     def test_words_of_one_pattern_share_an_entry(self, monkeypatch):
         built = []
@@ -193,6 +203,23 @@ class TestPatternTable:
                 (1, (), (), cross),
             ]
         )
+
+    @pytest.mark.parametrize(
+        "family,digest",
+        [
+            ("B", "1991d513f6331b90e80a116f6e53bec42efaf6c9"),
+            ("C", "1b617662ab048ecfde7c8aa5e3c3f39d30588408"),
+            ("D", "adb2da23fc2d12612e1cc6d8ad0e8ee9ceb2a603"),
+        ],
+    )
+    def test_tables_of_every_pattern_to_seven_vertices_are_pinned(self, family, digest):
+        # digests taken before the tables read the diagrams' records; the
+        # entries count in order, since float weights are summed in table order
+        sha = hashlib.sha1()
+        for n in range(0 if family == "D" else 1, 8):
+            for p in letter_patterns(n):
+                sha.update(repr(diagram_table(family, p)).encode())
+        assert sha.hexdigest() == digest
 
     def test_one_space_reads_every_pattern_of_a_d3_level6_run_once(self, monkeypatch):
         families = Counter()
@@ -242,3 +269,25 @@ def test_commutator_sums_each_dual_once_per_call(monkeypatch):
     assert commutator_residual(space, 1, 4) == {1: 0, 2: 0}
     assert len(calls) == len(set(calls))
     assert set(calls) == {(1, u) for n in range(6) for u in space.words(n)}
+
+
+def test_each_basis_word_annihilated_once_per_letter(monkeypatch):
+    # the commutator's lifts A_j e_w and the recursion for D_i read one
+    # memo of a_j e_w: every i, and both strategies, share each (j, w)
+    space = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
+    calls = []
+    build = FockSpace._annihilated_word
+
+    def recorded(sp, j, w):
+        calls.append((j, w))
+        return build(sp, j, w)
+
+    monkeypatch.setattr(FockSpace, "_annihilated_word", recorded)
+    for i in (1, 2):
+        assert commutator_residual(space, i, 4) == {1: 0, 2: 0}
+    for n in range(6):
+        for w in space.words(n):
+            for i in (1, 2):
+                dual_recursive(space, i, w)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(j, w) for n in range(5) for w in space.words(n) for j in (1, 2)}
