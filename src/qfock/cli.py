@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb, factorial, inf, isfinite, log2, sqrt
 
 import mpmath as mp
@@ -57,11 +57,7 @@ class ConfigError(Exception):
 
 
 def _scalar_json(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (bool, float, int)):
         return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -195,7 +191,7 @@ def _orbit_words(d, n):
 def _engine_size(deformation, n):
     """The cost of the conjugate variables at level n, in units of about
     3.6 ns: n^4 times a weight for each word peeled, and 2^11 for each of
-    the d^n words written.
+    the d^n words of the level.
 
     A constant deformation peels one content per orbit of letter
     permutations (``_orbit_words``: 28,909 of the 177,147 words at d=3
@@ -212,6 +208,13 @@ def _engine_size(deformation, n):
     level 9 8.6e8 (3.1 s); above the limit, d=2 level 17 5.7e9 (24 s),
     formal d=2 level 11 7.7e9 (46 s) and d=3 level 13 1.0e10 (46 s,
     1.2 GB).
+
+    The 2^11 is charged on all d^n words, not only on the written ones
+    (``_source_words``): the peeling indexes words by content through
+    ``fock._by_content(d, n)``, which holds n d^n intp entries, a column
+    for every word, written or not. Charged on the written words alone,
+    ``export xi --d 40 --level 5 --series-m 2`` would be admitted at 1.9e9
+    units (it is 2.1e11), and that table alone would take 4.1 GB.
 
     Far past any limit (n above 255, or d^n above 2^200) the peeled words
     are not counted and one stands for them all."""
@@ -539,7 +542,7 @@ def run_verify(args) -> int:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    _emit(args, _json_chunks(report))
+    _emit(args, report)
     return 0 if report["pass"] else 1
 
 
@@ -555,9 +558,6 @@ def _config_json(args):
     }
 
 
-def _word_json(word):
-    return list(word)
-
 def _export_xi(space, args):
     rows = []
     tail = None
@@ -568,7 +568,7 @@ def _export_xi(space, args):
         terms = []
         for w in xi.support():
             c = xi.coeff(w)
-            entry = {"word": _word_json(w)}
+            entry = {"word": list(w)}
             if isinstance(c, Fraction):
                 entry["coeff_num"] = c.numerator
                 entry["coeff_den"] = c.denominator
@@ -591,7 +591,7 @@ def _export_gibbs(space, args):
     _, potential, residuals = _gibbs(space, args.series_m)
     return {
         "terms": [
-            {"word": _word_json(w), "coeff": _scalar_json(c)}
+            {"word": list(w), "coeff": _scalar_json(c)}
             for w, c in sorted(potential.items(), key=lambda t: (len(t[0]), t[0]))
         ],
         "gradient_residuals": {
@@ -662,21 +662,18 @@ def run_export(args) -> int:
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: json.dumps(v, sort_keys=True, default=_scalar_json) if isinstance(v, (list, dict)) else v for k, v in row.items()})
-        _emit(args, [buf.getvalue()])
+        # a family with no diagram writes one empty line
+        _emit(args, buf.getvalue() or "\n")
     else:
         report = {"command": "export", "what": args.what, "config": _config_json(args)}
         report.update(payload)
-        _emit(args, _json_chunks(report))
+        _emit(args, report)
     return 0
 
 
-# parts of a JSON report per write, about 1 MB of xi terms; stdout may be
-# unbuffered
+# parts of a JSON report per write: an xi term is 9 parts, so a write holds
+# about 230 terms, 110 KB at d=3 level 11; stdout may be unbuffered
 EMIT_BATCH_CHUNKS = 1 << 11
-
-# the most elements of a list or dict that the JSON writer makes one part
-# of; a longer one is streamed element by element
-JSON_SMALL = 64
 
 
 def _json_float(value):
@@ -711,106 +708,66 @@ def _json_key(key):
     return text if isinstance(key, str) else _json_str(text)
 
 
-def _brackets(value):
-    return ("{", "}") if isinstance(value, dict) else ("[", "]")
-
-
-def _json_items(value, inner):
-    """(head, element) of a list or dict in the order written, each head
-    its indent and, in a dict, its key, the keys sorted as
-    ``sorted(value.items())`` sorts them."""
-    if isinstance(value, dict):
-        return ((inner + _json_key(k) + ": ", v) for k, v in sorted(value.items()))
-    return zip(repeat(inner), value)
-
-
 def _ints_text(value, newline):
-    """The JSON text of a list of ints (bools excluded) at the indent that
-    ``newline`` ends with, joined in one pass."""
-    if not value:
-        return "[]"
+    """The JSON text of a nonempty list of ints (bools excluded) at the
+    indent that ``newline`` ends with, joined in one pass."""
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(map(repr, value)) + newline + "]"
 
 
-def _json_text(value, newline, depth=2):
-    """The JSON text of a value, as ``json.dumps`` writes it at the indent
-    that ``newline`` ends with, or None if it nests lists and dicts more
-    than ``depth`` deep or holds one of more than ``JSON_SMALL`` elements.
-    A list of ints is joined in one pass and counts as a scalar; a list of
-    such lists, within ``depth`` and ``JSON_SMALL``, is joined in one pass
-    too."""
-    t = type(value)
-    if t is int:
-        return repr(value)
-    if t is str:
-        return _json_str(value)
-    if t is float:
-        return _json_float(value)
+def _write_json(fh, value, parts=None, newline="\n"):
+    """Write a report to the file fh as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it, and a newline, with no one string of the whole
+    report (the stdlib's writer for an indent is its pure-Python one).
+
+    The text of a value at the indent that ``newline`` ends with is
+    appended to ``parts``, one part per scalar, bracket and element head
+    (its indent and, in a dict, its key, the keys sorted as
+    ``sorted(value.items())`` sorts them); a nonempty list of ints is one
+    part. The parts go to fh, in one write, whenever ``EMIT_BATCH_CHUNKS``
+    of them have gathered after an element of a list or dict."""
+    if parts is None:
+        parts = []
+        _write_json(fh, value, parts)
+        parts.append("\n")
+        fh.write("".join(parts))
+        return
     if not isinstance(value, (list, tuple, dict)):
-        return _json_scalar_text(value)
-    opening, closing = _brackets(value)
-    if not value:
-        return opening + closing
-    if t is list and set(map(type, value)) == {int}:
-        return _ints_text(value, newline)
-    if not depth or len(value) > JSON_SMALL:
-        return None
+        parts.append(_json_scalar_text(value))
+        return
+    if type(value) is list and value and set(map(type, value)) == {int}:
+        parts.append(_ints_text(value, newline))
+        return
     inner = newline + "  "
-    if t is list and set(map(type, value)) == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
-        return "[" + ",".join([inner + _ints_text(sub, inner) for sub in value]) + newline + "]"
-    texts = []
-    for head, element in _json_items(value, inner):
-        text = _json_text(element, inner, depth - 1)
-        if text is None:
-            return None
-        texts.append(head + text)
-    return opening + ",".join(texts) + newline + closing
-
-
-def _json_chunks(report):
-    """The report as ``json.dumps(report, sort_keys=True, indent=2)``, in
-    pieces of about ``EMIT_BATCH_CHUNKS`` parts, with no one string of the
-    whole report (the stdlib's writer for an indent is its pure-Python
-    one). A value that ``_json_text`` writes is one part; any other list
-    or dict is streamed element by element."""
-    parts = []
-
-    def stream(value, newline):
-        inner = newline + "  "
-        opening, closing = _brackets(value)
-        parts.append(opening)
-        sep = ""
-        for head, element in _json_items(value, inner):
-            text = _json_text(element, inner)
-            if text is None:
-                parts.append(sep + head)
-                yield from stream(element, inner)
-            else:
-                parts.append(sep + head + text)
-            sep = ","
-            if len(parts) >= EMIT_BATCH_CHUNKS:
-                yield "".join(parts)
-                parts.clear()
-        parts.append(newline + closing)
-
-    text = _json_text(report, "\n")
-    if text is None:
-        yield from stream(report, "\n")
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = ((inner + _json_key(k) + ": ", v) for k, v in sorted(value.items()))
     else:
-        parts.append(text)
-    yield "".join(parts)
+        opening, closing = "[", "]"
+        items = zip(repeat(inner), value)
+    if not value:
+        parts.append(opening + closing)
+        return
+    parts.append(opening)
+    sep = ""
+    for head, element in items:
+        parts.append(sep + head)
+        _write_json(fh, element, parts, inner)
+        sep = ","
+        if len(parts) >= EMIT_BATCH_CHUNKS:
+            fh.write("".join(parts))
+            parts.clear()
+    parts.append(newline + closing)
 
 
-def _emit(args, chunks):
-    """Write the text the chunks make up, one write per chunk, ended by a
-    newline unless it ends with one."""
+def _emit(args, report):
+    """Write a report to stdout or the ``--out`` file: text as it is, any
+    other value as JSON."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        text = ""
-        for text in chunks:
-            fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            _write_json(fh, report)
 
 
 def build_parser():

@@ -16,7 +16,8 @@ Both the recursion and the commutator check ``commutator_residual`` read
 a_j e_w for a basis word from the space's ``annihilated`` memo
 (``FockSpace.annihilate_word``): the commutator's lift
 A_j e_w = e_{jw} + a_j e_w of each (j, w) shares that one annihilation
-with every index i and with the recursion for D_i.
+with every index i and with the recursion for D_i, and the Wick recursion
+(``ncpoly.wick_recursive``) reads the same memo.
 The diagram sums here and in ``ncpoly`` (families C and D) read the
 combinatorics from ``partitions.diagram_table``: one table per family and
 letter pattern, the word's vertex letters relabelled by first occurrence,

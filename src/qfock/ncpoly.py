@@ -37,6 +37,7 @@ from math import lcm
 
 from .dual import _diagram_terms, conjugate_series
 from .fock import FockSpace, FockVector, TruncationError, WordMap, _add_to
+from .scalars import magnitude
 
 __all__ = [
     "NCPoly",
@@ -145,7 +146,7 @@ def _wick_build(space: FockSpace, word) -> NCPoly:
         return NCPoly.one()
     a, rest = word[0], word[1:]
     head = wick_recursive(space, rest).prepend(a)
-    lowered = space.annihilate(a, FockVector._wrap({rest: 1}))
+    lowered = space.annihilate_word(a, rest)
     return NCPoly.combination([(head, 1)] + [(wick_recursive(space, u), -c) for u, c in lowered.items()])
 
 
@@ -356,8 +357,6 @@ def gibbs_gradient_residuals(space: FockSpace, source_length: int, potential, ex
     M = 2, 3, 4, degree 5 does not (2.1e-3 for q = 1/2, M = 3).
     :func:`cyclic_commutator` is the exact statement.
     """
-    from .scalars import magnitude
-
     zero = space.deformation.zero_magnitude()
     out = {}
     for i, xi_poly in expansions.items():

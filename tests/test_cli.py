@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -434,6 +435,8 @@ class TestVerify:
             ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export computes the conjugate variables at level 11 over 2^11 words, an engine size of 7.7e+09"),
             ("verify all --d 3 --level 13 --series-m 6", "duality suite computes the conjugate variables at level 13"),
             ("export xi --d 3 --level 13 --series-m 6", "xi export computes the conjugate variables at level 13 over 3^13 words, an engine size of 1e+10"),
+            # every word of the level is charged, not only the written ones
+            ("export xi --d 40 --level 5 --series-m 2", "xi export computes the conjugate variables at level 5 over 40^5 words, an engine size of 2.1e+11"),
             # far past the limit the size is not formed in full, and is never a traceback
             ("export xi --d 2 --level 2001 --series-m 1000", "xi export computes the conjugate variables at level 2001 over 2^2001 words, an engine size of inf"),
             # per-word suites with too many cases, with their count
@@ -704,6 +707,10 @@ class TestExport:
         assert lines[0] == "n,coeffs"
         assert len(lines) == 6
 
+    def test_csv_of_no_diagram_is_one_empty_line(self, capsys):
+        # B on one vertex has no diagram, so the table has no header either
+        assert run(capsys, "export", "partitions", "--family", "B", "--n", "1", "--format", "csv") == (0, "\n")
+
     def test_gibbs_export(self, capsys):
         code, out = run(
             capsys,
@@ -905,22 +912,28 @@ _JSON_TREES = st.recursive(
 
 
 class TestJsonWriter:
+    @staticmethod
+    def written(value):
+        buf = io.StringIO()
+        qfock.cli._write_json(buf, value)
+        return buf.getvalue()
+
     @settings(max_examples=300, deadline=None)
     @given(tree=_JSON_TREES)
     def test_joined_chunks_equal_one_dumps(self, tree):
-        # at the writer's own sizes, and with every container streamed in
-        # batches of one or three parts
-        want = json.dumps(tree, sort_keys=True, indent=2)
-        for small, batch in ((qfock.cli.JSON_SMALL, qfock.cli.EMIT_BATCH_CHUNKS), (0, 1), (2, 3)):
-            with mock.patch.object(qfock.cli, "JSON_SMALL", small), mock.patch.object(qfock.cli, "EMIT_BATCH_CHUNKS", batch):
-                assert "".join(qfock.cli._json_chunks(tree)) == want
+        # at the writer's own batch size, and with the parts written out in
+        # batches of one or three
+        want = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        for batch in (qfock.cli.EMIT_BATCH_CHUNKS, 1, 3):
+            with mock.patch.object(qfock.cli, "EMIT_BATCH_CHUNKS", batch):
+                assert self.written(tree) == want
 
     @pytest.mark.parametrize("value", [{1: 2, "a": 3}, {"a": {1j: 0}}, [object()], {"a": [1, 2, {3}]}])
     def test_refuses_what_json_dumps_refuses(self, value):
         with pytest.raises(TypeError):
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
-            "".join(qfock.cli._json_chunks(value))
+            self.written(value)
 
 
 # fixed mixed matrices with signed entries of distinct denominators

@@ -18,7 +18,9 @@ import qfock.cli
 import qfock.dual
 import qfock.ncpoly
 import qfock.partitions
-from qfock import FORMAL_Q, Deformation, FockSpace, commutator_residual, dual_partition, dual_recursive, wick_partition
+from qfock import (
+    FORMAL_Q, Deformation, FockSpace, commutator_residual, dual_partition, dual_recursive, wick_partition, wick_recursive,
+)
 from qfock.cli import main
 from qfock.dual import _diagram_terms
 from qfock.partitions import diagram_table
@@ -272,8 +274,9 @@ def test_commutator_sums_each_dual_once_per_call(monkeypatch):
 
 
 def test_each_basis_word_annihilated_once_per_letter(monkeypatch):
-    # the commutator's lifts A_j e_w and the recursion for D_i read one
-    # memo of a_j e_w: every i, and both strategies, share each (j, w)
+    # the Wick recursion, the commutator's lifts A_j e_w and the recursion
+    # for D_i read one memo of a_j e_w: every i, and every strategy, share
+    # each (j, w)
     space = FockSpace.with_scalar_q(2, Fraction(1, 2), level=5)
     calls = []
     build = FockSpace._annihilated_word
@@ -283,6 +286,11 @@ def test_each_basis_word_annihilated_once_per_letter(monkeypatch):
         return build(sp, j, w)
 
     monkeypatch.setattr(FockSpace, "_annihilated_word", recorded)
+    for n in range(6):
+        for w in space.words(n):
+            wick_recursive(space, w)
+    # the Wick recursion annihilates the first letter of each word in the rest
+    assert sorted(calls) == sorted((w[0], w[1:]) for n in range(1, 6) for w in space.words(n))
     for i in (1, 2):
         assert commutator_residual(space, i, 4) == {1: 0, 2: 0}
     for n in range(6):
