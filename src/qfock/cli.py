@@ -3,9 +3,10 @@
 Exit codes are the contract: 0 when every check passes, 1 when a check
 fails (the report names the first counterexample), 2 on invalid
 configuration. Every exit 2 happens before any space is built: the
-arguments are parsed, and ``_require`` makes every refusal, first. Reports
-are deterministic: the same configuration and seed produce byte-identical
-output.
+arguments are parsed, and ``_require`` makes every refusal, first, among
+them a run predicted (``_price``) to take more than ``TIME_LIMIT_S`` or
+``MEMORY_LIMIT_MB``. Reports are deterministic: the same configuration and
+seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb, factorial, inf, isfinite, log2, sqrt
 import mpmath as mp
 
 from .dual import commutator_residual, conjugate_series, dual_partition, dual_recursive, fisher_reports
-from .fock import FockSpace, _cleared
+from .fock import FockSpace, FockVector, _cleared
 from .ncpoly import (
     conjugate_expansions,
     cyclic_commutator,
@@ -33,7 +34,6 @@ from .ncpoly import (
     duality_residual,
     gibbs_gradient_residuals,
     gibbs_potential,
-    vector_to_poly,
     wick_partition,
     wick_recursive,
 )
@@ -116,27 +116,10 @@ def _parse_config(args):
     return deformation
 
 
-# the most Gram entries one level may hold: d=2 level 13 has 10,400,600, and
-# its blocks to that level take about 0.8 GB of Python ints. It refuses the
-# bounds suite from d=7 (27,210,169 entries at level 6), and duality from
-# d=2,450 at M=0 and from d=127 at M=1; every other refusal of a run is the
-# engine size's
-GRAM_ENTRIES_LIMIT = 12_000_000
-
-# the largest ``_engine_size`` (units of about 3.6 ns): ``export xi`` at
-# q = 1/2 runs d=5 level 9 (4.2e9) in 7.4 s and 676 MB, and would take 24 s
-# at d=2 level 17 (5.7e9) and 46 s and 1.2 GB at d=3 level 13 (1.0e10),
-# both refused; see ``_engine_size`` for the rest
-ENGINE_SIZE_LIMIT = 5 * 10**9
-
-# the most cases one per-word suite checks: (letter, word) cases for the
-# commutator and agreement suites, words alone for wick-agree, and (letter,
-# monomial) cases for duality. A case took about 65-75 us in the
-# commutator suite (d=5 and d=6 at level 6), 16-27 us in the agreement
-# suites and 33 us in duality (d=20, M=1: 168,420 cases in 5.7 s), so the
-# slowest admitted suite runs about 8 s (2-core x86-64 box); d=3 at level 6
-# checks at most 3,279
-CASES_LIMIT = 100_000
+# the longest a run may be predicted to take, and the most memory; see
+# ``_price`` for the fit behind both predictions
+TIME_LIMIT_S = 20
+MEMORY_LIMIT_MB = 1500
 
 
 def _gram_size(d, n):
@@ -188,44 +171,75 @@ def _orbit_words(d, n):
     return sum(comb(n, 2 * t) * sum(g[t]) for t in range(half + 1)) if n % 2 else 0
 
 
-def _engine_size(deformation, n):
-    """The cost of the conjugate variables at level n, in units of about
-    3.6 ns: n^4 times a weight for each word peeled, and 2^11 for each of
-    the d^n words of the level.
+def _price(deformation, args, names):
+    """The seconds and peak MB a run of the named suites or export is
+    predicted to take, and each name's seconds: 0.2 s and 35 MB to start,
+    and per name a rate times each quantity its work grows with, at level
+    n = 2M+1. The seconds add up; the memory is the largest.
 
-    A constant deformation peels one content per orbit of letter
-    permutations (``_orbit_words``: 28,909 of the 177,147 words at d=3
-    level 11), a mixed one every content of the c_i (``_source_words``).
-    A peeled word takes about n^2 moves of numerators that grow with n: at
-    q = 1/2 the peeling took 29-38 us a word at level 9, 52 us at 11, 93 us
-    at 13 and 184 us at 15, about 3.6 ns n^4. The weight is log2 s for
-    rational entries over the common denominator s (at least 1), 1 for
-    floats, and 512 for a formal q (210-420 measured at levels 7-9, rising
-    with n). Forming and writing a word's JSON took 6-12 us. Sizes and
-    times of ``export xi``, one process each on a 2-core x86-64 box, at
-    q = 1/2: d=3 level 11 7.9e8 (3.0 s), d=2 level 15 9.0e8 (3.5 s), d=4
-    level 9 6.3e8 (1.7 s), d=5 level 9 4.2e9 (7.4 s, 676 MB), formal d=2
-    level 9 8.6e8 (3.1 s); above the limit, d=2 level 17 5.7e9 (24 s),
-    formal d=2 level 11 7.7e9 (46 s) and d=3 level 13 1.0e10 (46 s,
-    1.2 GB).
+    - Conjugate variables (duality, gibbs, xi, fisher): 5.8 ns w n^4 per
+      word peeled (``_orbit_words`` at constant q, ``_source_words`` when
+      mixed), 0.77 us per word of the level, which ``fock._by_content``
+      indexes whole, and 3.0 us per word of the answer (``_source_words``).
+      The weight w is log2 s for rational entries over the common
+      denominator s (at least 1), 0.2 for floats and 2^(n/2 + 4) for a
+      formal q, whose coefficients grow with n.
+    - xi writes each word of the answer in 6.9 us.
+    - gibbs Wick-expands the answer, forms the potential and its gradient
+      residuals in 2.1 us w n^2 per word of it; the suite also applies the
+      degree-(n+1) commutator polynomial, whose top words are the answer's
+      with a letter appended (about 2.5 prefixes each), in 20 ns w (n+1)^4
+      per top word.
+    - The deepest Gram level built (M+2 for duality, up to 6 for bounds):
+      0.21 us per entry (``_gram_size``).
+    - A per-word suite weighs a case of length k as 2^k, at ``_CASE_S``
+      seconds per weighted case; each duality case also pairs xi_i, cut to
+      the case length, in 0.48 us per word of it.
+    - Memory is the conjugate variables' word table, 120 + 20 n bytes per
+      word of the level; the time limit bounds every other peak (bounds
+      at d=8 level 9, 70 million Gram entries: 12 s and 739 MB).
 
-    The 2^11 is charged on all d^n words, not only on the written ones
-    (``_source_words``): the peeling indexes words by content through
-    ``fock._by_content(d, n)``, which holds n d^n intp entries, a column
-    for every word, written or not. Charged on the written words alone,
-    ``export xi --d 40 --level 5 --series-m 2`` would be admitted at 1.9e9
-    units (it is 2.1e11), and that table alone would take 4.1 GB.
+    Fitted stage by stage (xi and fisher, gibbs, duality, each per-word
+    suite, bounds) on 89 runs, the float weight on 3 more, by least squares
+    on relative error, one process at a time, OPENBLAS_NUM_THREADS=1, on a
+    2-core x86-64 box. At q = 1/2, measured -> predicted
+    seconds: export xi d=2 level 15 4.5 -> 5.4, d=3 level 11 4.3 -> 4.1,
+    d=5 level 9 11.1 -> 9.3, formal d=2 level 9 3.6 -> 3.7, d=2 level 17
+    44 -> 33, d=3 level 13 63 -> 55; verify gibbs d=3 level 9 6.2 -> 5.8,
+    level 11 72 -> 92; verify duality d=3 level 11 7.8 -> 7.8, d=7 level 7
+    56 -> 45; verify commutator d=7 level 6 15 -> 12; verify bounds d=7
+    level 9 6.8 -> 5.9. Peak MB: export xi d=10 level 7 2,179 -> 2,635,
+    d=9 level 7 1,071 -> 1,279, d=200 level 3 1,371 -> 1,475.
 
-    Far past any limit (n above 255, or d^n above 2^200) the peeled words
-    are not counted and one stands for them all."""
-    d = deformation.d
-    exact = not (deformation.is_symbolic or deformation.is_float)
-    weight = max(1.0, log2(_cleared(deformation)[0])) if exact else 512 if deformation.is_symbolic else 1
-    bits = n * log2(d)
-    if n > 255 or bits > 200:
-        return weight * n**4 + (2.0**11 * d**n if bits < 1000 else inf)
-    peeled = _orbit_words(d, n) if deformation.is_constant else _source_words(d, n)
-    return float(weight * peeled * n**4 + 2**11 * d**n)
+    Far past any limit (n above 255, or d^n above 2^200) the price is
+    infinite, its words not counted."""
+    d, n = deformation.d, 2 * args.series_m + 1
+    seconds, mb = dict.fromkeys(names, 0.0), 0.0
+    for name in names:
+        if name in ("duality", "gibbs", "xi", "fisher"):
+            if n > 255 or n * log2(d) > 200:
+                seconds[name] = mb = inf
+                continue
+            exact = not (deformation.is_symbolic or deformation.is_float)
+            weight = max(1.0, log2(_cleared(deformation)[0])) if exact else 2 ** (n / 2 + 4) if deformation.is_symbolic else 0.2
+            peeled = _orbit_words(d, n) if deformation.is_constant else _source_words(d, n)
+            answer = _source_words(d, n)
+            seconds[name] += 5.8e-9 * weight * peeled * n**4 + 7.7e-7 * d**n + 3.0e-6 * answer
+            mb = (120 + 20 * n) * d**n / 1e6
+            if name == "xi":
+                seconds[name] += 6.9e-6 * answer
+            if name == "gibbs":
+                seconds[name] += 2.1e-6 * weight * answer * n**2
+                if args.command == "verify":
+                    seconds[name] += 2.0e-8 * weight * answer * (n + 1) ** 4
+        if name in _CASE_S:
+            seconds[name] += _CASE_S[name] * _cases(name, d, args, 2)
+            if name == "duality":
+                cut = sum(_source_words(d, k) for k in range(1, _case_length(name, args) + 1, 2)) // d
+                seconds[name] += 4.8e-7 * _cases(name, d, args) * cut
+        if name in ("duality", "bounds"):
+            seconds[name] += 2.1e-7 * _gram_size(d, _case_length(name, args) if name == "duality" else min(args.level, 6))[0]
+    return 0.2 + sum(seconds.values()), 35 + mb, seconds
 
 
 def _require(deformation, args, names):
@@ -234,18 +248,15 @@ def _require(deformation, args, names):
     need. The analytic constants w and C at q0 must be normal doubles,
     since the norm gates and every series tail are built from them. The
     needs come in one order: those constants for the bounds suite; then
-    each name's own needs, in the order of the names; then for the xi and
-    fisher exports those constants, and each (series, truncation) tail a
-    name sums, which must start halving its terms in reach; and for the
-    bounds suite the Haagerup bound C^(3/2), which must not overflow.
-    A name's own needs end with its sizes: the conjugate variables of
-    level 2M+1 within ``ENGINE_SIZE_LIMIT``, the deepest Gram level it
-    builds (M+2 for duality, up to 6 for the norm checks) within
-    ``GRAM_ENTRIES_LIMIT`` entries, and the cases a per-word suite checks
-    within ``CASES_LIMIT``. Fisher reads the level-M Gram, which within
-    the engine size holds at most 7,885 entries (M=4, d=5)."""
+    each name's own needs, in the order of the names; then the run's
+    price (``_price``: its seconds summed over the names, its memory the
+    largest name's) within ``TIME_LIMIT_S`` and ``MEMORY_LIMIT_MB``; then
+    for the xi and fisher exports those constants, and each (series,
+    truncation) tail a name sums, which must start halving its terms in
+    reach; and for the bounds suite the Haagerup bound C^(3/2), which must
+    not overflow. Fisher reads the level-M Gram, which within the limits
+    holds at most 35,169 entries (M=6, d=3)."""
     m, level = args.series_m, args.level
-    deepest = {"duality": _case_length("duality", args), "bounds": min(level, 6)}
     q0 = _q_float(_float_deformation(deformation))
     tails = {
         "bounds": [(series, k) for series in SERIES_IDS for k in (m, m + 2)],
@@ -274,25 +285,12 @@ def _require(deformation, args, names):
                 raise ConfigError(f"family {args.family} needs --n >= {lowest}")
             if args.command == "export" and args.format == "csv" and name not in _CSVABLE:
                 raise ConfigError(f"{label} has no tabular form; use json")
-            if name in ("duality", "gibbs", "xi", "fisher"):
-                size = _engine_size(deformation, 2 * m + 1)
-                if size > ENGINE_SIZE_LIMIT:
-                    raise ConfigError(
-                        f"{label} computes the conjugate variables at level {2 * m + 1} over {deformation.d}^{2 * m + 1} "
-                        f"words, an engine size of {size:.2g}, above the limit of {ENGINE_SIZE_LIMIT:.2g}"
-                    )
-            if name in deepest:
-                n = deepest[name]
-                entries, largest = _gram_size(deformation.d, n)
-                if entries > GRAM_ENTRIES_LIMIT:
-                    raise ConfigError(
-                        f"{label} builds the level-{n} Gram matrix, {entries:,} entries in blocks of up to "
-                        f"{largest:,} words, above the limit of {GRAM_ENTRIES_LIMIT:,} entries"
-                    )
-            if name in _CASE_LENGTH:
-                cases = _cases(name, deformation.d, args)
-                if cases > CASES_LIMIT:
-                    raise ConfigError(f"{label} checks {cases:,} cases, above the limit of {CASES_LIMIT:,}")
+        total, peak, seconds = _price(deformation, args, names)
+        if total > TIME_LIMIT_S or peak > MEMORY_LIMIT_MB:
+            parts = " (" + ", ".join(f"{name} {s:.2g} s" for name, s in seconds.items()) + ")" if len(names) > 1 else ""
+            run = args.suite if kind == "suite" else args.what
+            limit = f"{TIME_LIMIT_S} s" if total > TIME_LIMIT_S else f"{MEMORY_LIMIT_MB:,} MB"
+            raise ConfigError(f"{run} {kind} is predicted to take {total:.3g} s and {peak:,.0f} MB{parts}, above the limit of {limit}")
         for name in names:
             if name in ("xi", "fisher"):
                 analytic_constants(q0)
@@ -345,27 +343,24 @@ def _case_length(name, args):
     return _CASE_LENGTH[name](args.level, args.series_m)
 
 
-def _cases(name, d, args):
+def _cases(name, d, args, weight=1):
     """The cases a per-word suite checks: every word up to its length, each
-    with every letter but in wick-agree."""
-    return (1 if name == "wick-agree" else d) * sum(d**n for n in range(_case_length(name, args) + 1))
+    with every letter but in wick-agree; a case of length k counts
+    weight^k times."""
+    return (1 if name == "wick-agree" else d) * sum((weight * d) ** n for n in range(_case_length(name, args) + 1))
+
+
+# the seconds of a case of length k in each per-word suite over 2^k (``_price``)
+_CASE_S = {"commutator": 2.8e-6, "dual-agree": 3.0e-7, "wick-agree": 5.2e-7, "derivative-agree": 5.4e-7, "duality": 1.6e-6}
 
 
 def _suite_commutator(space, args, tol):
-    checks = []
     limit = _case_length("commutator", args)
-    for i in range(1, space.d + 1):
-        residuals = commutator_residual(space, i, limit)
-        for j, res in residuals.items():
-            checks.append(
-                _check(
-                    f"commutator/i={i},j={j}",
-                    magnitude(res),
-                    magnitude(res) <= tol,
-                    level_limit=limit,
-                )
-            )
-    return checks
+    return [
+        _check(f"commutator/i={i},j={j}", magnitude(res), magnitude(res) <= tol, level_limit=limit)
+        for i in range(1, space.d + 1)
+        for j, res in commutator_residual(space, i, limit).items()
+    ]
 
 
 def _agreement(space, check, limit, unit, tol, label, residuals, size=lambda diff: diff.max_coeff_magnitude(), **params):
@@ -413,10 +408,15 @@ def _suite_derivative_agree(space, args, tol):
 
 
 def _suite_duality(space, args, tol):
-    m = args.series_m
-    xis = {i: conjugate_series(space, i, m) for i in range(1, space.d + 1)}
+    m, limit = args.series_m, _case_length("duality", args)
+    # A^u Omega has no component longer than u, so each xi_i pairs only its
+    # words up to the longest monomial checked
+    xis = {
+        i: FockVector({w: c for w, c in conjugate_series(space, i, m).items() if len(w) <= limit})
+        for i in range(1, space.d + 1)
+    }
     return _agreement(
-        space, "duality/pairing", _case_length("duality", args), "monomials", tol, "i={} u={}",
+        space, "duality/pairing", limit, "monomials", tol, "i={} u={}",
         lambda u: (((i, u), duality_residual(space, u, i, xi), 0) for i, xi in xis.items()),
         size=magnitude, series_m=m,
     )

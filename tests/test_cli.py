@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +39,47 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# the refusals of runs that exit 2 before any space is built, each with the
+# start of its message
+REFUSALS = [
+    ("verify commutator --level 0", "commutator suite needs level >= 1"),
+    ("verify all --d 2 --level 3 --series-m 2", "duality suite needs level >= 2*series_m + 1"),
+    ("verify gibbs --d 2 --level 3 --series-m 2", "gibbs suite needs level >= 2*series_m + 1"),
+    ("verify all --d 2 --level 5 --q 997/1000", "series tail gibbs at |q| = 0.997"),
+    ("verify univar --q=9999999/10000000", "the q-identity at |q| = 0.9999999 needs a truncation of"),
+    # an export's own needs come before the constants, which fail from |q| ~ 0.99768
+    ("export xi --level 3 --series-m 2 --q 999/1000", "xi export needs level >= 2*series_m + 1"),
+    ("export xi --format csv --q 0 --level 7 --series-m 3", "xi export has no tabular form; use json"),
+    ("export gibbs --format csv", "gibbs export has no tabular form; use json"),
+    ("export partitions --family B --n 0", "family B needs --n >= 1"),
+    ("export fisher --mode symbolic", "fisher export needs numeric entries"),
+    ("export xi --level 3 --series-m 2", "xi export needs level >= 2*series_m + 1"),
+    # no letters: the deformation matrix would be empty
+    ("export xi --d 0 --level 5", "d must be at least 1"),
+    ("verify bounds --d 0", "d must be at least 1"),
+    # runs predicted to take too long, with their predicted seconds and peak
+    ("export xi --d 2 --level 17 --series-m 8", "xi export is predicted to take 33.3 s and 95 MB, above the limit of 20 s"),
+    ("export fisher --d 2 --level 17 --series-m 8", "fisher export is predicted to take 32.4 s and 95 MB, above the limit of 20 s"),
+    ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export is predicted to take 63.2 s and 36 MB, above the limit of 20 s"),
+    ("verify all --d 3 --level 13 --series-m 6", "all suite is predicted to take 1.46e+03 s and 641 MB (commutator 0.078 s, "),
+    ("export xi --d 3 --level 13 --series-m 6", "xi export is predicted to take 55.1 s and 641 MB, above the limit of 20 s"),
+    ("verify gibbs --d 3 --level 11 --series-m 5", "gibbs suite is predicted to take 92 s and 95 MB, above the limit of 20 s"),
+    # every word of the level is charged, not only the written ones
+    ("export xi --d 40 --level 5 --series-m 2", "xi export is predicted to take 88.1 s and 22,563 MB, above the limit of 20 s"),
+    # far past the limit the price is not formed in full, and is never a traceback
+    ("export xi --d 2 --level 2001 --series-m 1000", "xi export is predicted to take inf s and inf MB, above the limit of 20 s"),
+    # per-word suites with too many cases
+    ("verify commutator --d 12 --level 6", "commutator suite is predicted to take 279 s and 35 MB, above the limit of 20 s"),
+    ("verify duality --d 40 --level 5 --series-m 1", "duality suite is predicted to take 184 s and 47 MB, above the limit of 20 s"),
+    # a Gram level too large to build
+    ("verify bounds --d 9 --level 9", "bounds suite is predicted to take 33.7 s and 35 MB, above the limit of 20 s"),
+    # within the time, but its word table would not fit in memory
+    ("export xi --d 10 --level 7 --series-m 3", "xi export is predicted to take 14.7 s and 2,635 MB, above the limit of 1,500 MB"),
+    # every suite is within the limit on its own, but not all of them in one run
+    ("verify all --d 7 --level 6 --series-m 2", "all suite is predicted to take 41.7 s and 39 MB (commutator 11 s, dual-agree 17 s, "),
+]
 
 
 class TestVerify:
@@ -251,6 +293,22 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_duality_pairs_only_the_levels_it_reaches(self, capsys, monkeypatch):
+        # A^u Omega has no component longer than u, so xi_i is cut to the
+        # longest monomial, M+2 = 4, before it is paired: its level-5 words
+        # never reach the pairing
+        longest = []
+        inner = qfock.fock.FockSpace.inner
+
+        def recorded(space, u, v):
+            longest.append(max(len(w) for x in (u, v) for w, _ in x.items()))
+            return inner(space, u, v)
+
+        monkeypatch.setattr(qfock.fock.FockSpace, "inner", recorded)
+        code, _ = run(capsys, *"verify duality --d 2 --level 7 --series-m 2".split())
+        assert code == 0
+        assert max(longest) == 4
+
     def test_duality_level_guard(self, capsys):
         assert (
             main(["verify", "duality", "--q", "1/2", "--level", "4", "--series-m", "2"])
@@ -411,43 +469,27 @@ class TestVerify:
         assert ran == []
         return capsys.readouterr().err.splitlines()[-1]
 
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            ("verify commutator --level 0", "commutator suite needs level >= 1"),
-            ("verify all --d 2 --level 3 --series-m 2", "duality suite needs level >= 2*series_m + 1"),
-            ("verify gibbs --d 2 --level 3 --series-m 2", "gibbs suite needs level >= 2*series_m + 1"),
-            ("verify all --d 2 --level 5 --q 997/1000", "series tail gibbs at |q| = 0.997"),
-            ("verify univar --q=9999999/10000000", "the q-identity at |q| = 0.9999999 needs a truncation of"),
-            # an export's own needs come before the constants, which fail from |q| ~ 0.99768
-            ("export xi --level 3 --series-m 2 --q 999/1000", "xi export needs level >= 2*series_m + 1"),
-            ("export xi --format csv --q 0 --level 7 --series-m 3", "xi export has no tabular form; use json"),
-            ("export gibbs --format csv", "gibbs export has no tabular form; use json"),
-            ("export partitions --family B --n 0", "family B needs --n >= 1"),
-            ("export fisher --mode symbolic", "fisher export needs numeric entries"),
-            ("export xi --level 3 --series-m 2", "xi export needs level >= 2*series_m + 1"),
-            # no letters: the deformation matrix would be empty
-            ("export xi --d 0 --level 5", "d must be at least 1"),
-            ("verify bounds --d 0", "d must be at least 1"),
-            # conjugate variables too large to compute, with their estimated size
-            ("export xi --d 2 --level 17 --series-m 8", "xi export computes the conjugate variables at level 17 over 2^17 words, an engine size of 5.7e+09"),
-            ("export fisher --d 2 --level 17 --series-m 8", "fisher export computes the conjugate variables at level 17"),
-            ("export xi --mode symbolic --d 2 --level 11 --series-m 5", "xi export computes the conjugate variables at level 11 over 2^11 words, an engine size of 7.7e+09"),
-            ("verify all --d 3 --level 13 --series-m 6", "duality suite computes the conjugate variables at level 13"),
-            ("export xi --d 3 --level 13 --series-m 6", "xi export computes the conjugate variables at level 13 over 3^13 words, an engine size of 1e+10"),
-            # every word of the level is charged, not only the written ones
-            ("export xi --d 40 --level 5 --series-m 2", "xi export computes the conjugate variables at level 5 over 40^5 words, an engine size of 2.1e+11"),
-            # far past the limit the size is not formed in full, and is never a traceback
-            ("export xi --d 2 --level 2001 --series-m 1000", "xi export computes the conjugate variables at level 2001 over 2^2001 words, an engine size of inf"),
-            # per-word suites with too many cases, with their count
-            ("verify commutator --d 12 --level 6", "commutator suite checks 3,257,436 cases, above the limit of 100,000"),
-            ("verify duality --d 40 --level 5 --series-m 1", "duality suite checks 2,625,640 cases, above the limit of 100,000"),
-            # Gram levels too large to build, with their estimated size
-            ("verify bounds --d 7 --level 9", "bounds suite builds the level-6 Gram matrix, 27,210,169 entries"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,message", REFUSALS)
     def test_refuses_before_any_suite_runs(self, capsys, monkeypatch, argv, message):
         assert self.refusal(capsys, monkeypatch, argv.split()).startswith(f"invalid configuration: {message}")
+
+    @staticmethod
+    def admitted(monkeypatch, argv):
+        """Whether a run passes every requirement and gets as far as its
+        space."""
+
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(qfock.cli, "FockSpace", built)
+        try:
+            main(argv)
+        except Built:
+            return True
+        return False
 
     @pytest.mark.parametrize(
         "argv",
@@ -455,6 +497,7 @@ class TestVerify:
             "export xi --d 2 --level 13 --series-m 6",
             "export gibbs --d 2 --level 14 --series-m 6",
             "verify bounds --d 6 --level 9",
+            "verify bounds --d 7 --level 9",
             "export xi --d 3 --level 9 --series-m 4",
             "export xi --d 3 --level 11 --series-m 5",
             "export fisher --d 2 --level 15 --series-m 7",
@@ -464,45 +507,69 @@ class TestVerify:
             "export xi --mode symbolic --d 2 --level 9 --series-m 4",
             "verify all --d 3 --level 6",
             "verify commutator --d 6 --level 6",
+            "verify duality --d 3 --level 11 --series-m 5",
         ],
     )
     def test_gram_size_under_the_limit_runs(self, monkeypatch, argv):
-        # engine sizes 1.3e8 (d=2 levels 13 and 14), 6.1e7 and 7.9e8 (d=3
-        # levels 9 and 11), 9.0e8 (d=2 level 15), 6.3e8 and 4.2e9 (d=4 and
-        # d=5 level 9) and 8.6e8 (formal d=2 level 9) against the limit of
-        # 5e9; d=6 level 6 holds 8,848,236 Gram entries; d=3 level 6 checks
-        # at most 3,279 cases, and the commutator at d=6 level 6 55,986,
-        # against the limit of 100,000: the run passes every requirement
-        # and gets as far as its space
-        class Built(Exception):
-            pass
+        # predicted at 0.97 s (d=2 level 13), 3.8 s (gibbs, d=2 level 14),
+        # 2.1 and 5.9 s (bounds, d=6 and d=7), 0.48 and 4.1 s (d=3 levels 9
+        # and 11), 5.1 s (fisher, d=2 level 15), 6.6 s (all, d=3 level 9),
+        # 2.3 and 9.3 s (d=4 and d=5 level 9, the latter with 621 MB), 3.7 s
+        # (formal d=2 level 9), 0.41 s (all, d=3 level 6), 4.8 s (commutator,
+        # d=6 level 6) and 7.8 s (duality, d=3 level 11), each within the
+        # limits of 20 s and 1,500 MB
+        assert self.admitted(monkeypatch, argv.split())
 
-        def built(*args):
-            raise Built
+    def test_a_run_is_priced_whole(self, capsys, monkeypatch):
+        # at d=7 level 6 every suite is admitted on its own (dual-agree,
+        # the dearest, is predicted at 17 s), and all of them in one run are
+        # refused
+        config = "--d 7 --level 6 --series-m 2".split()
+        for name in qfock.cli._SUITE_FN:
+            assert self.admitted(monkeypatch, ["verify", name, *config]), name
+        err = self.refusal(capsys, monkeypatch, ["verify", "all", *config])
+        assert err.startswith("invalid configuration: all suite is predicted to take 41.7 s")
 
-        monkeypatch.setattr(qfock.cli, "FockSpace", built)
-        with pytest.raises(Built):
-            main(argv.split())
+    @pytest.mark.parametrize("argv,message", [row for row in REFUSALS if " is predicted " in row[1]])
+    def test_size_refusals_state_their_prediction_and_limit(self, capsys, monkeypatch, argv, message):
+        # one message for every size refusal: the run's predicted seconds
+        # and peak, and the limit the prediction passes
+        err = self.refusal(capsys, monkeypatch, argv.split())
+        pattern = r"invalid configuration: \S+ (suite|export) is predicted to take (\S+) s and (\S+) MB( \(.*\))?, above the limit of (.*)"
+        _, seconds, mb, parts, limit = re.fullmatch(pattern, err).groups()
+        seconds, mb = float(seconds), float(mb.replace(",", ""))
+        assert (parts is not None) == argv.startswith("verify all")
+        if limit == f"{qfock.cli.TIME_LIMIT_S} s":
+            assert seconds > qfock.cli.TIME_LIMIT_S
+        else:
+            assert limit == f"{qfock.cli.MEMORY_LIMIT_MB:,} MB"
+            assert seconds <= qfock.cli.TIME_LIMIT_S and mb > qfock.cli.MEMORY_LIMIT_MB
 
-    def test_fisher_within_the_engine_size_reads_a_small_gram(self):
-        # at the largest d whose level 2M+1 passes the engine size (a
-        # constant float deformation weighs the least: weight 1, one content
-        # peeled per orbit), the level-M Gram fisher reads is far below the
-        # Gram limit; level 0 is the vacuum alone at any d
-        def size(d, n):
-            return qfock.cli._engine_size(SimpleNamespace(d=d, is_float=True, is_symbolic=False, is_constant=True), n)
+    def test_fisher_within_the_limits_reads_a_small_gram(self):
+        # at the largest d whose fisher export is admitted (a constant float
+        # deformation weighs the least: weight 0.2, one content peeled per
+        # orbit), the level-M Gram fisher reads is far below any Gram level
+        # the price refuses; at M=0 it reads the vacuum alone, at any d
+        def price(d, m, name, level):
+            fake = SimpleNamespace(d=d, is_float=True, is_symbolic=False, is_constant=True)
+            return qfock.cli._price(fake, SimpleNamespace(series_m=m, level=level, command="export"), [name])
+
+        def admitted(d, m):
+            seconds, mb, _ = price(d, m, "fisher", 2 * m + 1)
+            return seconds <= qfock.cli.TIME_LIMIT_S and mb <= qfock.cli.MEMORY_LIMIT_MB
 
         largest = {}
-        for m in range(9):
-            lo, hi = 1, qfock.cli.ENGINE_SIZE_LIMIT + 1
+        for m in range(1, 9):
+            lo, hi = 1, 10**4
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if size(mid, 2 * m + 1) <= qfock.cli.ENGINE_SIZE_LIMIT else (lo, mid)
-            largest[m] = (lo, qfock.cli._gram_size(lo, m)[0] if m else 1)
-        # level 1 peels one word and writes d, at 2^11 each
-        assert largest[0][0] == (qfock.cli.ENGINE_SIZE_LIMIT - 1) // 2**11
-        assert max(largest.values(), key=lambda de: de[1]) == (5, 7_885) == largest[4]
-        assert 7_885 < qfock.cli.GRAM_ENTRIES_LIMIT
+                lo, hi = (mid, hi) if admitted(mid, m) else (lo, mid)
+            largest[m] = (lo, qfock.cli._gram_size(lo, m)[0])
+        # the largest is level 6 at d=3 (the float level-13 export is
+        # predicted at 13 s), which the bounds suite would build in 7 ms
+        assert max(largest.values(), key=lambda de: de[1]) == (3, 35_169) == largest[6]
+        gram_seconds = price(3, 0, "bounds", 6)[0] - price(1, 0, "bounds", 6)[0]
+        assert gram_seconds < qfock.cli.TIME_LIMIT_S / 1000
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_gram_size_counts_the_blocks(self, d):
