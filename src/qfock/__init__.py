@@ -44,9 +44,9 @@ from .norms import (
 )
 from .onevariable import (
     IdentityCheck,
-    Poly1,
     cheb,
     hermite,
+    hermites,
     moments,
     q_identity_residual,
     rescale_identity_residual,

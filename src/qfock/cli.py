@@ -17,10 +17,10 @@ import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, inf, isfinite, log2, sqrt
+from math import comb, factorial, inf, isfinite, log2, perm, sqrt
 
 import mpmath as mp
 
@@ -40,6 +40,7 @@ from .ncpoly import (
 from .onevariable import (
     cheb,
     hermite,
+    hermites,
     q_identity_residual,
     q_identity_truncation,
     rescale_identity_residual,
@@ -171,6 +172,22 @@ def _orbit_words(d, n):
     return sum(comb(n, 2 * t) * sum(g[t]) for t in range(half + 1)) if n % 2 else 0
 
 
+def _diagrams(family, n):
+    """The diagrams of the family on n vertices, counted without drawing
+    them. D holds the involutions of n points: I(n) = I(n-1) + (n-1) I(n-2).
+    In B and C vertex 0 pairs with some k, and j of the k - 1 vertices
+    below k pair with distinct vertices above k, in C(k-1, j) (n-1-k)_j
+    ways; B pairs all of them (j = k - 1)."""
+    if family == "D":
+        prev, cur = 1, 1
+        for m in range(1, n):
+            prev, cur = cur, cur + m * prev
+        return cur
+    return sum(
+        comb(k - 1, j) * perm(n - 1 - k, j) for k in range(1, n) for j in (range(k) if family == "C" else [k - 1])
+    )
+
+
 def _price(deformation, args, names):
     """The seconds and peak MB a run of the named suites or export is
     predicted to take, and each name's seconds: 0.2 s and 35 MB to start,
@@ -181,9 +198,12 @@ def _price(deformation, args, names):
       word peeled (``_orbit_words`` at constant q, ``_source_words`` when
       mixed), 0.77 us per word of the level, which ``fock._by_content``
       indexes whole, and 3.0 us per word of the answer (``_source_words``).
-      The weight w is log2 s for rational entries over the common
-      denominator s (at least 1), 0.2 for floats and 2^(n/2 + 4) for a
-      formal q, whose coefficients grow with n.
+      The weight w is 0.2 for floats and 2^(n/2 + 4) for a formal q,
+      whose coefficients grow with n. Rational entries over the common
+      denominator s are held as integers of about n^2/2 log2 s bits, and
+      their multiplication costs grow as the square of that: w is
+      0.3 + 0.27 L + 3.3e-6 (L n^2)^2 with L = log2 s, at least 1: 1 at
+      s = 2 up to level 17.
     - xi writes each word of the answer in 6.9 us.
     - gibbs Wick-expands the answer, forms the potential and its gradient
       residuals in 2.1 us w n^2 per word of it; the suite also applies the
@@ -198,21 +218,37 @@ def _price(deformation, args, names):
     - Memory is the conjugate variables' word table, 120 + 20 n bytes per
       word of the level; the time limit bounds every other peak (bounds
       at d=8 level 9, 70 million Gram entries: 12 s and 739 MB).
+    - hermite up to degree N: 37 ns per letter of the words x^k it keys,
+      N^3/6 of them, and 5.0 ps per squared bit of its big-integer
+      coefficients, w^2 N^6/360 over all (n, k): the coefficient of x^(n-2k)
+      has degree k(n-k-1) in q. The weight w is log2 max(|a|, b) at
+      q = a/b, 0 for floats and 8 sqrt(N) for a formal q. Its peak is 1.5
+      times the text written, 30 bytes per coefficient and 0.6 w digits per
+      unit of degree, summed N^4/48 (by then the time limit has refused
+      every run near the memory limit).
+    - partitions on n vertices: 0.47 us and 32 bytes per diagram
+      (``_diagrams``) and vertex squared; ``enumerate_family`` keeps every
+      diagram with its crossing map.
 
     Fitted stage by stage (xi and fisher, gibbs, duality, each per-word
-    suite, bounds) on 89 runs, the float weight on 3 more, by least squares
-    on relative error, one process at a time, OPENBLAS_NUM_THREADS=1, on a
-    2-core x86-64 box. At q = 1/2, measured -> predicted
-    seconds: export xi d=2 level 15 4.5 -> 5.4, d=3 level 11 4.3 -> 4.1,
-    d=5 level 9 11.1 -> 9.3, formal d=2 level 9 3.6 -> 3.7, d=2 level 17
-    44 -> 33, d=3 level 13 63 -> 55; verify gibbs d=3 level 9 6.2 -> 5.8,
+    suite, bounds) on 89 runs, the float weight on 3 more, the rational
+    weight on 29 xi runs at s from 2 to 1.1e8 (all within 1.25 times, by
+    the largest relative error), hermite on 22 (within 0.8 to 1.2 times
+    but at degree 1,000 and q = 0, 0.80), and partitions on 15 (within 0.84
+    to 1.12 times, peak MB 0.91 to 1.13), by least squares on relative
+    error, one process at a time,
+    OPENBLAS_NUM_THREADS=1, on a 2-core x86-64 box. At q = 1/2, measured ->
+    predicted seconds: export xi d=2 level 15 4.5 -> 5.4, d=3 level 11
+    4.3 -> 4.1, d=5 level 9 11.1 -> 9.3, formal d=2 level 9 3.6 -> 3.7, d=2
+    level 17 44 -> 33, d=3 level 13 63 -> 55; verify gibbs d=3 level 9 6.2 -> 5.8,
     level 11 72 -> 92; verify duality d=3 level 11 7.8 -> 7.8, d=7 level 7
     56 -> 45; verify commutator d=7 level 6 15 -> 12; verify bounds d=7
     level 9 6.8 -> 5.9. Peak MB: export xi d=10 level 7 2,179 -> 2,635,
     d=9 level 7 1,071 -> 1,279, d=200 level 3 1,371 -> 1,475.
 
-    Far past any limit (n above 255, or d^n above 2^200) the price is
-    infinite, its words not counted."""
+    Far past any limit (n above 255, or d^n above 2^200, a Hermite degree
+    above 10^5 or more than 60 vertices) the price is infinite, its words
+    not counted."""
     d, n = deformation.d, 2 * args.series_m + 1
     seconds, mb = dict.fromkeys(names, 0.0), 0.0
     for name in names:
@@ -220,8 +256,13 @@ def _price(deformation, args, names):
             if n > 255 or n * log2(d) > 200:
                 seconds[name] = mb = inf
                 continue
-            exact = not (deformation.is_symbolic or deformation.is_float)
-            weight = max(1.0, log2(_cleared(deformation)[0])) if exact else 2 ** (n / 2 + 4) if deformation.is_symbolic else 0.2
+            if deformation.is_symbolic:
+                weight = 2 ** (n / 2 + 4)
+            elif deformation.is_float:
+                weight = 0.2
+            else:
+                bits = log2(_cleared(deformation)[0])
+                weight = max(1.0, 0.3 + 0.27 * bits + 3.3e-6 * (bits * n**2) ** 2)
             peeled = _orbit_words(d, n) if deformation.is_constant else _source_words(d, n)
             answer = _source_words(d, n)
             seconds[name] += 5.8e-9 * weight * peeled * n**4 + 7.7e-7 * d**n + 3.0e-6 * answer
@@ -239,6 +280,21 @@ def _price(deformation, args, names):
                 seconds[name] += 4.8e-7 * _cases(name, d, args) * cut
         if name in ("duality", "bounds"):
             seconds[name] += 2.1e-7 * _gram_size(d, _case_length(name, args) if name == "duality" else min(args.level, 6))[0]
+        if name == "hermite":
+            top, q = args.n, deformation.constant_value
+            if top > 10**5:
+                seconds[name] = mb = inf
+                continue
+            w = 8 * sqrt(top) if deformation.is_symbolic else 0 if deformation.is_float else log2(max(abs(q.numerator), q.denominator))
+            seconds[name] += 3.7e-8 * top**3 / 6 + 5.0e-12 * w**2 * top**6 / 360
+            mb = 1.5e-6 * (30 * top**2 / 4 + 0.6 * w * top**4 / 48)
+        if name == "partitions":
+            if args.n > 60:
+                seconds[name] = mb = inf
+                continue
+            size = _diagrams(args.family, args.n) * args.n**2
+            seconds[name] += 4.7e-7 * size
+            mb = 3.2e-5 * size
     return 0.2 + sum(seconds.values()), 35 + mb, seconds
 
 
@@ -281,6 +337,8 @@ def _require(deformation, args, names):
                 raise ConfigError(f"{label} needs numeric entries")
             if name == "hermite" and not deformation.is_constant:
                 raise ConfigError(f"{label} needs a constant deformation")
+            if name == "hermite" and args.n < 0:
+                raise ConfigError(f"{label} needs --n >= 0")
             if name == "partitions" and args.n < (lowest := 0 if args.family == "D" else 1):
                 raise ConfigError(f"family {args.family} needs --n >= {lowest}")
             if args.command == "export" and args.format == "csv" and name not in _CSVABLE:
@@ -546,6 +604,23 @@ def run_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@contextmanager
+def _long_ints():
+    """Lift CPython's limit on the digits of an int written as text (4,300
+    by default; none before Python 3.10.7) for an export, and restore it
+    afterwards: an admitted export writes every coefficient it computes,
+    and ``export hermite --q 1/2`` has longer ones from n = 260. The limit
+    still holds while the arguments are read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _config_json(args):
     return {
         "d": args.d,
@@ -615,10 +690,13 @@ def _export_partitions(space, args):
 
 
 def _export_hermite(space, args):
+    # dense rows, one pass of the recurrence; a missing power is the zero of q's ring
     q = space.deformation.constant_value
-    rows = []
-    for n in range(args.n + 1):
-        rows.append({"n": n, "coeffs": [_scalar_json(c) for c in hermite(n, q).coeffs]})
+    zero = q - q
+    rows = [
+        {"n": n, "coeffs": [_scalar_json(h.coeff((1,) * k) or zero) for k in range(n + 1)]}
+        for n, h in zip(range(args.n + 1), hermites(q))
+    ]
     return {"hermite": rows}
 
 
@@ -651,23 +729,24 @@ _CSVABLE = {"partitions", "hermite", "fisher"}
 def run_export(args) -> int:
     deformation = _parse_config(args)
     _require(deformation, args, [args.what])
-    space = FockSpace(deformation, args.level)
-    payload = _EXPORT_FN[args.what](space, args)
-    if args.format == "csv":
-        key = next(iter(payload))
-        rows = payload[key]
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: json.dumps(v, sort_keys=True, default=_scalar_json) if isinstance(v, (list, dict)) else v for k, v in row.items()})
-        # a family with no diagram writes one empty line
-        _emit(args, buf.getvalue() or "\n")
-    else:
-        report = {"command": "export", "what": args.what, "config": _config_json(args)}
-        report.update(payload)
-        _emit(args, report)
+    with _long_ints():
+        space = FockSpace(deformation, args.level)
+        payload = _EXPORT_FN[args.what](space, args)
+        if args.format == "csv":
+            key = next(iter(payload))
+            rows = payload[key]
+            buf = io.StringIO()
+            if rows:
+                writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                for row in rows:
+                    writer.writerow({k: json.dumps(v, sort_keys=True, default=_scalar_json) if isinstance(v, (list, dict)) else v for k, v in row.items()})
+            # a family with no diagram writes one empty line
+            _emit(args, buf.getvalue() or "\n")
+        else:
+            report = {"command": "export", "what": args.what, "config": _config_json(args)}
+            report.update(payload)
+            _emit(args, report)
     return 0
 
 

@@ -1,13 +1,17 @@
 """One-variable structure: deformed Hermite and Chebyshev polynomials.
 
 With a single letter the Wick transform of the level-n basis vector is the
-degree-n deformed Hermite polynomial H_n, generated by
+degree-n deformed Hermite polynomial H_n (M. Bozejko, B. Kuemmerer and R.
+Speicher, Comm. Math. Phys. 185, 1997), generated by
 
     H_0 = 1,  H_1 = x,  H_{n+1} = x H_n - [n]_q H_{n-1}.
 
 Chebyshev polynomials of the second kind follow the same recurrence with
 [n]_q replaced by 1, and the first kind is reduced to the second by
-C_1 = U_1 and C_n = U_n - U_{n-2} for n >= 2.
+C_1 = U_1 and C_n = U_n - U_{n-2} for n >= 2. Both families are returned
+as one-letter ``NCPoly``s, x the letter 1, so H_n is the very polynomial
+that ``wick_recursive`` gives for the word (1,) * n; the coefficient of
+x^k is ``coeff((1,) * k)``.
 
 Three classical identities tie the two families together after rescaling
 the variable by sqrt(1-q); the square root is handled numerically only,
@@ -17,14 +21,16 @@ except where even powers make everything exact (the moment identities).
 from __future__ import annotations
 
 import math
+from itertools import count, islice
 from typing import NamedTuple
 
 from .fock import FockSpace
+from .ncpoly import NCPoly
 from .scalars import FORMAL_Q, q_binom, q_factorial, q_int
 
 __all__ = [
-    "Poly1",
     "hermite",
+    "hermites",
     "cheb",
     "moments",
     "trace_cheb",
@@ -35,93 +41,34 @@ __all__ = [
 ]
 
 
-class Poly1:
-    """Dense one-variable polynomial over any scalar mode, canonical form."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly1 is immutable")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __add__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly1(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def scaled(self, s):
-        return Poly1(tuple(c * s for c in self.coeffs))
-
-    def shifted(self):
-        """Multiply by the variable; the new constant term is a zero of the
-        coefficients' own ring."""
-        if not self.coeffs:
-            return self
-        c0 = self.coeffs[0]
-        return Poly1((c0 - c0,) + self.coeffs)
-
-    def eval_at(self, x):
-        acc = 0 if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Poly1({list(self.coeffs)!r})"
+def _three_term(one, step):
+    """P_0 = 1, P_1 = x and P_{m+1} = x P_m - step(m) P_{m-1}, one after
+    another, as one-letter polynomials with the unit ``one``."""
+    prev, cur = NCPoly({(): one}), NCPoly({(1,): one})
+    yield prev
+    for m in count(1):
+        yield cur
+        prev, cur = cur, NCPoly.combination([(cur.prepend(1), 1), (prev, -step(m))])
 
 
-def hermite(n, q=FORMAL_Q) -> Poly1:
+def hermites(q=FORMAL_Q):
+    """H_0, H_1, ... at the given q scalar, each built from the two before."""
+    return _three_term(q**0, lambda m: q_int(m, q))
+
+
+def hermite(n, q=FORMAL_Q) -> NCPoly:
     """Deformed Hermite polynomial of degree n at the given q scalar."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    one = q**0
-    prev, cur = Poly1((one,)), Poly1((q - q, one))
-    if n == 0:
-        return prev
-    for m in range(1, n):
-        prev, cur = cur, cur.shifted() + prev.scaled(-q_int(m, q))
-    return cur
+    return next(islice(hermites(q), n, None))
 
 
-def cheb(kind, n) -> Poly1:
+def cheb(kind, n) -> NCPoly:
     """Chebyshev polynomial: kind 'U' (second) or 'C' (first, via U)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if kind == "U":
-        prev, cur = Poly1((1,)), Poly1((0, 1))
-        if n == 0:
-            return prev
-        for _ in range(1, n):
-            prev, cur = cur, cur.shifted() + prev.scaled(-1)
-        return cur
+        return next(islice(_three_term(1, lambda m: 1), n, None))
     if kind == "C":
         if n == 0:
             raise ValueError("first-kind reduction starts at degree 1")
@@ -152,7 +99,7 @@ def _rescaled_trace(k, q):
     one_minus_q = 1 - q
     value = 0
     for j in range(k % 2, k + 1, 2):
-        c = u.coeff(j)
+        c = u.coeff((1,) * j)
         if c:
             value = value + c * one_minus_q ** (j // 2) * m[j]
     return value
@@ -187,7 +134,7 @@ def rescale_identity_residual(n, q0):
     q0 = float(q0)
     s = math.sqrt(1.0 - q0)
     u = cheb("U", n)
-    lhs = [float(u.coeff(k)) * s**k for k in range(n + 1)]
+    lhs = [float(u.coeff((1,) * k)) * s**k for k in range(n + 1)]
     rhs = [0.0] * (n + 1)
     for k in range(n // 2 + 1):
         factor = (
@@ -198,7 +145,7 @@ def rescale_identity_residual(n, q0):
         )
         h = hermite(n - 2 * k, q0)
         for t in range(n - 2 * k + 1):
-            rhs[t] += factor * float(h.coeff(t))
+            rhs[t] += factor * float(h.coeff((1,) * t))
     return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 

@@ -24,6 +24,8 @@ from qfock import (
     FockSpace,
     FockVector,
     gram_domination_residual,
+    enumerate_family,
+    hermite,
     projected_domination,
     q_factorial,
     right_annihilation_norm,
@@ -79,6 +81,15 @@ REFUSALS = [
     ("export xi --d 10 --level 7 --series-m 3", "xi export is predicted to take 14.7 s and 2,635 MB, above the limit of 1,500 MB"),
     # every suite is within the limit on its own, but not all of them in one run
     ("verify all --d 7 --level 6 --series-m 2", "all suite is predicted to take 41.7 s and 39 MB (commutator 11 s, dual-agree 17 s, "),
+    # integers of n^2/2 log2 s bits at s = 999,999, which measures 24-26 s
+    ("export xi --d 2 --level 13 --series-m 6 --q=-123457/999999", "xi export is predicted to take 29.5 s and 38 MB, above the limit of 20 s"),
+    ("export hermite --n -1", "hermite export needs --n >= 0"),
+    # coefficients past 4,300 digits, which measures 51 s and 372 MB
+    ("export hermite --n 400 --q 1/2", "hermite export is predicted to take 57.5 s and 517 MB, above the limit of 20 s"),
+    ("export hermite --n 100 --mode symbolic", "hermite export is predicted to take 89.1 s and 185 MB, above the limit of 20 s"),
+    # 442,194 diagrams, which measures 69 s and 4,771 MB
+    ("export partitions --family B --n 18", "partitions export is predicted to take 67.5 s and 4,620 MB, above the limit of 20 s"),
+    ("export partitions --family D --n 13", "partitions export is predicted to take 45.4 s and 3,109 MB, above the limit of 20 s"),
 ]
 
 
@@ -508,6 +519,12 @@ class TestVerify:
             "verify all --d 3 --level 6",
             "verify commutator --d 6 --level 6",
             "verify duality --d 3 --level 11 --series-m 5",
+            "export xi --d 2 --level 11 --series-m 5 --q=-123457/999999",
+            "export hermite --n 200 --q 1/2",
+            "export hermite --n 1200 --mode float --q=-0.5",
+            "export partitions --family D --n 8",
+            "export partitions --family C --n 10",
+            "export partitions --family B --n 11",
         ],
     )
     def test_gram_size_under_the_limit_runs(self, monkeypatch, argv):
@@ -516,8 +533,10 @@ class TestVerify:
         # and 11), 5.1 s (fisher, d=2 level 15), 6.6 s (all, d=3 level 9),
         # 2.3 and 9.3 s (d=4 and d=5 level 9, the latter with 621 MB), 3.7 s
         # (formal d=2 level 9), 0.41 s (all, d=3 level 6), 4.8 s (commutator,
-        # d=6 level 6) and 7.8 s (duality, d=3 level 11), each within the
-        # limits of 20 s and 1,500 MB
+        # d=6 level 6), 7.8 s (duality, d=3 level 11), 2.4 s (d=2 level 11
+        # at s = 999,999), 1.1 and 11 s (hermite, exact to degree 200 and
+        # float to 1,200) and 0.2 s (the partitions of the diagrams
+        # workload), each within the limits of 20 s and 1,500 MB
         assert self.admitted(monkeypatch, argv.split())
 
     def test_a_run_is_priced_whole(self, capsys, monkeypatch):
@@ -570,6 +589,11 @@ class TestVerify:
         assert max(largest.values(), key=lambda de: de[1]) == (3, 35_169) == largest[6]
         gram_seconds = price(3, 0, "bounds", 6)[0] - price(1, 0, "bounds", 6)[0]
         assert gram_seconds < qfock.cli.TIME_LIMIT_S / 1000
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_diagrams_counts_the_enumeration(self, family):
+        for n in range(0 if family == "D" else 1, 12):
+            assert qfock.cli._diagrams(family, n) == len(enumerate_family(family, n)), n
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_gram_size_counts_the_blocks(self, d):
@@ -774,6 +798,29 @@ class TestExport:
         assert lines[0] == "n,coeffs"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "argv,q,zero",
+        [(["--mode", "float", "--q=-0.5"], -0.5, 0.0), (["--q=-3/7"], Fraction(-3, 7), 0), (["--mode", "symbolic"], None, {"poly": []})],
+        ids=["float", "exact", "symbolic"],
+    )
+    def test_hermite_rows_are_dense_in_q_ring(self, capsys, argv, q, zero):
+        # row n holds every power up to n, one pass of the recurrence giving
+        # hermite(n, q); a power of the wrong parity is written as q - q,
+        # typed as q is and never -0.0
+        code, out = run(capsys, "export", "hermite", "--n", "9", *argv)
+        assert code == 0 and "-0.0" not in out
+        rows = json.loads(out)["hermite"]
+        assert [row["n"] for row in rows] == list(range(10))
+        for n, row in enumerate(rows):
+            assert len(row["coeffs"]) == n + 1
+            for k, c in enumerate(row["coeffs"]):
+                if (n - k) % 2:
+                    assert c == zero and type(c) is type(zero), (n, k)
+                else:
+                    assert c != zero, (n, k)
+                    if q is not None:
+                        assert Fraction(str(c)) == Fraction(hermite(n, q).coeff((1,) * k)), (n, k)
+
     def test_csv_of_no_diagram_is_one_empty_line(self, capsys):
         # B on one vertex has no diagram, so the table has no header either
         assert run(capsys, "export", "partitions", "--family", "B", "--n", "1", "--format", "csv") == (0, "\n")
@@ -848,8 +895,9 @@ class TestExport:
 
 
 class TestNoTraceback:
-    """Every command ends in an exit code over a grid near |q| = 1: 0 or 1
-    from the checks, 2 from a refusal, never an exception."""
+    """Every command ends in an exit code over a grid near |q| = 1, and the
+    hermite and partitions exports at any size: 0 or 1 from the checks, 2
+    from a refusal, never an exception."""
 
     # left out, though they pass: the xi and fisher tails at |q| = 997/1000
     # (about 3 s a run). The bounds suite is left out whole: at 99/100 it
@@ -879,6 +927,37 @@ class TestNoTraceback:
                 raised.append((" ".join(argv), repr(exc)))
             capsys.readouterr()
         assert raised == []
+
+    @pytest.mark.parametrize("what", ["hermite", "partitions"])
+    def test_any_size_is_refused_up_front_or_written(self, capsys, tmp_path, what):
+        # from a negative size to far past the limits; of the sizes above 9
+        # only the float Hermite table to degree 400 is admitted (0.6 s)
+        out = str(tmp_path / "out")
+        kinds = ("exact", "float", "symbolic") if what == "hermite" else ("B", "C", "D")
+        for kind, n in itertools.product(kinds, (-2, -1, 0, 1, 2, 9, 400, 10**9)):
+            option = "--mode" if what == "hermite" else "--family"
+            argv = ["export", what, option, kind, "--n", str(n), "--out", out]
+            refused = n < (1 if kind in ("B", "C") else 0) or n > (400 if kind == "float" else 9)
+            assert main(argv) == (2 if refused else 0), argv
+            capsys.readouterr()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_coefficients_past_the_digit_limit_are_written(self, capsys):
+        # at CPython's least digit limit, 640, hermite(100, 1/2) has longer
+        # numerators: the run writes them and restores the limit, and
+        # reading --q keeps the limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(capsys, "export", "hermite", "--n", "100", "--q", "1/2")
+            assert code == 0 and sys.get_int_max_str_digits() == 640
+            assert main(["export", "hermite", "--q", "1/" + "7" * 700]) == 2
+            assert capsys.readouterr().err.startswith("invalid configuration: cannot parse q")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        row = json.loads(out)["hermite"][100]
+        assert max(len(c.partition("/")[0]) for c in row["coeffs"] if isinstance(c, str)) > 640
+        assert Fraction(row["coeffs"][0]) == hermite(100, Fraction(1, 2)).coeff(())
 
 
 class TestNearOne:
